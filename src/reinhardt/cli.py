@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .certificate import certificate_ladder
@@ -35,7 +36,7 @@ from .hankel import (
     sample_ladder,
     shell_bound,
 )
-from .moments import DIVERGENT, log_c_gamma_sq
+from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .wiegerinck import omega0_s11, omegak_report
 
@@ -144,15 +145,24 @@ def parse_domain(text: str) -> DomainSpec:
 
 
 def _number(text: str):
-    value = float(text)
-    return int(value) if value == int(value) else value
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidInputError(f"domain parameter {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise InvalidInputError(f"domain parameter must be finite, got {text!r}")
+    return int(value) if value.is_integer() else value
 
 
 def parse_alpha(text: str) -> MultiIndex:
     parts = text.split(",")
     if len(parts) != 2:
         raise InvalidInputError(f"alpha must be 'a1,a2', got {text!r}")
-    return MultiIndex(int(parts[0]), int(parts[1]))
+    try:
+        a1, a2 = (int(part) for part in parts)
+    except ValueError:
+        raise InvalidInputError(f"alpha must be two integers 'a1,a2', got {text!r}") from None
+    return MultiIndex(a1, a2)
 
 
 def _domain_from_config(value) -> DomainSpec:
@@ -190,6 +200,7 @@ def _run_moments(domain, n_max, fmt, settings):
     rows = []
     divergent = 0
     for order in range(n_max + 1):
+        fill_shell(domain, order, settings)
         for g1 in range(order + 1):
             gamma = MultiIndex(g1, order - g1)
             value = log_c_gamma_sq(domain, gamma, settings)
@@ -499,7 +510,7 @@ def _alpha_from_config(value) -> MultiIndex:
     if isinstance(value, str):
         return parse_alpha(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return MultiIndex(int(value[0]), int(value[1]))
+        return parse_alpha(f"{value[0]},{value[1]}")
     raise InvalidInputError(f"cannot interpret alpha {value!r}")
 
 
@@ -509,13 +520,20 @@ def main(argv=None) -> int:
         config = _merged_config(args)
         text, summary, path = run(config)
         _write_text(path, text)
-        print(summary)
+        # A report on stdout must stay parseable, so the summary goes aside.
+        print(summary, file=sys.stderr if path in (None, "-") else sys.stdout)
         return 0
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        details = ", ".join(
+            f"{name}={_fmt(value)}"
+            for name, value in (("best_estimate", exc.best_estimate),
+                                ("achieved_error", exc.achieved_error))
+            if value is not None
+        )
+        print(f"numerical failure: {exc}" + (f" ({details})" if details else ""), file=sys.stderr)
         return 2
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .domains import DIAGONAL, DIAGONAL_TRUNCATED, DomainSpec, MultiIndex
 from .errors import InvalidInputError
-from .moments import DIVERGENT, log_c_gamma_sq
+from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 # ---------------------------------------------------------------------------
@@ -132,6 +132,16 @@ def _log_c(spec: DomainSpec, gamma: MultiIndex, settings) -> float:
     return value.log
 
 
+def _ratio(log_num: float, log_den: float) -> float:
+    """exp(log_num - log_den), rejecting ratios beyond double range."""
+    try:
+        return math.exp(log_num - log_den)
+    except OverflowError:
+        raise InvalidInputError(
+            f"moment ratio exp({log_num - log_den:.6g}) overflows double precision on this domain"
+        ) from None
+
+
 def _check_alpha(spec: DomainSpec, alpha: MultiIndex, nonzero: bool):
     if not spec.lattice.contains(alpha):
         raise InvalidInputError(f"symbol index {alpha} is not in the Bergman space of {spec.describe()}")
@@ -161,10 +171,10 @@ def hs_term(
             "unbounded on this basis vector"
         )
     log_mid = _log_c(spec, gamma, settings)
-    term = math.exp(_log_c(spec, up, settings) - log_mid)
+    term = _ratio(_log_c(spec, up, settings), log_mid)
     down = gamma.sub(alpha)
     if down is not None and spec.lattice.contains(down):
-        term -= math.exp(log_mid - _log_c(spec, down, settings))
+        term -= _ratio(log_mid, _log_c(spec, down, settings))
     return term
 
 
@@ -178,8 +188,16 @@ def _shell(spec: DomainSpec, n: int):
     return tuple(MultiIndex(k, n - k) for k in range(n + 1))
 
 
+def _fill_shells(spec: DomainSpec, shells, settings):
+    """Batch the moments of every shell |gamma| = m that a shell sum looks up."""
+    for m in shells:
+        if m >= 0:
+            fill_shell(spec, m, settings)
+
+
 @lru_cache(maxsize=None)
 def _shell_term_sum(spec: DomainSpec, alpha: MultiIndex, n: int, settings) -> float:
+    _fill_shells(spec, (n - alpha.order, n, n + alpha.order), settings)
     terms = [
         hs_term(spec, gamma, alpha, settings)
         for gamma in _shell(spec, n)
@@ -221,12 +239,13 @@ def shell_bound(
     _check_alpha(spec, alpha, nonzero=True)
     if n != int(n) or n < 0:
         raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
+    _fill_shells(spec, (int(n), int(n) + alpha.order), settings)
     ratios = []
     for gamma in _shell(spec, int(n)):
         up = gamma.add(alpha)
         if not spec.lattice.contains(up):
             continue
-        ratios.append(math.exp(_log_c(spec, up, settings) - _log_c(spec, gamma, settings)))
+        ratios.append(_ratio(_log_c(spec, up, settings), _log_c(spec, gamma, settings)))
     return math.fsum(ratios)
 
 

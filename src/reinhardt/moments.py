@@ -12,6 +12,15 @@ on profile domains and to piecewise shadow integrals otherwise.  Closed
 forms are used where a family admits one; everything else goes through
 the adaptive log-domain quadrature.  Results are memoized keyed by
 (domain identity, arguments, settings); the cache never changes values.
+
+Callers that need a whole shell |gamma| = n (the moments table and the
+S_alpha shell sums) call fill_shell first.  On the two quadrature paths,
+the profile radial integral and the FiberPiece shadow, it integrates
+every missing moment of the shell in one batched log_integrate call,
+with phi evaluated once per shell on the pre-split grid; the per-gamma
+lookups that follow are memo hits.  Each moment of a shell is refined
+with the same panels and the same per-panel arithmetic as when it is
+integrated alone, so the memo holds the same value either way.
 """
 
 from __future__ import annotations
@@ -38,6 +47,17 @@ from .wiegerinck import omega0_log_ck_sq
 
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 _LOG_2PI2 = math.log(2.0 * math.pi**2)
+_CLOSED_FORM_FAMILIES = ("zero", "neg_log_one_minus_r2")
+
+# Memoized log moments, keyed by (profile, x, y, lo, hi, settings) and by
+# (domain, gamma, settings), and the (domain, n, settings) shells already
+# filled.  Values never depend on whether they were computed alone or as
+# part of a shell.
+_RADIAL_MEMO: dict = {}
+_MOMENT_MEMO: dict = {}
+_FILLED_SHELLS: set = set()
+# One shadow per domain: building it costs more than a closed-form moment.
+_shadow = lru_cache(maxsize=None)(radial_shadow)
 
 
 class Divergent:
@@ -97,68 +117,93 @@ def log_profile_interval_moment(
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
     return LogValue(
-        _cached_interval_moment(profile, float(x), float(y), float(lo), float(hi), settings)
+        _interval_moments(profile, (float(x),), (float(y),), float(lo), float(hi), settings)[0]
     )
 
 
-@lru_cache(maxsize=None)
-def _cached_interval_moment(profile, x, y, lo, hi, settings) -> float:
-    full = lo == 0.0 and hi == 1.0
-    if full and profile.name == "zero":
-        return -math.log(x + 1.0)
-    if full and profile.name == "neg_log_one_minus_r2":
-        return math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0)
-    log_f = _profile_log_integrand(profile, x, y)
-    presplit = _auto_presplit(profile, x, y, lo, hi, settings)
-    return log_integrate(log_f, lo, hi, settings, presplit=presplit)
+def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
+    """log integral_lo^hi r^x exp(-y phi(r)) dr for each (x, y), memoized.
+
+    Closed forms answer the full interval on the zero and -log(1-r^2)
+    families; every other missing value is integrated in one batched
+    log_integrate call.
+    """
+    keys = [(profile, x, y, lo, hi, settings) for x, y in zip(xs, ys)]
+    missing = [i for i, key in enumerate(keys) if key not in _RADIAL_MEMO]
+    if missing:
+        mx = [xs[i] for i in missing]
+        my = [ys[i] for i in missing]
+        full = lo == 0.0 and hi == 1.0
+        if full and profile.name == "zero":
+            logs = [-math.log(x + 1.0) for x in mx]
+        elif full and profile.name == "neg_log_one_minus_r2":
+            logs = [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0) for x, y in zip(mx, my)]
+        else:
+            mx, my = np.array(mx, dtype=float), np.array(my, dtype=float)
+            presplit = _auto_presplit(profile, mx, my, lo, hi, settings)
+            logs = log_integrate(
+                _profile_log_integrand(profile, mx, my), np.full(mx.size, lo),
+                np.full(mx.size, hi), settings, presplit=presplit,
+            ).tolist()
+        for i, value in zip(missing, logs):
+            _RADIAL_MEMO[keys[i]] = value
+    return [_RADIAL_MEMO[key] for key in keys]
 
 
-def _profile_log_integrand(profile, x, y):
+def _profile_log_values(x, y, log_r, phi_r):
+    """x log r - y phi(r), broadcast; a zero exponent drops its term even
+    where log r or phi(r) is infinite."""
+    out = np.multiply(x, log_r, out=np.zeros(np.broadcast_shapes(x.shape, log_r.shape)),
+                      where=x != 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.subtract(out, y * phi_r, out=out, where=y != 0.0)
+
+
+def _profile_log_integrand(profile, xs, ys):
     phi = profile.phi
 
-    def log_f(r):
-        r = np.asarray(r, dtype=float)
+    def log_f(r, owner):
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.zeros_like(r)
-            if x != 0.0:
-                out = out + x * np.log(r)
-            if y != 0.0:
-                out = out - y * phi(r)
-        return out
+            return _profile_log_values(xs[owner], ys[owner], np.log(r), phi(r))
 
     return log_f
 
 
-def _auto_presplit(profile, x, y, lo, hi, settings):
-    """Initial panel cuts: a graded mesh around the integrand peak plus a
-    split where y*phi has already killed the integrand.
+def _auto_presplit(profile, xs, ys, lo, hi, settings) -> np.ndarray:
+    """Initial panel cuts for each (x, y), one row each (NaN = no cut): a
+    graded mesh around the integrand peak plus a split where y*phi has
+    already killed the integrand.
 
-    The cut separating the decayed right end sits at the first grid
-    point where y*phi(r) exceeds log(1/rel_tol) + |max of the
-    log-integrand|; the graded mesh halves toward the peak so that
-    sharply concentrated integrands resolve in one or two rounds.
+    The peak is located on a fixed 256-point grid, on which phi is
+    evaluated once for the whole batch.  The cut separating the decayed
+    right end sits at the first grid point where y*phi(r) exceeds
+    log(1/rel_tol) + |max of the log-integrand|; the graded mesh halves
+    toward the peak so that sharply concentrated integrands resolve in
+    one or two rounds.  An integrand with no finite grid value gets no
+    cuts.
     """
     if settings.endpoint_split is not None:
-        return (settings.endpoint_split,)
+        return np.full((xs.size, 1), settings.endpoint_split)
     grid = np.linspace(lo, hi, 258)[1:-1]
-    log_f = _profile_log_integrand(profile, x, y)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        values = np.asarray(log_f(grid), dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        phis = np.asarray(profile.phi(grid), dtype=float)
+        values = _profile_log_values(xs[:, None], ys[:, None], np.log(grid), phis)
     finite = np.isfinite(values)
-    if not finite.any():
-        return ()
-    peak = float(grid[int(np.argmax(np.where(finite, values, -np.inf)))])
+    any_finite = finite.any(axis=1)
+    values[~finite] = -np.inf
+    peaks = grid[np.argmax(values, axis=1)]
     width = hi - lo
-    cuts = {peak + sign * width * 0.5 ** j for j in range(1, 10) for sign in (-1.0, 1.0)}
-
-    if y != 0.0 and profile.unbounded:
-        with np.errstate(over="ignore"):
-            phis = y * np.asarray(profile.phi(grid), dtype=float)
-        threshold = math.log(1.0 / settings.rel_tol) + abs(float(np.max(values[finite])))
-        exceeded = np.nonzero(phis >= threshold)[0]
-        if exceeded.size:
-            cuts.add(float(grid[exceeded[0]]))
-    return tuple(c for c in cuts if lo < c < hi)
+    offsets = np.array([sign * width * 0.5 ** j for j in range(1, 10) for sign in (-1.0, 1.0)])
+    tails = np.full(xs.size, np.nan)
+    if profile.unbounded:
+        thresholds = math.log(1.0 / settings.rel_tol) + np.abs(np.max(values, axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            exceeded = ys[:, None] * phis >= thresholds[:, None]
+        hit = exceeded.any(axis=1) & (ys != 0.0)
+        tails[hit] = grid[np.argmax(exceeded[hit], axis=1)]
+    cuts = np.column_stack([peaks[:, None] + offsets, tails])
+    cuts[~any_finite] = np.nan
+    return cuts
 
 
 # --------------------------------------------------------------------------
@@ -178,16 +223,45 @@ def log_region_moment(
     power/log tail exponents, never from runaway quadrature; pieces
     without a tail description are rejected.
     """
+    result = _region_log_moments(region, (gamma,), settings)[0]
+    return result if result is DIVERGENT else LogValue(result)
+
+
+def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
+    """log c_gamma^2 over a shadow region for each gamma, or DIVERGENT.
+
+    Every FiberPiece integrates all convergent gammas in one batched
+    log_integrate call.
+    """
+    converges = [_region_converges(region, gamma) for gamma in gammas]
+    live = [gamma for gamma, ok in zip(gammas, converges) if ok]
+    fibers = [
+        iter(_fiber_log_moments(piece, live, settings)) if isinstance(piece, FiberPiece) else None
+        for piece in region.pieces
+    ]
+    logs = []
+    for gamma, ok in zip(gammas, converges):
+        if not ok:
+            logs.append(DIVERGENT)
+            continue
+        parts = [
+            _piece_log_moment(piece, gamma, settings) if fiber is None else next(fiber)
+            for piece, fiber in zip(region.pieces, fibers)
+        ]
+        logs.append(_LOG_4PI2 + log_sum_exp(parts))
+    return logs
+
+
+def _region_converges(region: RadialRegion, gamma: MultiIndex) -> bool:
     for piece in region.pieces:
         if isinstance(piece, TailPiece):
             if not _tail_converges(piece, gamma):
-                return DIVERGENT
+                return False
         elif not piece.bounded:
             raise InvalidInputError(
                 f"cannot integrate over unbounded piece without a tail description: {piece!r}"
             )
-    parts = [_piece_log_moment(piece, gamma, settings) for piece in region.pieces]
-    return LogValue(_LOG_4PI2 + log_sum_exp(parts))
+    return True
 
 
 def _tail_exponents(piece: TailPiece, gamma: MultiIndex):
@@ -207,8 +281,6 @@ def _piece_log_moment(piece, gamma: MultiIndex, settings) -> float:
     if isinstance(piece, BoxPiece):
         return _axis_log_moment(piece.r1_lo, piece.r1_hi, 2 * gamma.g1 + 1) + \
             _axis_log_moment(piece.r2_lo, piece.r2_hi, 2 * gamma.g2 + 1)
-    if isinstance(piece, FiberPiece):
-        return _fiber_log_moment(piece, gamma, settings)
     if isinstance(piece, TailPiece):
         return _tail_log_moment(piece, gamma, settings)
     raise InvalidInputError(f"cannot integrate piece {piece!r}")
@@ -222,21 +294,27 @@ def _axis_log_moment(lo: float, hi: float, power: int) -> float:
     return log_sub_exp(top, bottom) - math.log(p1)
 
 
-def _fiber_log_moment(piece: FiberPiece, gamma: MultiIndex, settings) -> float:
-    y_exp = 2.0 * gamma.g2 + 2.0
-    x_exp = 2.0 * gamma.g1 + 1.0
+def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
+    """log of the fiber integrals of r1^(2g1+1) r2^(2g2+1), one batched call."""
+    if not gammas:
+        return []
+    xs = np.array([2.0 * gamma.g1 + 1.0 for gamma in gammas])
+    ys = np.array([2.0 * gamma.g2 + 2.0 for gamma in gammas])
+    log_ys = np.array([math.log(y) for y in ys.tolist()])
     log_hi, log_lo = piece.log_hi, piece.log_lo
 
-    def log_f(r):
-        r = np.asarray(r, dtype=float)
+    def log_f(r, owner):
+        y = ys[owner]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            top = y_exp * np.asarray(log_hi(r), dtype=float)
+            top = y * np.asarray(log_hi(r), dtype=float)
             if log_lo is not None:
-                bottom = y_exp * np.asarray(log_lo(r), dtype=float)
+                bottom = y * np.asarray(log_lo(r), dtype=float)
                 top = top + np.log1p(-np.exp(np.minimum(bottom - top, 0.0)))
-            return x_exp * np.log(r) + top - math.log(y_exp)
+            return xs[owner] * np.log(r) + top - log_ys[owner]
 
-    return log_integrate(log_f, piece.r1_lo, piece.r1_hi, settings)
+    return log_integrate(
+        log_f, np.full(xs.size, piece.r1_lo), np.full(xs.size, piece.r1_hi), settings
+    ).tolist()
 
 
 def _tail_log_moment(piece: TailPiece, gamma: MultiIndex, settings) -> float:
@@ -291,23 +369,60 @@ def log_c_gamma_sq(
     family only the shared Omega_0 region is counted, the connecting
     strip is never integrated); everything else integrates the shadow.
     """
-    result = _cached_c_gamma_sq(spec, gamma, settings)
+    key = (spec, gamma, settings)
+    result = _MOMENT_MEMO.get(key)
+    if result is None:
+        result = _MOMENT_MEMO[key] = _log_c_gamma_sq_batch(spec, (gamma,), settings)[0]
     return result if result is DIVERGENT else LogValue(result)
 
 
-@lru_cache(maxsize=None)
-def _cached_c_gamma_sq(spec: DomainSpec, gamma: MultiIndex, settings):
+def fill_shell(
+    spec: DomainSpec,
+    n: int,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+):
+    """Memoize log c_gamma^2 for every gamma of the shell |gamma| = n.
+
+    On the two quadrature paths, the profile radial integral and the
+    FiberPiece shadow, the moments of the shell missing from the memo
+    are one batched log_integrate call, so the log_c_gamma_sq lookups
+    that follow are memo hits.  Closed-form domains return at once.
+    """
     if spec.kind == "profile":
-        radial = _cached_interval_moment(
-            spec.profile, 2.0 * gamma.g1 + 1.0, 2.0 * gamma.g2 + 2.0, 0.0, 1.0, settings
+        if spec.profile.name in _CLOSED_FORM_FAMILIES:
+            return
+    elif spec.kind not in ("ball", "region"):
+        return
+    if n != int(n) or n < 0:
+        raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
+    n = int(n)
+    shell = (spec, n, settings)
+    if shell in _FILLED_SHELLS:
+        return
+    gammas = [
+        gamma for gamma in (MultiIndex(k, n - k) for k in range(n + 1))
+        if (spec, gamma, settings) not in _MOMENT_MEMO
+    ]
+    for gamma, value in zip(gammas, _log_c_gamma_sq_batch(spec, gammas, settings)):
+        _MOMENT_MEMO[(spec, gamma, settings)] = value
+    _FILLED_SHELLS.add(shell)
+
+
+def _log_c_gamma_sq_batch(spec: DomainSpec, gammas, settings) -> list:
+    if spec.kind == "profile":
+        radial = _interval_moments(
+            spec.profile,
+            [2.0 * gamma.g1 + 1.0 for gamma in gammas],
+            [2.0 * gamma.g2 + 2.0 for gamma in gammas],
+            0.0, 1.0, settings,
         )
-        return _LOG_2PI2 - math.log(gamma.g2 + 1.0) + radial
+        return [_LOG_2PI2 - math.log(gamma.g2 + 1.0) + r for gamma, r in zip(gammas, radial)]
     if spec.kind in ("omega0", "omega_k"):
-        if not spec.lattice.contains(gamma):
-            return DIVERGENT
-        return omega0_log_ck_sq(gamma.g1).log
-    result = log_region_moment(radial_shadow(spec), gamma, settings)
-    return result if result is DIVERGENT else result.log
+        return [
+            omega0_log_ck_sq(gamma.g1).log if spec.lattice.contains(gamma) else DIVERGENT
+            for gamma in gammas
+        ]
+    return _region_log_moments(_shadow(spec), gammas, settings)
 
 
 def monomial_in_basis(spec: DomainSpec, gamma: MultiIndex) -> bool:
@@ -334,5 +449,7 @@ def monomial_in_basis(spec: DomainSpec, gamma: MultiIndex) -> bool:
 
 def clear_moment_caches():
     """Drop memoized moments (useful in long test sessions)."""
-    _cached_interval_moment.cache_clear()
-    _cached_c_gamma_sq.cache_clear()
+    _RADIAL_MEMO.clear()
+    _MOMENT_MEMO.clear()
+    _FILLED_SHELLS.clear()
+    _shadow.cache_clear()

@@ -5,8 +5,18 @@ the integral is returned as ``log of the integral``.  Each panel is
 exponent-shifted by its own log-maximum before the 7/15-point rule pair
 is applied, so integrands whose magnitude spans thousands of orders of
 magnitude neither overflow nor underflow.  Panels are bisected in
-rounds: every panel holding more than its share of the error budget is
-split, and all new panels are evaluated in one vectorized call.
+rounds, following QUADPACK's globally adaptive strategy (Piessens et
+al., 1983): every panel holding more than its share of its integrand's
+error budget is split.
+
+One call integrates a whole batch of integrands, such as every moment
+of one shell ``|gamma| = n``.  The panels of all integrands sit in one
+table ordered by owner (the integrand's index in the batch); each
+refinement round evaluates every new panel with one call of the
+integrand, and per-integrand totals are segment reductions over the
+table.  Each integrand keeps its own stop rule, split rule and
+subdivision budget, and leaves the table once it has converged.  A
+single integrand is the batch of one.
 """
 
 from __future__ import annotations
@@ -61,97 +71,177 @@ class QuadratureSettings:
 DEFAULT_SETTINGS = QuadratureSettings()
 
 
-def _eval_panels(log_f, los, his):
-    """Rule pair on a batch of panels; returns (log_values, log_errors).
+def _eval_panels(log_f, los, his, owner):
+    """Rule pair on a table of panels; returns one row (log value, log
+    error estimate) per panel.
 
     A panel whose nodes all sit at log 0 contributes nothing; +inf or
     NaN values surface later as a NaN total, which the driver rejects.
     """
     half = 0.5 * (his - los)
     mid = 0.5 * (his + los)
-    nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lf = np.asarray(log_f(nodes.ravel()), dtype=float).reshape(los.size, _XGK.size)
-        shift = np.max(lf, axis=1)
-        empty = np.isneginf(shift)
-        bad = ~np.isfinite(shift) & ~empty
-        safe_shift = np.where(empty | bad, 0.0, shift)
-        w = np.exp(lf - safe_shift[:, None])
-        k = w @ _WGK
-        g = w[:, 1::2] @ _WG
-        scale = safe_shift + np.log(half)
-        log_val = np.log(np.maximum(k, 1e-300)) + scale
-        log_err = np.log(np.maximum(np.abs(k - g), 1e-300)) + scale
-    log_val[empty] = LOG_ZERO
-    log_err[empty] = LOG_ZERO
-    log_val[bad] = np.nan
-    return log_val, log_err
+    lf = np.asarray(log_f(mid[:, None] + half[:, None] * _XGK, owner[:, None]), dtype=float)
+    lf = lf.reshape(los.size, _XGK.size)
+    shift = lf.max(axis=1)
+    empty = shift == LOG_ZERO
+    bad = ~np.isfinite(shift) & ~empty
+    safe_shift = np.where(empty | bad, 0.0, shift)
+    w = np.exp(lf - safe_shift[:, None])
+    # Row sums, not a matrix product: a panel's value then does not
+    # depend on how many other panels share the call.
+    k = (w * _WGK).sum(axis=1)
+    g = (w[:, 1::2] * _WG).sum(axis=1)
+    rule = np.empty((los.size, 2))
+    rule[:, 0] = k
+    rule[:, 1] = np.abs(k - g)
+    out = np.log(np.maximum(rule, 1e-300)) + (safe_shift + np.log(half))[:, None]
+    out[empty] = LOG_ZERO
+    out[bad, 0] = np.nan
+    return out
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    if values.size == 0:
-        return LOG_ZERO
-    m = float(np.max(values))
-    if m == LOG_ZERO or math.isinf(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(values - m))))
+def _segment_logsumexp(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Column-wise log-sum-exp of each run of ``counts[i]`` rows beginning at ``starts[i]``."""
+    top = np.maximum.reduceat(values, starts)
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    sums = np.add.reduceat(np.exp(values - shift.repeat(counts, axis=0)), starts)
+    return np.where(finite, shift + np.log(sums), top)
+
+
+def _failure(message: str, log_val: float, log_err: float) -> NumericalFailureError:
+    return NumericalFailureError(
+        message,
+        best_estimate=float(log_val),
+        achieved_error=math.exp(min(float(log_err - log_val), 700.0)),
+    )
 
 
 def log_integrate(
     log_f,
-    a: float,
-    b: float,
+    a,
+    b,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     presplit=(),
-) -> float:
+):
     """log of integral of exp(log_f) over [a, b], to settings.rel_tol.
 
     ``presplit`` lists interior points at which the initial panels are
     cut (used to isolate a decayed right tail before bisection starts).
     Raises NumericalFailureError, carrying the best estimate, if the
     subdivision budget is exhausted first.
-    """
-    if not (b > a):
-        raise InvalidInputError(f"empty integration interval [{a}, {b}]")
-    points = [a] + sorted(p for p in set(presplit) if a < p < b) + [b]
-    los = np.array(points[:-1], dtype=float)
-    his = np.array(points[1:], dtype=float)
-    vals, errs = _eval_panels(log_f, los, his)
 
+    ``log_f`` must work elementwise on an array of radii of any shape.
+
+    Batch form: when ``a`` and ``b`` are 1-D arrays of m bounds, the call
+    integrates m integrands at once and returns an array of m logs.
+    ``log_f(r, owner)`` then receives a 2-D array of radii, one row per
+    panel, and a column holding the index of the integrand that owns
+    each row (it broadcasts against ``r``); ``presplit`` is empty or a
+    2-D array with one row of cuts per integrand (NaN entries are
+    ignored, so rows of different lengths can be padded).  An integrand
+    that fails raises the error a call on it alone would raise, with its
+    own best estimate and achieved error.
+    """
+    if np.ndim(a) == 0:
+        scalar_f = log_f
+        logs = _integrate_batch(
+            lambda r, owner: scalar_f(r), np.array([a], dtype=float),
+            np.array([b], dtype=float), settings, np.array([list(presplit)], dtype=float),
+        )
+        return float(logs[0])
+    return _integrate_batch(
+        log_f, np.asarray(a, dtype=float), np.asarray(b, dtype=float), settings,
+        np.asarray(presplit, dtype=float),
+    )
+
+
+def _initial_panels(a, b, cuts):
+    """Panels between a, the distinct cuts inside (a, b) in ascending order,
+    and b, for each integrand; returns (los, his, owner)."""
+    cuts = np.sort(cuts, axis=1)
+    inside = (a[:, None] < cuts) & (cuts < b[:, None])
+    inside[:, 1:] &= cuts[:, 1:] != cuts[:, :-1]
+    points = np.empty((a.size, cuts.shape[1] + 2))
+    points[:, 0], points[:, 1:-1], points[:, -1] = a, cuts, b
+    keep = np.ones(points.shape, dtype=bool)
+    keep[:, 1:-1] = inside
+    flat = points[keep]
+    n_panels = inside.sum(axis=1) + 1
+    # Consecutive points pair up into panels, except across integrands.
+    pair = np.ones(flat.size - 1, dtype=bool)
+    pair[(n_panels + 1).cumsum()[:-1] - 1] = False
+    return flat[:-1][pair], flat[1:][pair], np.arange(a.size).repeat(n_panels)
+
+
+def _integrate_batch(log_f, a, b, settings, presplit) -> np.ndarray:
+    size = a.size
+    if presplit.size == 0:
+        presplit = np.empty((size, 0))
+    if a.shape != (size,) or b.shape != (size,) or presplit.ndim != 2 or len(presplit) != size:
+        raise InvalidInputError("a batch needs one lower bound, upper bound and presplit row per integrand")
+    if size == 0:
+        return np.empty(0)
+    which = (lambda i: f" (integrand {i} of {size})") if size > 1 else (lambda i: "")
+    empty = ~(b > a)
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise InvalidInputError(f"empty integration interval [{a[i]}, {b[i]}]{which(i)}")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _refine(log_f, *_initial_panels(a, b, presplit), size, settings, which)
+
+
+def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
+    """The adaptive loop over a panel table ordered by owner."""
+    rules = _eval_panels(log_f, los, his, owner)
+    result = np.empty(size)
+    splits = np.zeros(size, dtype=np.int64)
     log_goal = math.log(settings.rel_tol)
-    splits = 0
     while True:
-        total_val = _logsumexp(vals)
-        total_err = _logsumexp(errs)
-        if math.isnan(total_val) or math.isnan(total_err):
+        counts = np.bincount(owner, minlength=size)
+        ids = counts.nonzero()[0]
+        counts = counts[ids]
+        totals = _segment_logsumexp(rules, counts.cumsum() - counts, counts)
+        total_val, total_err = totals[:, 0], totals[:, 1]
+        nan = np.isnan(totals).any(axis=1)
+        if nan.any():
             raise InvalidInputError(
                 "log-integrand produced NaN or +inf inside the integration interval"
+                + which(int(ids[nan.argmax()]))
             )
-        if total_err <= log_goal + total_val:
-            return total_val
-        if splits >= settings.max_subdivisions:
-            raise NumericalFailureError(
-                f"quadrature needed more than {settings.max_subdivisions} subdivisions",
-                best_estimate=total_val,
-                achieved_error=math.exp(min(total_err - total_val, 700.0)),
+        done = total_err <= log_goal + total_val
+        result[ids[done]] = total_val[done]
+        if done.all():
+            return result
+        exhausted = ~done & (splits[ids] >= settings.max_subdivisions)
+        if exhausted.any():
+            i = int(exhausted.argmax())
+            raise _failure(
+                f"quadrature needed more than {settings.max_subdivisions} subdivisions"
+                + which(int(ids[i])), total_val[i], total_err[i],
             )
-        # Split every panel holding more than a 1/(2P) share of the error
-        # budget; the worst panel always exceeds it, so progress is sure.
-        budget = log_goal + total_val - math.log(2.0 * errs.size)
-        split = errs > budget
+        # Split every panel holding more than a 1/(2P) share of its
+        # integrand's error budget; the worst panel always exceeds it, so
+        # progress is sure.  Panels of converged integrands leave the table.
+        live = (~done).repeat(counts)
+        budget = (log_goal + total_val - np.log(2.0 * counts)).repeat(counts)
+        split = live & (rules[:, 1] > budget)
         mids = 0.5 * (los[split] + his[split])
         degenerate = (mids <= los[split]) | (mids >= his[split])
         if degenerate.any():
-            raise NumericalFailureError(
-                "quadrature panel collapsed to machine precision",
-                best_estimate=total_val,
-                achieved_error=math.exp(min(total_err - total_val, 700.0)),
+            i = int(np.searchsorted(ids, owner[split][degenerate.argmax()]))
+            raise _failure(
+                "quadrature panel collapsed to machine precision" + which(int(ids[i])),
+                total_val[i], total_err[i],
             )
-        new_los = np.concatenate([los[split], mids])
-        new_his = np.concatenate([mids, his[split]])
-        new_vals, new_errs = _eval_panels(log_f, new_los, new_his)
-        los = np.concatenate([los[~split], new_los])
-        his = np.concatenate([his[~split], new_his])
-        vals = np.concatenate([vals[~split], new_vals])
-        errs = np.concatenate([errs[~split], new_errs])
-        splits += int(np.count_nonzero(split))
+        splits += np.bincount(owner[split], minlength=size)
+        # Each split panel is replaced in place by its two halves, so the
+        # table stays ordered by owner and, within an owner, by position.
+        copies = live.astype(np.intp) + split
+        left = (copies.cumsum() - copies)[split]
+        owner, los, his = owner.repeat(copies), los.repeat(copies), his.repeat(copies)
+        rules = rules.repeat(copies, axis=0)
+        his[left] = mids
+        los[left + 1] = mids
+        halves = np.concatenate([left, left + 1])
+        rules[halves] = _eval_panels(log_f, los[halves], his[halves], owner[halves])

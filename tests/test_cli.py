@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -5,7 +7,10 @@ import pytest
 
 from reinhardt.cli import main, parse_alpha, parse_domain, run
 from reinhardt.domains import MultiIndex
-from reinhardt.errors import InvalidInputError
+from reinhardt.errors import InvalidInputError, NumericalFailureError
+from reinhardt.moments import log_radial_moment
+from reinhardt.profiles import profile_family
+from reinhardt.quadrature import QuadratureSettings
 
 
 def test_parse_domain_variants():
@@ -54,7 +59,40 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["report", "--config", str(path)]) == 2
-    capsys.readouterr()
+    message = capsys.readouterr().err
+    # The first shell is gamma = (0, 0), the radial integral M(1, 2).
+    settings = QuadratureSettings(**config["tol"])
+    with pytest.raises(NumericalFailureError) as failure:
+        log_radial_moment(profile_family("inv_one_minus_pow", {"p": 1}), 1.0, 2.0, settings)
+    assert f"best_estimate={failure.value.best_estimate:.12g}" in message
+    assert f"achieved_error={failure.value.achieved_error:.12g}" in message
+
+
+@pytest.mark.parametrize("argv", [
+    ["salpha", "--domain", "polydisc", "--alpha", "a,b", "--n-max", "2"],
+    ["salpha", "--domain", "polydisc", "--alpha", "1.5,0", "--n-max", "2"],
+    ["salpha", "--domain", "polydisc:nan", "--alpha", "1,0", "--n-max", "2"],
+    ["salpha", "--domain", "polydisc:1e200", "--alpha", "0,1", "--n-max", "2"],
+], ids=["alpha-letters", "alpha-fraction", "domain-nan", "ratio-overflow"])
+def test_bad_input_is_a_one_line_error(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_on_stdout_parses(fmt, capsys):
+    assert main(["salpha", "--domain", "polydisc", "--alpha", "1,0", "--n-max", "2",
+                 "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert json.loads(captured.out)["rows"][-1]["N"] == 2
+    else:
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["N"] for row in rows] == ["1", "2"]
+    assert captured.err.startswith("salpha polydisc")
 
 
 def test_salpha_csv_contents(tmp_path, capsys):
@@ -155,6 +193,9 @@ def test_config_task_must_be_concrete():
         run({"task": "report", "output": {}})
     with pytest.raises(InvalidInputError):
         run({"task": "salpha", "domain": "polydisc", "output": {"format": "yaml"}})
+    for alpha in ([1.5, 0], ["a", 0], [True, 0]):
+        with pytest.raises(InvalidInputError):
+            run({"task": "salpha", "domain": "polydisc", "alpha": alpha, "n_max": 2, "output": {}})
 
 
 def test_json_round_trip_under_schema(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from reinhardt.errors import InvalidInputError
 from reinhardt.logdomain import LogValue
 from reinhardt.moments import (
     DIVERGENT,
+    clear_moment_caches,
+    fill_shell,
     log_c_gamma_sq,
     log_profile_interval_moment,
     log_radial_moment,
@@ -16,7 +19,7 @@ from reinhardt.moments import (
     monomial_in_basis,
 )
 from reinhardt.profiles import profile_family
-from reinhardt.quadrature import QuadratureSettings, log_integrate
+from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 
 PI2 = math.pi**2
 
@@ -253,8 +256,6 @@ def test_memoized_results_are_bit_identical():
 def test_concurrent_evaluation_is_interleaving_independent():
     from concurrent.futures import ThreadPoolExecutor
 
-    from reinhardt.moments import clear_moment_caches
-
     spec = DomainSpec.profile_domain(INV_POW)
     gammas = [MultiIndex(g1, g2) for g1 in range(6) for g2 in range(6)]
     serial = [log_c_gamma_sq(spec, g).log for g in gammas]
@@ -282,3 +283,116 @@ def test_membership_on_generic_regions():
     assert monomial_in_basis(unbounded, MultiIndex(0, 0))
     assert monomial_in_basis(unbounded, MultiIndex(0, 5))
     assert not monomial_in_basis(unbounded, MultiIndex(1, 0))
+
+
+# ---------------------------------------------------------------------------
+# Shell batches.
+# ---------------------------------------------------------------------------
+
+
+def scan_presplit(profile, x, y, lo, hi, settings):
+    """Reference: the per-integrand 256-point scan the shell batch replaced."""
+    grid = np.linspace(lo, hi, 258)[1:-1]
+
+    def log_f(r):
+        out = np.zeros_like(r)
+        if x != 0.0:
+            out = out + x * np.log(r)
+        if y != 0.0:
+            out = out - y * profile.phi(r)
+        return out
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        values = np.asarray(log_f(grid), dtype=float)
+    finite = np.isfinite(values)
+    if not finite.any():
+        return ()
+    peak = float(grid[int(np.argmax(np.where(finite, values, -np.inf)))])
+    width = hi - lo
+    cuts = {peak + sign * width * 0.5 ** j for j in range(1, 10) for sign in (-1.0, 1.0)}
+    if y != 0.0 and profile.unbounded:
+        with np.errstate(over="ignore"):
+            phis = y * np.asarray(profile.phi(grid), dtype=float)
+        threshold = math.log(1.0 / settings.rel_tol) + abs(float(np.max(values[finite])))
+        exceeded = np.nonzero(phis >= threshold)[0]
+        if exceeded.size:
+            cuts.add(float(grid[exceeded[0]]))
+    return tuple(c for c in cuts if lo < c < hi)
+
+
+def test_batched_presplit_equals_scan():
+    from reinhardt.moments import _auto_presplit
+
+    settings = QuadratureSettings()
+    xs = np.array([0.0, 1.0, 3.0, 11.0, 101.0, 401.0])
+    ys = np.array([0.0, 2.0, 6.0, 50.0, 402.0, 1000.0])
+    gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
+    for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 2.5})):
+        for lo, hi in ((0.0, 1.0), (0.2, 0.7)):
+            rows = _auto_presplit(profile, gx, gy, lo, hi, settings)
+            for x, y, row in zip(gx, gy, rows):
+                got = sorted({c for c in row.tolist() if lo < c < hi})
+                assert got == sorted(set(scan_presplit(profile, x, y, lo, hi, settings)))
+
+
+def _shell_reference(spec, gamma):
+    """log c_gamma^2 from one per-integrand log_integrate call."""
+    x, y = 2.0 * gamma.g1 + 1.0, 2.0 * gamma.g2 + 2.0
+    if spec.kind == "ball":
+        def log_f(r):
+            return x * np.log(r) + y * 0.5 * np.log1p(-np.square(r)) - math.log(y)
+
+        return math.log(4 * PI2) + log_integrate(log_f, 0.0, 1.0)
+    profile = spec.profile
+
+    def log_f(r):
+        with np.errstate(divide="ignore", over="ignore"):
+            return x * np.log(r) - y * profile.phi(r)
+
+    presplit = scan_presplit(profile, x, y, 0.0, 1.0, DEFAULT_SETTINGS)
+    return math.log(2 * PI2) - math.log(gamma.g2 + 1.0) + log_integrate(
+        log_f, 0.0, 1.0, presplit=presplit
+    )
+
+
+@pytest.mark.parametrize("spec", [DomainSpec.profile_domain(INV_POW), DomainSpec.ball()],
+                         ids=["inv_one_minus_pow", "ball"])
+def test_shell_batch_equals_per_integrand_quadrature(spec):
+    clear_moment_caches()
+    for n in range(61):
+        fill_shell(spec, n)
+        for k in range(n + 1):
+            gamma = MultiIndex(k, n - k)
+            assert log_c_gamma_sq(spec, gamma).log == pytest.approx(
+                _shell_reference(spec, gamma), abs=1e-13
+            )
+
+
+def test_shell_member_is_bit_identical_to_lone_moment():
+    for spec in (DomainSpec.profile_domain(INV_POW), DomainSpec.ball()):
+        clear_moment_caches()
+        fill_shell(spec, 40)
+        shell = [log_c_gamma_sq(spec, MultiIndex(k, 40 - k)).log for k in range(41)]
+        clear_moment_caches()
+        assert shell == [log_c_gamma_sq(spec, MultiIndex(k, 40 - k)).log for k in range(41)]
+
+
+def test_one_quadrature_per_shell_and_none_on_closed_forms(monkeypatch):
+    from reinhardt import cli, moments
+
+    calls = []
+    integrate = moments.log_integrate
+    monkeypatch.setattr(moments, "log_integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+    clear_moment_caches()
+    fill_shell(DomainSpec.profile_domain(INV_POW), 30)
+    fill_shell(DomainSpec.ball(), 30)
+    fill_shell(DomainSpec.ball(), 30)
+    assert len(calls) == 2
+
+    calls.clear()
+    for argv in (["moments", "--domain", "polydisc:2", "--n-max", "20"],
+                 ["moments", "--domain", "omega0", "--n-max", "20"],
+                 ["dbar", "--domain", "polydisc:2", "--n-max", "32"],
+                 ["salpha", "--domain", "omega0", "--alpha", "1,1", "--n-max", "32"]):
+        assert cli.main(argv + ["--out", os.devnull]) == 0
+    assert calls == []

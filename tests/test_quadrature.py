@@ -90,3 +90,49 @@ def test_determinism_bit_identical():
     first = log_integrate(log_f, 0.0, 1.0)
     second = log_integrate(log_f, 0.0, 1.0)
     assert first == second
+
+
+def _beta_log_f(x, y):
+    def log_f(r):
+        r = np.asarray(r, dtype=float)
+        return x * np.log(r) + y * np.log1p(-r * r)
+
+    return log_f
+
+
+def test_batch_equals_single_calls():
+    xs = np.array([1.0, 7.0, 201.0, 3.0])
+    ys = np.array([1.0, 3.0, 400.0, 250.0])
+    cuts = np.array([[0.3, 0.7, np.nan], [np.nan] * 3, [0.5, 0.5, 0.9], [0.1, 2.0, -1.0]])
+
+    def log_f(r, owner):
+        return xs[owner] * np.log(r) + ys[owner] * np.log1p(-r * r)
+
+    got = log_integrate(log_f, np.zeros(4), np.ones(4), presplit=cuts)
+    for i in range(4):
+        single = log_integrate(_beta_log_f(xs[i], ys[i]), 0.0, 1.0,
+                               presplit=[c for c in cuts[i] if not math.isnan(c)])
+        assert got[i] == single
+    assert log_integrate(log_f, np.zeros(0), np.ones(0)).size == 0
+
+
+def test_batch_failure_carries_the_failing_integrand():
+    settings = QuadratureSettings(rel_tol=1e-12, max_subdivisions=2)
+    centers = np.array([0.5, 0.31830988618])
+    widths = np.array([1.0, 5000.0])
+
+    def log_f(r, owner):
+        return -widths[owner] * np.square(r - centers[owner])
+
+    with pytest.raises(NumericalFailureError) as batched:
+        log_integrate(log_f, np.zeros(2), np.ones(2), settings)
+    with pytest.raises(NumericalFailureError) as alone:
+        log_integrate(lambda r: -5000.0 * np.square(r - 0.31830988618), 0.0, 1.0, settings)
+    assert batched.value.best_estimate == pytest.approx(alone.value.best_estimate, abs=1e-13)
+    assert batched.value.achieved_error == pytest.approx(alone.value.achieved_error, rel=1e-12)
+
+    def nan_second(r, owner):
+        return np.where((owner == 1) & (r > 0.5), np.nan, 0.0)
+
+    with pytest.raises(InvalidInputError, match="integrand 1 of 2"):
+        log_integrate(nan_second, np.zeros(2), np.ones(2))
