@@ -13,7 +13,6 @@ from .certificate import (
     find_window,
     index_window,
     lambda_alpha,
-    log_ratio_R,
 )
 from .domains import (
     BasisLattice,
@@ -22,7 +21,6 @@ from .domains import (
     FiberPiece,
     MultiIndex,
     RadialRegion,
-    StripPiece,
     TailPiece,
     radial_shadow,
 )
@@ -33,9 +31,7 @@ from .hankel import (
     DbarReport,
     DivergentLinear,
     Inconclusive,
-    SAlphaReport,
     SymbolSpec,
-    build_s_alpha_report,
     classify_growth,
     dbar_canonical_report,
     hs_norm_sq,
@@ -45,10 +41,9 @@ from .hankel import (
     sample_ladder,
     shell_bound,
 )
-from .logdomain import LOG_ZERO, LogValue, log_add_exp, log_sub_exp, log_sum_exp
+from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
 from .moments import (
     DIVERGENT,
-    Divergent,
     log_c_gamma_sq,
     log_profile_interval_moment,
     log_radial_moment,
@@ -60,7 +55,6 @@ from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import (
     Omega0Series,
     OmegaKReport,
-    OmegaZeroMoment,
     omega0_log_ck_sq,
     omega0_s11,
     omega0_term,

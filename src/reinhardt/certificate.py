@@ -15,6 +15,8 @@ profile domain:
    lambda_alpha = min of r^(2 a1) exp(-2 a2 phi) over [a/2, (1+b)/2],
    scaled by 1/(2 (1 + a2)), giving the bound lambda_alpha * |I_N|,
    linear in N because the window captures a fixed fraction of indices.
+   For convex phi the minimum sits at an endpoint of the interval, so
+   it is evaluated exactly there.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from .domains import MultiIndex
 from .errors import InvalidInputError, NumericalFailureError
-from .logdomain import LogValue
 from .moments import log_profile_interval_moment, log_radial_moment
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
@@ -35,6 +36,7 @@ from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 _WINDOW_THRESHOLD = 0.1   # smallest accepted value of r phi'(r) at the left edge
 _MASS_SLACK = 1e-6        # numerical slack on the >= 1/2 mass checks
 _GRID_EPS = 1e-6
+_CONVEXITY_GRID = 1000    # points at which lambda_alpha checks phi'' >= 0
 
 
 @dataclass(frozen=True)
@@ -124,19 +126,6 @@ def find_window(profile: RadialProfile) -> Window:
     return Window(a=a, b=b, A=big_a, B=big_b)
 
 
-def log_ratio_R(
-    profile: RadialProfile,
-    x: float,
-    y: float,
-    alpha: MultiIndex,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> LogValue:
-    """log of M(x + 2 a1, y + 2 a2) / M(x, y)."""
-    top = log_radial_moment(profile, x + 2.0 * alpha.g1, y + 2.0 * alpha.g2, settings)
-    bottom = log_radial_moment(profile, x, y, settings)
-    return LogValue(top.log - bottom.log)
-
-
 def critical_point(profile: RadialProfile, x: float, y: float, window: Window) -> float:
     """The unique root of x - y r phi'(r) in (a, b), by bisection to 1e-12.
 
@@ -182,17 +171,7 @@ def density_mass(
         raise InvalidInputError(f"mass interval [{lo}, {hi}] must sit inside [0, 1]")
     numerator = log_profile_interval_moment(profile, x, y, lo, hi, settings)
     denominator = log_radial_moment(profile, x, y, settings)
-    return math.exp(numerator.log - denominator.log)
-
-
-def density_values(profile, x, y, rs):
-    """The density on a grid, scaled by its own maximum (for shape checks)."""
-    rs = np.asarray(rs, dtype=float)
-    with np.errstate(divide="ignore", over="ignore"):
-        logs = -y * np.asarray(profile.phi(rs), dtype=float)
-        if x != 0:
-            logs = logs + x * np.log(rs)
-    return np.exp(logs - np.max(logs))
+    return math.exp(numerator - denominator)
 
 
 def index_window(window: Window, n: int):
@@ -222,52 +201,29 @@ def _window_ks(window: Window, n: int):
     return [k for k in range(first, last + 1) if lo < k < hi]
 
 
-def lambda_alpha(
-    profile: RadialProfile,
-    alpha: MultiIndex,
-    window: Window,
-    samples: int = 10**4,
-) -> float:
+def lambda_alpha(profile: RadialProfile, alpha: MultiIndex, window: Window) -> float:
     """min over [a/2, (1+b)/2] of r^(2 a1) exp(-2 a2 phi(r)), over 2 (1 + a2).
 
-    The factor is continuous and strictly positive on the compact
-    interval, so dense sampling refined by golden-section descent is
-    adequate; the result is the per-summand certificate weight.
+    The log of the factor, 2 a1 log r - 2 a2 phi(r), is concave where
+    phi'' >= 0, so its minimum over the interval is the smaller of its
+    two endpoint values.  A profile with phi'' < 0 somewhere on a grid of
+    the interval is rejected, since the endpoints would not bound the
+    minimum there.  The result is the per-summand certificate weight.
     """
     lo, hi = window.inner_lo, window.inner_hi
-    grid = np.linspace(lo, hi, samples)
+    with np.errstate(over="ignore"):
+        d2phi = np.asarray(profile.d2phi(np.linspace(lo, hi, _CONVEXITY_GRID)), dtype=float)
+    if (d2phi < 0.0).any():
+        raise InvalidInputError(
+            f"profile {profile!r} is not convex on [{lo:g}, {hi:g}]: the certificate "
+            "weight needs phi'' >= 0 there"
+        )
 
-    def log_g(r):
-        out = 0.0 * np.asarray(r, dtype=float)
-        if alpha.g1:
-            out = out + 2.0 * alpha.g1 * np.log(r)
-        if alpha.g2:
-            out = out - 2.0 * alpha.g2 * np.asarray(profile.phi(r), dtype=float)
-        return out
+    def log_factor(r):
+        out = 2.0 * alpha.g1 * math.log(r)
+        return out - 2.0 * alpha.g2 * float(profile.phi(r)) if alpha.g2 else out
 
-    values = np.asarray(log_g(grid), dtype=float)
-    best = int(np.argmin(values))
-    bracket_lo = grid[max(best - 1, 0)]
-    bracket_hi = grid[min(best + 1, samples - 1)]
-    minimum = _golden_min(lambda r: float(log_g(r)), bracket_lo, bracket_hi)
-    return math.exp(minimum) / (2.0 * (1.0 + alpha.g2))
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - ratio * (hi - lo)
-    x2 = lo + ratio * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - ratio * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + ratio * (hi - lo)
-            f2 = f(x2)
-    return min(f1, f2)
+    return math.exp(min(log_factor(lo), log_factor(hi))) / (2.0 * (1.0 + alpha.g2))
 
 
 @dataclass(frozen=True)

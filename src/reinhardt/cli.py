@@ -183,7 +183,7 @@ def _settings_from_config(value) -> QuadratureSettings:
     if isinstance(value, (int, float)):
         return QuadratureSettings(rel_tol=float(value))
     if isinstance(value, dict):
-        allowed = {"rel_tol", "max_subdivisions", "endpoint_split"}
+        allowed = {"rel_tol", "max_subdivisions"}
         unknown = set(value) - allowed
         if unknown:
             raise InvalidInputError(f"unknown tolerance fields: {sorted(unknown)}")
@@ -204,11 +204,11 @@ def _run_moments(domain, n_max, fmt, settings):
         for g1 in range(order + 1):
             gamma = MultiIndex(g1, order - g1)
             value = log_c_gamma_sq(domain, gamma, settings)
-            if value is DIVERGENT:
+            if value == DIVERGENT:
                 divergent += 1
                 rows.append((gamma.g1, gamma.g2, "divergent", None))
             else:
-                rows.append((gamma.g1, gamma.g2, "ok", value.log))
+                rows.append((gamma.g1, gamma.g2, "ok", value))
     summary = (
         f"moments {domain.describe()}: {len(rows)} monomials up to order {n_max}, "
         f"{divergent} divergent"

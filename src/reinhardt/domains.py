@@ -100,7 +100,7 @@ class BasisLattice:
 # --------------------------------------------------------------------------
 # Region pieces.  A piece lives on the r1 axis unless ``transposed``, in
 # which case its geometry is stated with the axes swapped (the moment
-# engine swaps gamma accordingly, and fiber queries invert numerically).
+# engine swaps gamma accordingly).
 # --------------------------------------------------------------------------
 
 
@@ -119,11 +119,6 @@ class BoxPiece:
 
     bounded = True
 
-    def fiber_at(self, r1: float):
-        if self.r1_lo <= r1 <= self.r1_hi:
-            return (self.r2_lo, self.r2_hi)
-        return None
-
 
 @dataclass(frozen=True, eq=False)
 class FiberPiece:
@@ -140,19 +135,6 @@ class FiberPiece:
     label: str = ""
 
     bounded = True
-
-    def hi(self, r1):
-        return np.exp(self.log_hi(np.asarray(r1, dtype=float)))
-
-    def lo(self, r1):
-        if self.log_lo is None:
-            return 0.0 * np.asarray(r1, dtype=float)
-        return np.exp(self.log_lo(np.asarray(r1, dtype=float)))
-
-    def fiber_at(self, r1: float):
-        if self.r1_lo <= r1 <= self.r1_hi:
-            return (float(self.lo(r1)), float(self.hi(r1)))
-        return None
 
 
 @dataclass(frozen=True)
@@ -180,79 +162,6 @@ class TailPiece:
         if self.log_pow > 0:
             raise InvalidInputError("growing log factors are not supported")
 
-    def height(self, r: float) -> float:
-        return self.coef * r ** self.r_pow * math.log(r) ** self.log_pow
-
-    def fiber_at(self, r1: float):
-        if self.transposed:
-            # r2 ranges over { s >= r1_lo : height(s) > r1 }; the height is
-            # decreasing, so the set is [r1_lo, H) for a numerically
-            # inverted H (empty when even the left edge is too thin).
-            if r1 <= 0 or self.height(self.r1_lo) <= r1:
-                return None
-            return (self.r1_lo, _invert_decreasing(self.height, self.r1_lo, r1))
-        if r1 >= self.r1_lo:
-            return (0.0, self.height(r1))
-        return None
-
-
-@dataclass(frozen=True)
-class StripPiece:
-    """The unbounded diagonal strip r1, r2 > 1, |r1 - r2| < (r1 + r2)^(-m).
-
-    Carries no power/log tail description, so moments over it cannot be
-    integrated; it exists to make the truncated Wiegerinck shadows
-    geometrically faithful.
-    """
-
-    m: int
-
-    bounded = False
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvalidInputError("strip exponent must be a positive integer")
-
-    def fiber_at(self, r1: float):
-        if r1 <= 1.0:
-            return None
-        lo = _bisect_root(lambda s: (r1 - s) - (r1 + s) ** (-self.m), 0.0, r1)
-        hi = _bisect_root(lambda s: (s - r1) - (r1 + s) ** (-self.m), r1, 2.0 * r1 + 2.0)
-        return (max(1.0, lo), hi)
-
-
-RegionPiece = BoxPiece | FiberPiece | TailPiece | StripPiece
-
-
-def _bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise InvalidInputError("fiber bound bracketing failed")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _invert_decreasing(h, lo: float, target: float) -> float:
-    hi = lo
-    for _ in range(2000):
-        hi *= 2.0
-        if h(hi) <= target:
-            break
-    else:
-        raise InvalidInputError("fiber inversion did not bracket")
-    return _bisect_root(lambda s: h(s) - target, lo, hi)
-
 
 @dataclass(frozen=True, eq=False)
 class RadialRegion:
@@ -270,28 +179,12 @@ class RadialRegion:
         if not self.pieces:
             raise InvalidInputError("a region needs at least one piece")
         spans = sorted(
-            _r1_span(p) for p in self.pieces
-            if not (isinstance(p, TailPiece) and p.transposed) and not isinstance(p, StripPiece)
+            _r1_span(p) for p in self.pieces if not (isinstance(p, TailPiece) and p.transposed)
         )
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
             if blo < ahi - 1e-15:
                 raise InvalidInputError("piece r1-intervals overlap")
         object.__setattr__(self, "bounded", all(p.bounded for p in self.pieces))
-
-    def fiber_at(self, r1: float):
-        """Merged list of r2-intervals of the region above r1."""
-        fibers = [f for f in (p.fiber_at(r1) for p in self.pieces) if f is not None]
-        fibers.sort()
-        merged = []
-        for lo, hi in fibers:
-            if merged and lo <= merged[-1][1] + 1e-15:
-                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-            else:
-                merged.append((lo, hi))
-        return merged
-
-    def contains(self, r1: float, r2: float) -> bool:
-        return any(lo <= r2 < hi for lo, hi in self.fiber_at(r1))
 
 
 def _r1_span(piece) -> tuple:
@@ -394,7 +287,10 @@ def radial_shadow(spec: DomainSpec) -> RadialRegion:
     if spec.kind == OMEGA0:
         return RadialRegion(pieces=_omega0_pieces())
     if spec.kind == OMEGA_K:
-        return RadialRegion(pieces=_omega0_pieces() + (StripPiece(m=4 * spec.k),))
+        raise InvalidInputError(
+            "the omega_k shadow is not built: its moments come from the Omega_0 "
+            "closed form, and its connecting strip is never integrated"
+        )
     raise InvalidInputError(f"unknown domain kind {spec.kind!r}")
 
 

@@ -71,6 +71,11 @@ def classify_growth(partials) -> Classification:
     reads as linear divergence.  Otherwise, decaying increments plus a
     Richardson extrapolation (polynomial in 1/N) that stabilizes to
     relative 1e-3 reads as convergence.  Anything else is inconclusive.
+
+    The values are fitted after division by the power of two nearest
+    their largest magnitude, so squares and products stay in double
+    range at any scale; dividing by a power of two is exact, so values
+    at ordinary scales classify bit for bit as they would unscaled.
     """
     points = [(int(n), float(v)) for n, v in partials]
     if len(points) < 8:
@@ -78,7 +83,8 @@ def classify_growth(partials) -> Classification:
     ns = np.array([n for n, _ in points], dtype=float)
     if not np.all(np.diff(ns) > 0):
         raise InvalidInputError("sample indices must be strictly increasing")
-    vs = np.array([v for _, v in points], dtype=float)
+    _, exponent = math.frexp(max(abs(v) for _, v in points))
+    vs = np.ldexp(np.array([v for _, v in points], dtype=float), -exponent)
 
     half = len(points) // 2
     slope, intercept = np.polyfit(ns[half:], vs[half:], 1)
@@ -86,12 +92,14 @@ def classify_growth(partials) -> Classification:
     residual = math.sqrt(float(np.mean(np.square(vs - (intercept + slope * ns))))) / scale
     span_ok = vs.min() > 0 and vs.max() >= _LINEAR_SPAN_MIN * vs.min()
     if slope > 0 and residual < _LINEAR_RESIDUAL_MAX and span_ok:
-        return DivergentLinear(slope=float(slope), intercept=float(intercept),
+        return DivergentLinear(slope=math.ldexp(float(slope), exponent),
+                               intercept=math.ldexp(float(intercept), exponent),
                                fit_residual=residual)
 
     converged = _extrapolate(ns, vs)
     if converged is not None:
-        return converged
+        return Convergent(limit=math.ldexp(converged.limit, exponent),
+                          tail=math.ldexp(converged.tail, exponent))
     return Inconclusive(reason="neither the linear fit nor the extrapolation stabilized")
 
 
@@ -127,9 +135,9 @@ def _extrapolate(ns, vs) -> Convergent | None:
 
 def _log_c(spec: DomainSpec, gamma: MultiIndex, settings) -> float:
     value = log_c_gamma_sq(spec, gamma, settings)
-    if value is DIVERGENT:
+    if value == DIVERGENT:
         raise InvalidInputError(f"monomial z^{gamma} is not square-integrable on {spec.describe()}")
-    return value.log
+    return value
 
 
 def _ratio(log_num: float, log_den: float) -> float:
@@ -140,6 +148,14 @@ def _ratio(log_num: float, log_den: float) -> float:
         raise InvalidInputError(
             f"moment ratio exp({log_num - log_den:.6g}) overflows double precision on this domain"
         ) from None
+
+
+def _sum(values) -> float:
+    """math.fsum, rejecting sums beyond double range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise InvalidInputError("series sum overflows double precision on this domain") from None
 
 
 def _check_alpha(spec: DomainSpec, alpha: MultiIndex, nonzero: bool):
@@ -203,7 +219,7 @@ def _shell_term_sum(spec: DomainSpec, alpha: MultiIndex, n: int, settings) -> fl
         for gamma in _shell(spec, n)
         if spec.lattice.contains(gamma.add(alpha))
     ]
-    return math.fsum(terms)
+    return _sum(terms)
 
 
 def s_alpha_partial(
@@ -221,7 +237,7 @@ def s_alpha_partial(
     _check_alpha(spec, alpha, nonzero=True)
     if n != int(n) or n < 1:
         raise InvalidInputError(f"truncation index must be a positive integer, got {n!r}")
-    return math.fsum(_shell_term_sum(spec, alpha, m, settings) for m in range(int(n) + 1))
+    return _sum(_shell_term_sum(spec, alpha, m, settings) for m in range(int(n) + 1))
 
 
 def s_alpha_partials(spec, alpha, ns, settings=DEFAULT_SETTINGS):
@@ -246,7 +262,7 @@ def shell_bound(
         if not spec.lattice.contains(up):
             continue
         ratios.append(_ratio(_log_c(spec, up, settings), _log_c(spec, gamma, settings)))
-    return math.fsum(ratios)
+    return _sum(ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -301,42 +317,8 @@ def hs_norm_sq(
         if alpha.order == 0 or weight == 0.0:
             continue
         breakdown.append((alpha, weight, s_alpha_partial(spec, alpha, int(n), settings)))
-    total = math.fsum(w * s for _, w, s in breakdown)
+    total = _sum(w * s for _, w, s in breakdown)
     return total, tuple(breakdown)
-
-
-@dataclass(frozen=True)
-class SAlphaReport:
-    """Everything measured about one symbol index on one domain."""
-
-    alpha: MultiIndex
-    partials: tuple
-    shell_bounds: tuple
-    classification: Classification
-    certificate_bounds: tuple | None = None
-
-
-def build_s_alpha_report(
-    spec: DomainSpec,
-    alpha: MultiIndex,
-    ns,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    certificate_bounds=None,
-) -> SAlphaReport:
-    ns = [int(n) for n in ns]
-    partials = s_alpha_partials(spec, alpha, ns, settings)
-    shells = tuple((n, shell_bound(spec, alpha, n, settings)) for n in ns)
-    if len(partials) >= 8:
-        classification = classify_growth(partials)
-    else:
-        classification = Inconclusive(reason=f"only {len(partials)} samples")
-    return SAlphaReport(
-        alpha=alpha,
-        partials=partials,
-        shell_bounds=shells,
-        classification=classification,
-        certificate_bounds=tuple(certificate_bounds) if certificate_bounds else None,
-    )
 
 
 SYMBOL_IN_SPACE = "ok"

@@ -1,14 +1,13 @@
 """Log-domain arithmetic for nonnegative reals.
 
 Monomial moments grow like exp(4k) in the diagonal index, so every
-quantity that could overflow is carried as its natural logarithm, with
--inf encoding an exact zero.
+quantity that could overflow is carried as a plain float holding its
+natural logarithm, with -inf encoding an exact zero.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 LOG_ZERO = float("-inf")
 
@@ -45,54 +44,3 @@ def log_sum_exp(logs) -> float:
         return m
     return m + math.log(math.fsum(math.exp(l - m) for l in logs))
 
-
-@dataclass(frozen=True, order=True)
-class LogValue:
-    """A nonnegative real stored as its natural logarithm.
-
-    ``log == -inf`` represents the value 0.  Multiplication and division
-    are exact log additions; addition uses max-shifted summation.
-    """
-
-    log: float
-
-    @staticmethod
-    def of(value: float) -> "LogValue":
-        if value < 0:
-            raise ValueError(f"LogValue requires a nonnegative real, got {value}")
-        return LogValue(math.log(value) if value > 0 else LOG_ZERO)
-
-    @property
-    def value(self) -> float:
-        """The plain real; overflows to inf when log is large."""
-        if self.log == LOG_ZERO:
-            return 0.0
-        try:
-            return math.exp(self.log)
-        except OverflowError:
-            return math.inf
-
-    def is_zero(self) -> bool:
-        return self.log == LOG_ZERO
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.is_zero() or other.is_zero():
-            return LogValue(LOG_ZERO)
-        return LogValue(self.log + other.log)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.is_zero():
-            raise ZeroDivisionError("division by LogValue zero")
-        if self.is_zero():
-            return LogValue(LOG_ZERO)
-        return LogValue(self.log - other.log)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        return LogValue(log_add_exp(self.log, other.log))
-
-    def __repr__(self) -> str:
-        return f"LogValue(log={self.log!r})"
-
-
-LogValue.ZERO = LogValue(LOG_ZERO)
-LogValue.ONE = LogValue(0.0)

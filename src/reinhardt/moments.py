@@ -10,8 +10,10 @@ and the squared monomial norms c_gamma^2, which reduce to M via
 
 on profile domains and to piecewise shadow integrals otherwise.  Closed
 forms are used where a family admits one; everything else goes through
-the adaptive log-domain quadrature.  Results are memoized keyed by
-(domain identity, arguments, settings); the cache never changes values.
+the adaptive log-domain quadrature.  Every result is a plain float log;
+a monomial that is not square-integrable has the log of an infinite
+norm, DIVERGENT = inf.  Results are memoized keyed by (domain identity,
+arguments, settings); the cache never changes values.
 
 Callers that need a whole shell |gamma| = n (the moments table and the
 S_alpha shell sums) call fill_shell first.  On the two quadrature paths,
@@ -40,7 +42,7 @@ from .domains import (
     radial_shadow,
 )
 from .errors import InvalidInputError
-from .logdomain import LOG_ZERO, LogValue, log_add_exp, log_sub_exp, log_sum_exp
+from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import omega0_log_ck_sq
@@ -48,6 +50,9 @@ from .wiegerinck import omega0_log_ck_sq
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 _LOG_2PI2 = math.log(2.0 * math.pi**2)
 _CLOSED_FORM_FAMILIES = ("zero", "neg_log_one_minus_r2")
+
+# log c_gamma^2 of a monomial that is not square-integrable.
+DIVERGENT = math.inf
 
 # Memoized log moments, keyed by (profile, x, y, lo, hi, settings) and by
 # (domain, gamma, settings), and the (domain, n, settings) shells already
@@ -58,23 +63,6 @@ _MOMENT_MEMO: dict = {}
 _FILLED_SHELLS: set = set()
 # One shadow per domain: building it costs more than a closed-form moment.
 _shadow = lru_cache(maxsize=None)(radial_shadow)
-
-
-class Divergent:
-    """Sentinel for moments of monomials that are not square-integrable."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Divergent"
-
-
-DIVERGENT = Divergent()
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -91,7 +79,7 @@ def log_radial_moment(
     x: float,
     y: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> LogValue:
+) -> float:
     """log of M(x, y) = integral_0^1 r^x exp(-y phi(r)) dr.
 
     Families with a closed form bypass quadrature entirely:
@@ -108,7 +96,7 @@ def log_profile_interval_moment(
     lo: float,
     hi: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> LogValue:
+) -> float:
     """log of integral_lo^hi r^x exp(-y phi(r)) dr."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidInputError(f"moment exponents must be finite, got x={x}, y={y}")
@@ -116,9 +104,7 @@ def log_profile_interval_moment(
         raise InvalidInputError(f"moment exponents must be >= 0, got x={x}, y={y}")
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
-    return LogValue(
-        _interval_moments(profile, (float(x),), (float(y),), float(lo), float(hi), settings)[0]
-    )
+    return _interval_moments(profile, (float(x),), (float(y),), float(lo), float(hi), settings)[0]
 
 
 def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
@@ -182,8 +168,6 @@ def _auto_presplit(profile, xs, ys, lo, hi, settings) -> np.ndarray:
     one or two rounds.  An integrand with no finite grid value gets no
     cuts.
     """
-    if settings.endpoint_split is not None:
-        return np.full((xs.size, 1), settings.endpoint_split)
     grid = np.linspace(lo, hi, 258)[1:-1]
     with np.errstate(divide="ignore", over="ignore"):
         phis = np.asarray(profile.phi(grid), dtype=float)
@@ -216,15 +200,13 @@ def log_region_moment(
     region: RadialRegion,
     gamma: MultiIndex,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
+) -> float:
     """log c_gamma^2 over a shadow region, or DIVERGENT.
 
-    Convergence on unbounded pieces is decided from their recorded
-    power/log tail exponents, never from runaway quadrature; pieces
-    without a tail description are rejected.
+    Convergence on tail pieces is decided from their recorded power/log
+    tail exponents, never from runaway quadrature.
     """
-    result = _region_log_moments(region, (gamma,), settings)[0]
-    return result if result is DIVERGENT else LogValue(result)
+    return _region_log_moments(region, (gamma,), settings)[0]
 
 
 def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
@@ -253,15 +235,7 @@ def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
 
 
 def _region_converges(region: RadialRegion, gamma: MultiIndex) -> bool:
-    for piece in region.pieces:
-        if isinstance(piece, TailPiece):
-            if not _tail_converges(piece, gamma):
-                return False
-        elif not piece.bounded:
-            raise InvalidInputError(
-                f"cannot integrate over unbounded piece without a tail description: {piece!r}"
-            )
-    return True
+    return all(_tail_converges(p, gamma) for p in region.pieces if isinstance(p, TailPiece))
 
 
 def _tail_exponents(piece: TailPiece, gamma: MultiIndex):
@@ -361,7 +335,7 @@ def log_c_gamma_sq(
     spec: DomainSpec,
     gamma: MultiIndex,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
+) -> float:
     """log c_gamma^2 for the domain, or DIVERGENT when gamma is off-basis.
 
     Profile domains reduce to the radial integral M(2g1+1, 2g2+2); the
@@ -373,7 +347,7 @@ def log_c_gamma_sq(
     result = _MOMENT_MEMO.get(key)
     if result is None:
         result = _MOMENT_MEMO[key] = _log_c_gamma_sq_batch(spec, (gamma,), settings)[0]
-    return result if result is DIVERGENT else LogValue(result)
+    return result
 
 
 def fill_shell(
@@ -419,7 +393,7 @@ def _log_c_gamma_sq_batch(spec: DomainSpec, gammas, settings) -> list:
         return [_LOG_2PI2 - math.log(gamma.g2 + 1.0) + r for gamma, r in zip(gammas, radial)]
     if spec.kind in ("omega0", "omega_k"):
         return [
-            omega0_log_ck_sq(gamma.g1).log if spec.lattice.contains(gamma) else DIVERGENT
+            omega0_log_ck_sq(gamma.g1) if spec.lattice.contains(gamma) else DIVERGENT
             for gamma in gammas
         ]
     return _region_log_moments(_shadow(spec), gammas, settings)
@@ -428,22 +402,11 @@ def _log_c_gamma_sq_batch(spec: DomainSpec, gammas, settings) -> list:
 def monomial_in_basis(spec: DomainSpec, gamma: MultiIndex) -> bool:
     """Whether z^gamma is square-integrable, hence a basis monomial.
 
-    Built-in variants answer from their lattice; generic bounded regions
-    always contain every monomial; generic unbounded regions run the
-    analytic tail convergence test.
+    Built-in variants answer from their lattice; generic regions run the
+    analytic tail convergence test on their tail pieces.
     """
     if spec.kind == "region":
-        if spec.region.bounded:
-            return True
-        for piece in spec.region.pieces:
-            if isinstance(piece, TailPiece):
-                if not _tail_converges(piece, gamma):
-                    return False
-            elif not piece.bounded:
-                raise InvalidInputError(
-                    "membership on unbounded pieces needs a tail description"
-                )
-        return True
+        return _region_converges(spec.region, gamma)
     return spec.lattice.contains(gamma)
 
 

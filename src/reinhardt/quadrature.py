@@ -57,15 +57,12 @@ class QuadratureSettings:
 
     rel_tol: float = 1e-10
     max_subdivisions: int = 10**6
-    endpoint_split: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-4):
             raise InvalidInputError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise InvalidInputError("max_subdivisions must be positive")
-        if self.endpoint_split is not None and not (0.0 < self.endpoint_split < 1.0):
-            raise InvalidInputError("endpoint_split must be a fraction in (0, 1)")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, NumericalFailureError
-from .logdomain import LogValue, log_add_exp, log_sum_exp
+from .logdomain import log_add_exp, log_sum_exp
 
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 
@@ -30,18 +30,18 @@ _COMPENSATE_BELOW = 1e-8
 _CANCELLATION_FLOOR = 1e-13
 
 
-def omega0_log_ck_sq(k: int) -> LogValue:
+def omega0_log_ck_sq(k: int) -> float:
     """log c_(k,k)^2 on Omega_0, evaluated entirely in the log domain."""
     k = _check_index(k, minimum=0)
     rational = math.log(2.0) - math.log(2 * k + 1) - math.log(2 * k + 2)
     exponential = (4.0 * k + 4.0) - 2.0 * math.log(2 * k + 2)
-    return LogValue(_LOG_4PI2 + log_add_exp(rational, exponential))
+    return _LOG_4PI2 + log_add_exp(rational, exponential)
 
 
 def omega0_ratio(k: int) -> float:
     """c_(k+1,k+1)^2 / c_(k,k)^2, via one log difference."""
     k = _check_index(k, minimum=0)
-    return math.exp(omega0_log_ck_sq(k + 1).log - omega0_log_ck_sq(k).log)
+    return math.exp(omega0_log_ck_sq(k + 1) - omega0_log_ck_sq(k))
 
 
 def omega0_term(k: int) -> float:
@@ -99,7 +99,7 @@ def _omega0_term_single_fraction(k: int) -> float:
         math.log(omega1) + w_log,
         _log_fraction(omega2) + 2.0 * w_log,
     ])
-    log_den = (omega0_log_ck_sq(k).log - _LOG_4PI2) + (omega0_log_ck_sq(k - 1).log - _LOG_4PI2)
+    log_den = (omega0_log_ck_sq(k) - _LOG_4PI2) + (omega0_log_ck_sq(k - 1) - _LOG_4PI2)
     return math.exp(log_num - log_den)
 
 
@@ -107,18 +107,6 @@ def _log_fraction(q: Fraction) -> float:
     if q <= 0:
         raise NumericalFailureError(f"expected a positive rational, got {q}")
     return math.log(q.numerator) - math.log(q.denominator)
-
-
-@dataclass(frozen=True)
-class OmegaZeroMoment:
-    """A diagonal index paired with its log squared norm on Omega_0."""
-
-    k: int
-    log_c_sq: LogValue
-
-    @classmethod
-    def at(cls, k: int) -> "OmegaZeroMoment":
-        return cls(k=int(k), log_c_sq=omega0_log_ck_sq(k))
 
 
 @dataclass(frozen=True)

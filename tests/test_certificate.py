@@ -11,15 +11,14 @@ from reinhardt.certificate import (
     check_subharmonic,
     critical_point,
     density_mass,
-    density_values,
     find_window,
     index_window,
     lambda_alpha,
-    log_ratio_R,
 )
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import s_alpha_partial
+from reinhardt.moments import log_radial_moment
 from reinhardt.profiles import RadialProfile, profile_family
 
 ZERO = profile_family("zero")
@@ -84,11 +83,16 @@ def test_window_validation():
 
 
 def test_log_ratio_examples():
-    got = log_ratio_R(ZERO, 1.0, 3.0, MultiIndex(1, 0))
-    assert got.log == pytest.approx(math.log(0.5), abs=1e-12)
-    got = log_ratio_R(NEG_LOG, 1.0, 2.0, MultiIndex(0, 1))
-    assert got.log == pytest.approx(math.log(3.0 / 5.0), abs=1e-12)
-    assert log_ratio_R(NEG_LOG, 3.0, 5.0, MultiIndex(0, 0)).log == 0.0
+    def log_ratio(profile, x, y, alpha):
+        # log of M(x + 2 a1, y + 2 a2) / M(x, y)
+        return log_radial_moment(profile, x + 2.0 * alpha.g1, y + 2.0 * alpha.g2) \
+            - log_radial_moment(profile, x, y)
+
+    got = log_ratio(ZERO, 1.0, 3.0, MultiIndex(1, 0))
+    assert got == pytest.approx(math.log(0.5), abs=1e-12)
+    got = log_ratio(NEG_LOG, 1.0, 2.0, MultiIndex(0, 1))
+    assert got == pytest.approx(math.log(3.0 / 5.0), abs=1e-12)
+    assert log_ratio(NEG_LOG, 3.0, 5.0, MultiIndex(0, 0)) == 0.0
 
 
 def test_critical_point_closed_form():
@@ -143,7 +147,8 @@ def test_density_unimodality_on_grid():
     x, y = 41.0, 62.0
     assert window.A < x / y < window.B
     grid = np.linspace(1e-6, 1.0 - 1e-6, 1000)
-    values = density_values(NEG_LOG, x, y, grid)
+    logs = x * np.log(grid) - y * np.asarray(NEG_LOG.phi(grid), dtype=float)
+    values = np.exp(logs - logs.max())
     peak = int(np.argmax(values))
     rising = np.diff(values[: peak + 1])
     falling = np.diff(values[peak:])
@@ -186,6 +191,32 @@ def test_lambda_alpha_closed_cases():
     hi = window.inner_hi
     want = 0.25 * math.exp(-2.0 * float(NEG_LOG.phi(hi)))
     assert lambda_alpha(NEG_LOG, MultiIndex(0, 1), window) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "profile", [NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 2.5})],
+    ids=["neg_log", "inv_pow_1", "inv_pow_2.5"],
+)
+@pytest.mark.parametrize("alpha", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)])
+def test_lambda_alpha_is_the_endpoint_minimum(profile, alpha):
+    # 2 a1 log r - 2 a2 phi(r) is concave for convex phi: its minimum over
+    # [a/2, (1+b)/2] is at an endpoint, never above any interior sample.
+    alpha = MultiIndex(*alpha)
+    window = find_window(profile)
+    lo, hi = window.inner_lo, window.inner_hi
+    ends = [2.0 * alpha.g1 * math.log(r) - 2.0 * alpha.g2 * float(profile.phi(r)) for r in (lo, hi)]
+    got = lambda_alpha(profile, alpha, window)
+    assert got == math.exp(min(ends)) / (2.0 * (1.0 + alpha.g2))
+    grid = np.linspace(lo, hi, 10**4)
+    sampled = 2.0 * alpha.g1 * np.log(grid) - 2.0 * alpha.g2 * profile.phi(grid)
+    # numpy and math logs may differ in the last bit at the shared endpoint
+    assert got <= np.exp(sampled.min()) / (2.0 * (1.0 + alpha.g2)) * (1.0 + 1e-13)
+
+
+def test_lambda_alpha_rejects_concave_profiles():
+    window = Window(a=0.2, b=0.6, A=1.0, B=2.0)
+    with pytest.raises(InvalidInputError, match="not convex"):
+        lambda_alpha(CONCAVE, MultiIndex(1, 1), window)
 
 
 def test_certificate_soundness_small():

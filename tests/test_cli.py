@@ -1,9 +1,16 @@
+import contextlib
 import csv
+import dataclasses
+import importlib
+import importlib.util
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
+import hypothesis
+from hypothesis import strategies as st
 
 from reinhardt.cli import main, parse_alpha, parse_domain, run
 from reinhardt.domains import MultiIndex
@@ -54,16 +61,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         "task": "moments",
         "domain": "profile:inv_one_minus_pow:p=1",
         "n_max": 6,
-        "tol": {"rel_tol": 1e-12, "max_subdivisions": 1, "endpoint_split": 0.5},
+        "tol": {"rel_tol": 1e-12, "max_subdivisions": 1},
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["report", "--config", str(path)]) == 2
     message = capsys.readouterr().err
-    # The first shell is gamma = (0, 0), the radial integral M(1, 2).
+    # Shell 1 fails on its second moment, gamma = (1, 0): the radial integral M(3, 2).
+    assert "(integrand 1 of 2)" in message
     settings = QuadratureSettings(**config["tol"])
     with pytest.raises(NumericalFailureError) as failure:
-        log_radial_moment(profile_family("inv_one_minus_pow", {"p": 1}), 1.0, 2.0, settings)
+        log_radial_moment(profile_family("inv_one_minus_pow", {"p": 1}), 3.0, 2.0, settings)
     assert f"best_estimate={failure.value.best_estimate:.12g}" in message
     assert f"achieved_error={failure.value.achieved_error:.12g}" in message
 
@@ -73,7 +81,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     ["salpha", "--domain", "polydisc", "--alpha", "1.5,0", "--n-max", "2"],
     ["salpha", "--domain", "polydisc:nan", "--alpha", "1,0", "--n-max", "2"],
     ["salpha", "--domain", "polydisc:1e200", "--alpha", "0,1", "--n-max", "2"],
-], ids=["alpha-letters", "alpha-fraction", "domain-nan", "ratio-overflow"])
+    ["salpha", "--domain", "polydisc:1e154", "--alpha", "0,1", "--n-max", "16"],
+    ["dbar", "--domain", "polydisc:1e154", "--n-max", "16"],
+], ids=["alpha-letters", "alpha-fraction", "domain-nan", "ratio-overflow",
+        "salpha-sum-overflow", "dbar-sum-overflow"])
 def test_bad_input_is_a_one_line_error(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -206,3 +217,42 @@ def test_json_round_trip_under_schema(tmp_path, capsys):
     assert data["alpha"] == [1, 1]
     assert all(set(row) == {"N", "S_alpha", "shell_bound", "cert_bound"} for row in data["rows"])
     capsys.readouterr()
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    task=st.sampled_from(["salpha", "dbar", "moments"]),
+    radius=st.one_of(
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False),
+        st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e153, 1e154, 1e300]),
+    ),
+    alpha=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    n_max=st.integers(1, 16),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
+    argv = [task, "--domain", f"polydisc:{radius!r}", "--n-max", str(n_max), "--format", fmt]
+    if task == "salpha":
+        argv += ["--alpha", f"{alpha[0]},{alpha[1]}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0 and fmt == "json":
+        json.loads(out.getvalue())
+    if code != 0:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
+def test_benchmark_tracer_bindings_resolve():
+    # The traced benchmark patches these names; a deleted one fails the run.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.BINDINGS:
+        assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
+    assert dataclasses.is_dataclass(
+        importlib.import_module("reinhardt.domains").profile_family("inv_one_minus_pow", {"p": 1})
+    )

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from reinhardt.domains import (
@@ -8,7 +9,6 @@ from reinhardt.domains import (
     DomainSpec,
     MultiIndex,
     RadialRegion,
-    StripPiece,
     TailPiece,
     radial_shadow,
 )
@@ -79,9 +79,9 @@ def test_polydisc_shadow_is_a_box():
 
 def test_ball_fiber_is_pythagorean():
     region = radial_shadow(DomainSpec.ball())
-    (lo, hi), = region.fiber_at(0.6)
-    assert lo == 0.0
-    assert hi == pytest.approx(0.8, rel=1e-15)
+    piece, = region.pieces
+    assert (piece.r1_lo, piece.r1_hi, piece.log_lo) == (0.0, 1.0, None)
+    assert math.exp(float(piece.log_hi(np.array(0.6)))) == pytest.approx(0.8, rel=1e-15)
 
 
 def test_profile_fiber_height_is_exp_minus_phi():
@@ -89,44 +89,26 @@ def test_profile_fiber_height_is_exp_minus_phi():
     region = radial_shadow(DomainSpec.profile_domain(profile))
     piece = region.pieces[0]
     for r in (0.1, 0.5, 0.9):
-        assert float(piece.hi(r)) == math.exp(-float(profile.phi(r)))
+        assert float(piece.log_hi(r)) == -float(profile.phi(r))
 
 
 def test_omega0_fiber_on_the_first_tail():
-    region = radial_shadow(DomainSpec.wiegerinck_omega0())
-    (lo, hi), = region.fiber_at(E**2)
-    assert lo == 0.0
-    assert hi == pytest.approx(1.0 / (E**2 * 2.0), rel=1e-12)
-
-
-def test_omega0_fiber_merges_square_and_transposed_tail():
-    region = radial_shadow(DomainSpec.wiegerinck_omega0())
-    fibers = region.fiber_at(0.2)
-    assert len(fibers) == 1
-    lo, hi = fibers[0]
-    assert lo == 0.0
-    # upper end solves s*log(s) = 1/0.2
-    assert hi * math.log(hi) == pytest.approx(5.0, rel=1e-9)
-    assert hi > E
-    assert region.contains(0.2, hi - 1e-9)
-    assert not region.contains(0.2, hi + 1e-6)
+    tail = radial_shadow(DomainSpec.wiegerinck_omega0()).pieces[1]
+    assert not tail.transposed
+    # the fiber above r1 = e^2 reaches coef * r1^r_pow * (log r1)^log_pow
+    height = tail.coef * (E**2) ** tail.r_pow * math.log(E**2) ** tail.log_pow
+    assert tail.r1_lo == E
+    assert height == pytest.approx(1.0 / (E**2 * 2.0), rel=1e-12)
 
 
 def test_omega0_region_is_unbounded_and_disjoint():
     region = radial_shadow(DomainSpec.wiegerinck_omega0())
     assert not region.bounded
-    # above the square and off both tails there is nothing
-    assert region.fiber_at(2.0) == [(0.0, E)]
-
-
-def test_omega_k_shadow_adds_the_diagonal_strip():
-    region = radial_shadow(DomainSpec.wiegerinck_omega_k(1))
-    strips = [p for p in region.pieces if isinstance(p, StripPiece)]
-    assert len(strips) == 1 and strips[0].m == 4
-    lo, hi = strips[0].fiber_at(2.0)
-    # |2 - r2| < (2 + r2)^(-4) around r2 = 2
-    assert lo < 2.0 < hi
-    assert hi - 2.0 == pytest.approx((2.0 + hi) ** -4, rel=1e-9)
+    # the square [0, e]^2 plus the same tail on each axis
+    square, tail, transposed = region.pieces
+    assert (square.r1_lo, square.r1_hi, square.r2_lo, square.r2_hi) == (0.0, E, 0.0, E)
+    assert transposed == TailPiece(r1_lo=tail.r1_lo, coef=tail.coef, r_pow=tail.r_pow,
+                                   log_pow=tail.log_pow, transposed=True)
 
 
 def test_tail_piece_validation():

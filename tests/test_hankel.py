@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -90,7 +91,7 @@ def test_telescoping_band_identity(spec, alpha):
         for g1 in range(order + 1):
             gamma = MultiIndex(g1, order - g1)
             band += math.exp(
-                log_c_gamma_sq(spec, gamma.add(alpha)).log - log_c_gamma_sq(spec, gamma).log
+                log_c_gamma_sq(spec, gamma.add(alpha)) - log_c_gamma_sq(spec, gamma)
             )
     partial = s_alpha_partial(spec, alpha, m)
     assert partial == pytest.approx(band, rel=1e-8)
@@ -119,16 +120,22 @@ def test_nonnegativity_spot_check():
 # ---------------------------------------------------------------------------
 
 
+# The verdict must not depend on the magnitude of the values.
+SCALES = (1e-300, 1.0, 1e200, 1e300)
+
+
 def test_classify_linear_divergence():
-    got = classify_growth([(n, 3.0 * n) for n in range(10, 101, 10)])
-    assert isinstance(got, DivergentLinear)
-    assert got.slope == pytest.approx(3.0, rel=1e-9)
+    for scale in SCALES:
+        got = classify_growth([(n, 3.0 * scale * n) for n in range(10, 101, 10)])
+        assert isinstance(got, DivergentLinear)
+        assert got.slope == pytest.approx(3.0 * scale, rel=1e-9)
 
 
 def test_classify_convergent_sequence():
-    got = classify_growth([(n, 5.0 - 2.0 / n) for n in range(10, 101, 10)])
-    assert isinstance(got, Convergent)
-    assert got.limit == pytest.approx(5.0, rel=1e-3)
+    for scale in SCALES:
+        got = classify_growth([(n, scale * (5.0 - 2.0 / n)) for n in range(10, 101, 10)])
+        assert isinstance(got, Convergent)
+        assert got.limit == pytest.approx(5.0 * scale, rel=1e-3)
 
 
 def test_classify_logarithmic_growth_is_inconclusive():
@@ -167,7 +174,7 @@ def test_hs_norm_symbol_off_lattice_rejected():
 
 
 def test_hs_norm_z1z2_on_omega0_approaches_c11_sq_times_e4():
-    c11_sq = math.exp(log_c_gamma_sq(OMEGA0, MultiIndex(1, 1)).log)
+    c11_sq = math.exp(log_c_gamma_sq(OMEGA0, MultiIndex(1, 1)))
     symbol = SymbolSpec.from_dict({(1, 1): math.sqrt(c11_sq)})
     m = 1000
     total, breakdown = hs_norm_sq(OMEGA0, symbol, m)
@@ -215,14 +222,16 @@ def test_sample_ladder():
         sample_ladder(0)
 
 
-def test_build_s_alpha_report_assembles_everything():
-    from reinhardt.hankel import build_s_alpha_report
+def test_build_s_alpha_report_assembles_everything(capsys):
+    from reinhardt.cli import main
 
     ns = sample_ladder(32, 4)
-    report = build_s_alpha_report(BALL, MultiIndex(1, 0), ns,
-                                  certificate_bounds=[(n, 0.01 * n) for n in ns])
-    assert report.alpha == MultiIndex(1, 0)
-    assert [n for n, _ in report.partials] == list(ns)
-    assert len(report.shell_bounds) == len(ns)
-    assert isinstance(report.classification, DivergentLinear)
-    assert report.certificate_bounds[0] == (4, 0.04)
+    assert main(["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "32",
+                 "--n-step", "4", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["alpha"] == [1, 0]
+    assert [row["N"] for row in report["rows"]] == list(ns)
+    assert all(row["shell_bound"] > 0 for row in report["rows"])
+    assert report["classification"]["kind"] == "DivergentLinear"
+    # certificates exist only on profile domains
+    assert all(row["cert_bound"] is None for row in report["rows"])

@@ -2,41 +2,17 @@ import math
 
 import pytest
 
-from reinhardt.logdomain import LOG_ZERO, LogValue, log_add_exp, log_sub_exp, log_sum_exp
-
-
-def test_of_and_value_roundtrip():
-    assert LogValue.of(2.5).value == pytest.approx(2.5, rel=1e-15)
-    assert LogValue.of(0.0).log == LOG_ZERO
-    assert LogValue.of(0.0).value == 0.0
-    with pytest.raises(ValueError):
-        LogValue.of(-1.0)
-
-
-def test_multiplication_and_division_are_log_additions():
-    a, b = LogValue.of(3.0), LogValue.of(7.0)
-    assert (a * b).log == pytest.approx(math.log(21.0), abs=1e-15)
-    assert (a / b).log == pytest.approx(math.log(3.0 / 7.0), abs=1e-15)
-    assert (LogValue.ZERO * a).is_zero()
-    assert (LogValue.ZERO / a).is_zero()
-    with pytest.raises(ZeroDivisionError):
-        a / LogValue.ZERO
+from reinhardt.logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
 
 
 def test_addition_never_overflows_at_huge_logs():
-    huge = LogValue(1.0e6)
-    total = huge + huge
-    assert total.log == pytest.approx(1.0e6 + math.log(2.0), rel=1e-12)
-    assert (huge + LogValue.ZERO).log == 1.0e6
+    total = log_add_exp(1.0e6, 1.0e6)
+    assert total == pytest.approx(1.0e6 + math.log(2.0), rel=1e-12)
+    assert log_add_exp(1.0e6, LOG_ZERO) == 1.0e6
 
 
 def test_add_matches_plain_arithmetic():
-    assert (LogValue.of(2.0) + LogValue.of(3.0)).value == pytest.approx(5.0, rel=1e-14)
-
-
-def test_ordering_follows_values():
-    assert LogValue.of(2.0) < LogValue.of(3.0)
-    assert LogValue.ZERO < LogValue.of(1e-300)
+    assert math.exp(log_add_exp(math.log(2.0), math.log(3.0))) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_log_sub_exp():

@@ -18,8 +18,6 @@ def test_settings_validation():
         QuadratureSettings(rel_tol=1e-3)  # looser than the allowed ceiling
     with pytest.raises(InvalidInputError):
         QuadratureSettings(max_subdivisions=0)
-    with pytest.raises(InvalidInputError):
-        QuadratureSettings(endpoint_split=1.5)
     assert DEFAULT_SETTINGS.rel_tol == 1e-10
 
 
