@@ -6,7 +6,6 @@ from .certificate import (
     SubharmonicityCheck,
     Window,
     certificate_ladder,
-    certified_lower_bound,
     check_subharmonic,
     critical_point,
     density_mass,

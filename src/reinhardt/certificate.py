@@ -17,13 +17,16 @@ profile domain:
    linear in N because the window captures a fixed fraction of indices.
    For convex phi the minimum sits at an endpoint of the interval, so
    it is evaluated exactly there.
+
+certificate_ladder does steps 1, 2 and the weight of step 4 once, then
+checks the masses of each shell's window with one batched density_mass
+call.  Their moments live in the moments memo; this module keeps no cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,7 +98,6 @@ class Window:
 _WINDOW_GRID_STEP = 1e-4
 
 
-@lru_cache(maxsize=None)
 def find_window(profile: RadialProfile) -> Window:
     """Deterministic window selection.
 
@@ -160,45 +162,36 @@ def critical_point(profile: RadialProfile, x: float, y: float, window: Window) -
 
 def density_mass(
     profile: RadialProfile,
-    x: float,
-    y: float,
+    x,
+    y,
     interval,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """Mass of the normalized density r^x exp(-y phi) / M(x,y) on [lo, hi]."""
+):
+    """Mass of the normalized density r^x exp(-y phi) / M(x,y) on [lo, hi].
+
+    Scalar x and y give a float; equal-length 1-D sequences give a list,
+    as in log_profile_interval_moment.
+    """
     lo, hi = interval
-    if not (0.0 <= lo < hi <= 1.0):
-        raise InvalidInputError(f"mass interval [{lo}, {hi}] must sit inside [0, 1]")
     numerator = log_profile_interval_moment(profile, x, y, lo, hi, settings)
     denominator = log_radial_moment(profile, x, y, settings)
-    return math.exp(numerator - denominator)
+    if isinstance(numerator, float):
+        return math.exp(numerator - denominator)
+    return [math.exp(num - den) for num, den in zip(numerator, denominator)]
 
 
-def index_window(window: Window, n: int):
-    """The indices k of the n-th shell whose exponent pair falls in the window.
-
-    Returns (count, lo, hi) where (lo, hi) is the real interval
-    ((2A/(2A+2)) n + (2A-1)/(2A+2), (2B/(2B+2)) n + (2B-1)/(2B+2)),
-    counted after intersecting with (0, n).  Every counted k satisfies
-    A < (2k+1)/(2n-2k+2) < B.
+def index_window(window: Window, n: int) -> list:
+    """The indices k of the n-th shell whose exponent pair falls in the window:
+    the integers in (0, n) strictly between (2A/(2A+2)) n + (2A-1)/(2A+2)
+    and (2B/(2B+2)) n + (2B-1)/(2B+2), so that A < (2k+1)/(2n-2k+2) < B.
     """
     if n != int(n) or n < 1:
         raise InvalidInputError(f"shell index must be a positive integer, got {n!r}")
-    if not (window.A < window.B):
-        raise InvalidInputError("degenerate window")
     n = int(n)
     lo = (2.0 * window.A / (2.0 * window.A + 2.0)) * n + (2.0 * window.A - 1.0) / (2.0 * window.A + 2.0)
     hi = (2.0 * window.B / (2.0 * window.B + 2.0)) * n + (2.0 * window.B - 1.0) / (2.0 * window.B + 2.0)
-    return len(_window_ks(window, n)), lo, hi
-
-
-def _window_ks(window: Window, n: int):
-    lo = (2.0 * window.A / (2.0 * window.A + 2.0)) * n + (2.0 * window.A - 1.0) / (2.0 * window.A + 2.0)
-    hi = (2.0 * window.B / (2.0 * window.B + 2.0)) * n + (2.0 * window.B - 1.0) / (2.0 * window.B + 2.0)
     lo, hi = max(lo, 0.0), min(hi, float(n))
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
-    return [k for k in range(first, last + 1) if lo < k < hi]
+    return [k for k in range(math.floor(lo) + 1, math.ceil(hi)) if lo < k < hi]
 
 
 def lambda_alpha(profile: RadialProfile, alpha: MultiIndex, window: Window) -> float:
@@ -228,15 +221,10 @@ def lambda_alpha(profile: RadialProfile, alpha: MultiIndex, window: Window) -> f
 
 @dataclass(frozen=True)
 class CertificateEntry:
-    """One certified bound S_alpha >= lambda * |I_n| with its evidence."""
+    """One certified bound S_alpha(n) >= lambda * count with its evidence."""
 
     n: int
-    window: Window
-    alpha: MultiIndex
-    lam: float
     count: int
-    interval_lo: float
-    interval_hi: float
     bound: float
     mass_checks: tuple        # ((x, y), mass) for every k in the window
     prefactor_min: float
@@ -252,73 +240,8 @@ class Certificate:
     entries: tuple
 
     @property
-    def counts(self):
-        return tuple((e.n, e.count) for e in self.entries)
-
-    @property
     def bounds(self):
         return tuple((e.n, e.bound) for e in self.entries)
-
-
-def certified_lower_bound(
-    profile: RadialProfile,
-    alpha: MultiIndex,
-    n: int,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-    grid_points: int = 1000,
-) -> CertificateEntry:
-    """Assemble and verify the linear lower bound at one truncation index.
-
-    Every shell index k in the window gets its mass re-checked
-    (>= 1/2 - 1e-6) and its prefactor (n-k+1)/(n-k+a2+1) compared
-    against 1/(1+a2); a failed check raises with the offending pair.
-    """
-    if alpha.order == 0:
-        raise InvalidInputError("certificates are defined for nonzero symbol indices")
-    sub = check_subharmonic(profile, grid_points)
-    if not sub.passed:
-        raise InvalidInputError(
-            f"profile is not subharmonic: margin {sub.worst_margin:g} at r={sub.worst_r:g}"
-        )
-    window = find_window(profile)
-    lam = lambda_alpha(profile, alpha, window)
-    ks = _window_ks(window, n)
-    count, lo, hi = index_window(window, n)
-    inner = (window.inner_lo, window.inner_hi)
-    mass_checks = []
-    prefactor_min = math.inf
-    for k in ks:
-        x, y = 2.0 * k + 1.0, 2.0 * (n - k) + 2.0
-        mass = _cached_mass(profile, x, y, inner[0], inner[1], settings)
-        mass_checks.append(((x, y), mass))
-        if mass < 0.5 - _MASS_SLACK:
-            raise NumericalFailureError(
-                f"window mass {mass:.9g} < 1/2 at (x, y) = ({x:g}, {y:g})",
-                best_estimate=mass,
-            )
-        prefactor = (n - k + 1.0) / (n - k + alpha.g2 + 1.0)
-        prefactor_min = min(prefactor_min, prefactor)
-        if prefactor < 1.0 / (1.0 + alpha.g2) - 1e-12:
-            raise NumericalFailureError(
-                f"prefactor {prefactor:.9g} fell below 1/(1+a2) at k={k}"
-            )
-    return CertificateEntry(
-        n=int(n),
-        window=window,
-        alpha=alpha,
-        lam=lam,
-        count=count,
-        interval_lo=lo,
-        interval_hi=hi,
-        bound=lam * count,
-        mass_checks=tuple(mass_checks),
-        prefactor_min=prefactor_min if ks else 1.0,
-    )
-
-
-@lru_cache(maxsize=None)
-def _cached_mass(profile, x, y, lo, hi, settings) -> float:
-    return density_mass(profile, x, y, (lo, hi), settings)
 
 
 def certificate_ladder(
@@ -327,12 +250,49 @@ def certificate_ladder(
     ns,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> Certificate:
-    entries = tuple(certified_lower_bound(profile, alpha, n, settings) for n in ns)
-    if not entries:
+    """Assemble and verify the linear lower bound at every index n of ns.
+
+    The profile checks, the window and lambda_alpha run once.  Every
+    shell index k in the window of n gets its mass checked (>= 1/2 - 1e-6)
+    and its prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2); a
+    failed check raises with the offending pair.
+    """
+    if alpha.order == 0:
+        raise InvalidInputError("certificates are defined for nonzero symbol indices")
+    ns = tuple(ns)
+    if not ns:
         raise InvalidInputError("certificate ladder needs at least one index")
-    return Certificate(
-        alpha=alpha,
-        window=entries[0].window,
-        lam=entries[0].lam,
-        entries=entries,
-    )
+    sub = check_subharmonic(profile)
+    if not sub.passed:
+        raise InvalidInputError(
+            f"profile is not subharmonic: margin {sub.worst_margin:g} at r={sub.worst_r:g}"
+        )
+    window = find_window(profile)
+    lam = lambda_alpha(profile, alpha, window)
+    entries = []
+    for n in ns:
+        ks = index_window(window, n)
+        xs = [2.0 * k + 1.0 for k in ks]
+        ys = [2.0 * (n - k) + 2.0 for k in ks]
+        masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), settings)
+        prefactor_min = 1.0
+        for k, x, y, mass in zip(ks, xs, ys, masses):
+            if mass < 0.5 - _MASS_SLACK:
+                raise NumericalFailureError(
+                    f"window mass {mass:.9g} < 1/2 at (x, y) = ({x:g}, {y:g})",
+                    best_estimate=mass,
+                )
+            prefactor = (n - k + 1.0) / (n - k + alpha.g2 + 1.0)
+            prefactor_min = min(prefactor_min, prefactor)
+            if prefactor < 1.0 / (1.0 + alpha.g2) - 1e-12:
+                raise NumericalFailureError(
+                    f"prefactor {prefactor:.9g} fell below 1/(1+a2) at k={k}"
+                )
+        entries.append(CertificateEntry(
+            n=int(n),
+            count=len(ks),
+            bound=lam * len(ks),
+            mass_checks=tuple(zip(zip(xs, ys), masses)),
+            prefactor_min=prefactor_min,
+        ))
+    return Certificate(alpha=alpha, window=window, lam=lam, entries=tuple(entries))

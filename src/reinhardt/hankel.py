@@ -17,6 +17,7 @@ symbol conjugate(f) is sum over alpha of |f_alpha|^2 S_alpha.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +27,8 @@ from .domains import DIAGONAL, DIAGONAL_TRUNCATED, DomainSpec, MultiIndex
 from .errors import InvalidInputError
 from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+
+_SMALLEST_NORMAL = sys.float_info.min
 
 # ---------------------------------------------------------------------------
 # Growth classifications.
@@ -141,13 +144,19 @@ def _log_c(spec: DomainSpec, gamma: MultiIndex, settings) -> float:
 
 
 def _ratio(log_num: float, log_den: float) -> float:
-    """exp(log_num - log_den), rejecting ratios beyond double range."""
+    """exp(log_num - log_den), rejecting ratios beyond double range and
+    below its normal range, where they would read as 0 or lose their digits."""
     try:
-        return math.exp(log_num - log_den)
+        ratio = math.exp(log_num - log_den)
     except OverflowError:
         raise InvalidInputError(
             f"moment ratio exp({log_num - log_den:.6g}) overflows double precision on this domain"
         ) from None
+    if ratio < _SMALLEST_NORMAL:
+        raise InvalidInputError(
+            f"moment ratio exp({log_num - log_den:.6g}) underflows double precision on this domain"
+        )
+    return ratio
 
 
 def _sum(values) -> float:
@@ -391,6 +400,3 @@ def sample_ladder(n_max: int, n_step: int | None = None, min_points: int = 8):
         raise InvalidInputError(f"n_step must be a positive integer, got {n_step!r}")
     return tuple(range(int(n_step), n_max + 1, int(n_step)))
 
-
-def clear_series_caches():
-    _shell_term_sum.cache_clear()

@@ -76,35 +76,48 @@ def _log_beta(a: float, b: float) -> float:
 
 def log_radial_moment(
     profile: RadialProfile,
-    x: float,
-    y: float,
+    x,
+    y,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+):
     """log of M(x, y) = integral_0^1 r^x exp(-y phi(r)) dr.
 
     Families with a closed form bypass quadrature entirely:
     phi = 0 gives 1/(x+1); phi = -log(1-r^2) gives B((x+1)/2, y+1)/2
-    via log-gamma (substitute u = r^2).
+    via log-gamma (substitute u = r^2).  Scalar or batch form, as in
+    log_profile_interval_moment.
     """
     return log_profile_interval_moment(profile, x, y, 0.0, 1.0, settings)
 
 
 def log_profile_interval_moment(
     profile: RadialProfile,
-    x: float,
-    y: float,
+    x,
+    y,
     lo: float,
     hi: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """log of integral_lo^hi r^x exp(-y phi(r)) dr."""
-    if not (math.isfinite(x) and math.isfinite(y)):
+):
+    """log of integral_lo^hi r^x exp(-y phi(r)) dr.
+
+    Batch form: when x and y are equal-length 1-D sequences, the call
+    returns a list with one log per pair, and the pairs missing from the
+    memo are integrated in one batched log_integrate call.  Each value
+    equals the one a scalar call gives.
+    """
+    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if xs.ndim > 1 or xs.shape != ys.shape:
+        raise InvalidInputError("moment exponents must be scalars or equal-length 1-D sequences")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise InvalidInputError(f"moment exponents must be finite, got x={x}, y={y}")
-    if x < 0 or y < 0:
+    if (xs < 0).any() or (ys < 0).any():
         raise InvalidInputError(f"moment exponents must be >= 0, got x={x}, y={y}")
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
-    return _interval_moments(profile, (float(x),), (float(y),), float(lo), float(hi), settings)[0]
+    logs = _interval_moments(
+        profile, np.atleast_1d(xs).tolist(), np.atleast_1d(ys).tolist(), float(lo), float(hi), settings
+    )
+    return logs if xs.ndim else logs[0]
 
 
 def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:

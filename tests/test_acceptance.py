@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from reinhardt.certificate import (
-    certified_lower_bound,
+    certificate_ladder,
     density_mass,
     find_window,
 )
@@ -147,10 +147,9 @@ def test_criterion_4_certificate_soundness_and_strength():
         for alpha in (MultiIndex(1, 0), MultiIndex(0, 1), MultiIndex(1, 1)):
             partials = dict(CLASSIFIED[(spec.describe(), alpha)])
             scaled = []
-            for n in (100, 200, 400):
-                entry = certified_lower_bound(profile, alpha, n)
-                sound = sound and entry.bound <= partials[n] + 1e-9
-                scaled.append(entry.bound / n)
+            for entry in certificate_ladder(profile, alpha, (100, 200, 400)).entries:
+                sound = sound and entry.bound <= partials[entry.n] + 1e-9
+                scaled.append(entry.bound / entry.n)
             ratio = max(scaled) / min(scaled)
             bracket_ok = bracket_ok and ratio <= 2.0 and min(scaled) > 0
             details.append(f"{profile.name}|{alpha}: bound/N spread {ratio:.3f}")

@@ -1,13 +1,14 @@
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from reinhardt import certificate, moments
 from reinhardt.certificate import (
     Window,
     certificate_ladder,
-    certified_lower_bound,
     check_subharmonic,
     critical_point,
     density_mass,
@@ -17,7 +18,7 @@ from reinhardt.certificate import (
 )
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
-from reinhardt.hankel import s_alpha_partial
+from reinhardt.hankel import s_alpha_partial, s_alpha_partials, sample_ladder
 from reinhardt.moments import log_radial_moment
 from reinhardt.profiles import RadialProfile, profile_family
 
@@ -159,25 +160,22 @@ def test_density_unimodality_on_grid():
 
 
 def test_index_window_enumeration():
+    # the real interval at n = 100 is (50.25, 75.625)
     window = Window(a=0.5, b=0.9, A=1.0, B=3.0)
-    count, lo, hi = index_window(window, 100)
-    assert (count, lo, hi) == (25, pytest.approx(50.25), pytest.approx(75.625))
-    count, lo, hi = index_window(window, 10)
-    assert count == 3
-    # every counted k satisfies the ratio condition
+    assert index_window(window, 100) == list(range(51, 76))
+    assert len(index_window(window, 10)) == 3
+    # every returned k satisfies the ratio condition
     for n in (10, 100):
-        _, lo, hi = index_window(window, n)
-        for k in range(math.floor(max(lo, 0.0)) + 1, math.ceil(min(hi, n))):
-            if lo < k < hi:
-                ratio = (2 * k + 1) / (2 * n - 2 * k + 2)
-                assert window.A < ratio < window.B
+        for k in index_window(window, n):
+            ratio = (2 * k + 1) / (2 * n - 2 * k + 2)
+            assert window.A < ratio < window.B
 
 
 def test_index_window_count_linearity():
     window = find_window(NEG_LOG)
     density = window.B / (window.B + 1.0) - window.A / (window.A + 1.0)
     for n in (50, 100, 200, 400, 800):
-        count, _, _ = index_window(window, n)
+        count = len(index_window(window, n))
         assert abs(count / n - density) <= 2.0 / n
 
 
@@ -222,7 +220,7 @@ def test_lambda_alpha_rejects_concave_profiles():
 def test_certificate_soundness_small():
     spec = DomainSpec.profile_domain(NEG_LOG)
     for alpha in (MultiIndex(1, 0), MultiIndex(1, 1)):
-        entry = certified_lower_bound(NEG_LOG, alpha, 50)
+        entry = certificate_ladder(NEG_LOG, alpha, (50,)).entries[-1]
         partial = s_alpha_partial(spec, alpha, 50)
         assert entry.bound <= partial + 1e-9
         assert entry.bound > 0
@@ -232,14 +230,51 @@ def test_certificate_soundness_small():
 
 def test_certificate_rejects_zero_alpha_and_concave_profiles():
     with pytest.raises(InvalidInputError):
-        certified_lower_bound(NEG_LOG, MultiIndex(0, 0), 50)
+        certificate_ladder(NEG_LOG, MultiIndex(0, 0), (50,))
     with pytest.raises(InvalidInputError):
-        certified_lower_bound(CONCAVE, MultiIndex(1, 0), 50)
+        certificate_ladder(CONCAVE, MultiIndex(1, 0), (50,))
 
 
 def test_certificate_counts_are_nearly_affine():
     ladder = certificate_ladder(NEG_LOG, MultiIndex(1, 1), (40, 80, 120, 160))
-    ns = np.array([n for n, _ in ladder.counts], dtype=float)
-    counts = np.array([c for _, c in ladder.counts], dtype=float)
+    ns = np.array([e.n for e in ladder.entries], dtype=float)
+    counts = np.array([e.count for e in ladder.entries], dtype=float)
     slope, intercept = np.polyfit(ns, counts, 1)
     assert (np.abs(counts - (intercept + slope * ns)) <= 1.0 + 1e-9).all()
+
+
+def test_certificate_ladder_checks_the_profile_once(monkeypatch):
+    # The profile checks run once per ladder, and each rung integrates the
+    # masses of its whole window in at most one batched quadrature call.
+    alpha, ns = MultiIndex(1, 1), sample_ladder(200)
+    s_alpha_partials(DomainSpec.profile_domain(INV_POW), alpha, ns)
+    calls = Counter()
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(certificate, "check_subharmonic")
+    counting(certificate, "lambda_alpha")
+    counting(moments, "log_integrate")
+    certificate_ladder(INV_POW, alpha, ns)
+    assert calls["check_subharmonic"] == 1
+    assert calls["lambda_alpha"] == 1
+    assert calls["log_integrate"] <= len(ns)
+
+
+def test_density_mass_batch_matches_scalar_calls():
+    window = find_window(INV_POW)
+    interval = (window.inner_lo, window.inner_hi)
+    xs, ys = [41.0, 61.0, 81.0], [162.0, 142.0, 122.0]
+    batch = density_mass(INV_POW, xs, ys, interval)
+    moments.clear_moment_caches()
+    assert batch == [density_mass(INV_POW, x, y, interval) for x, y in zip(xs, ys)]
+    assert density_mass(INV_POW, [], [], interval) == []
+    with pytest.raises(InvalidInputError):
+        density_mass(INV_POW, xs, ys[:2], interval)

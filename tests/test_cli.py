@@ -83,8 +83,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     ["salpha", "--domain", "polydisc:1e200", "--alpha", "0,1", "--n-max", "2"],
     ["salpha", "--domain", "polydisc:1e154", "--alpha", "0,1", "--n-max", "16"],
     ["dbar", "--domain", "polydisc:1e154", "--n-max", "16"],
+    ["salpha", "--domain", "polydisc:1e-300", "--alpha", "0,1", "--n-max", "16"],
+    ["salpha", "--domain", "polydisc:1e-160", "--alpha", "0,1", "--n-max", "16"],
 ], ids=["alpha-letters", "alpha-fraction", "domain-nan", "ratio-overflow",
-        "salpha-sum-overflow", "dbar-sum-overflow"])
+        "salpha-sum-overflow", "dbar-sum-overflow", "ratio-underflow", "ratio-subnormal"])
 def test_bad_input_is_a_one_line_error(argv, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -245,14 +247,32 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
         assert err.getvalue().count("\n") == 1
 
 
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_bindings_resolve():
     # The traced benchmark patches these names; a deleted one fails the run.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     for module_name, attr, _ in tracer.BINDINGS:
         assert callable(getattr(importlib.import_module(module_name), attr)), (module_name, attr)
     assert dataclasses.is_dataclass(
         importlib.import_module("reinhardt.domains").profile_family("inv_one_minus_pow", {"p": 1})
     )
+
+
+@pytest.mark.parametrize("check, argv", [
+    ("check_dbar_polydisc", ["dbar", "--domain", "polydisc:2", "--n-max", "40", "--format", "json"]),
+    ("check_moments_ball", ["moments", "--domain", "ball", "--n-max", "12", "--format", "csv"]),
+    ("check_certify", ["certify", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "1,1",
+                       "--n-max", "200", "--format", "json"]),
+], ids=["dbar-polydisc", "moments-ball", "certify-p1"])
+def test_benchmark_oracles_accept_the_reports(check, argv, capsys):
+    # The benchmark counts a report these oracles reject as a failed operation.
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    assert getattr(_perfbench_module("checks"), check)(argv, report) == []
