@@ -9,7 +9,7 @@ r1^(2*g1+1) * r2^(2*g2+1) over the shadow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,8 +117,6 @@ class BoxPiece:
         if not (0 <= self.r1_lo < self.r1_hi and 0 <= self.r2_lo < self.r2_hi):
             raise InvalidInputError(f"degenerate box {self}")
 
-    bounded = True
-
 
 @dataclass(frozen=True, eq=False)
 class FiberPiece:
@@ -133,8 +131,6 @@ class FiberPiece:
     log_hi: Callable
     log_lo: Callable | None = None
     label: str = ""
-
-    bounded = True
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,6 @@ class TailPiece:
     r_pow: float = -1.0
     log_pow: float = -1.0
     transposed: bool = False
-
-    bounded = False
 
     def __post_init__(self):
         if self.r1_lo <= 1.0:
@@ -173,7 +167,6 @@ class RadialRegion:
     """
 
     pieces: tuple
-    bounded: bool = field(init=False)
 
     def __post_init__(self):
         if not self.pieces:
@@ -184,7 +177,6 @@ class RadialRegion:
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
             if blo < ahi - 1e-15:
                 raise InvalidInputError("piece r1-intervals overlap")
-        object.__setattr__(self, "bounded", all(p.bounded for p in self.pieces))
 
 
 def _r1_span(piece) -> tuple:

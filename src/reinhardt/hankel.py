@@ -12,6 +12,12 @@ the simplex |gamma| <= N, which makes the series telescope: S_alpha(N)
 equals the sum of c_(gamma+alpha)^2/c_gamma^2 over the last |alpha|
 shells.  The squared Hilbert-Schmidt norm of the Hankel operator with
 symbol conjugate(f) is sum over alpha of |f_alpha|^2 S_alpha.
+
+One pass over the shells gathers each shell's log c_gamma^2 into an
+array, once per gamma; a shell's terms are exps of differences with the
+arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell is
+one point, and alpha = (a, a) is a shells away).  hs_term, one summand
+on its own, is the reference the tests hold the shell sums to.
 """
 
 from __future__ import annotations
@@ -19,16 +25,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .domains import DIAGONAL, DIAGONAL_TRUNCATED, DomainSpec, MultiIndex
+from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
 from .errors import InvalidInputError
 from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _SMALLEST_NORMAL = sys.float_info.min
+
+# Shell sums by (spec, alpha, n, settings), kept across calls.
+_SHELL_SUMS = {}
 
 # ---------------------------------------------------------------------------
 # Growth classifications.
@@ -143,20 +151,23 @@ def _log_c(spec: DomainSpec, gamma: MultiIndex, settings) -> float:
     return value
 
 
-def _ratio(log_num: float, log_den: float) -> float:
-    """exp(log_num - log_den), rejecting ratios beyond double range and
-    below its normal range, where they would read as 0 or lose their digits."""
+def _ratios(log_num, log_den) -> np.ndarray:
+    """exp(log_num - log_den) termwise, rejecting ratios beyond double range
+    and below its normal range, where they would read as 0 or lose digits.
+    math.exp, because np.exp differs from it in the last bit on some arguments."""
+    log_ratios = np.atleast_1d(np.subtract(log_num, log_den))
     try:
-        ratio = math.exp(log_num - log_den)
+        ratios = np.fromiter(map(math.exp, log_ratios.tolist()), float, log_ratios.size)
     except OverflowError:
         raise InvalidInputError(
-            f"moment ratio exp({log_num - log_den:.6g}) overflows double precision on this domain"
+            f"moment ratio exp({log_ratios.max():.6g}) overflows double precision on this domain"
         ) from None
-    if ratio < _SMALLEST_NORMAL:
+    low = ratios < _SMALLEST_NORMAL
+    if low.any():
         raise InvalidInputError(
-            f"moment ratio exp({log_num - log_den:.6g}) underflows double precision on this domain"
+            f"moment ratio exp({log_ratios[low][0]:.6g}) underflows double precision on this domain"
         )
-    return ratio
+    return ratios
 
 
 def _sum(values) -> float:
@@ -196,39 +207,56 @@ def hs_term(
             "unbounded on this basis vector"
         )
     log_mid = _log_c(spec, gamma, settings)
-    term = _ratio(_log_c(spec, up, settings), log_mid)
+    term = _ratios(_log_c(spec, up, settings), log_mid)
     down = gamma.sub(alpha)
     if down is not None and spec.lattice.contains(down):
-        term -= _ratio(log_mid, _log_c(spec, down, settings))
-    return term
+        term -= _ratios(log_mid, _log_c(spec, down, settings))
+    return float(term[0])
 
 
-def _shell(spec: DomainSpec, n: int):
-    """Lattice points of the n-th shell (|gamma| = n, or diagonal index n)."""
+def _shell_logs(spec: DomainSpec, n: int, settings, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """log c_gamma^2 at positions lo..hi-1 of shell n, by g1: |gamma| = n, or
+    (n, n) on a diagonal lattice.  One batch, then one lookup per gamma."""
     lattice = spec.lattice
-    if lattice.kind == DIAGONAL:
-        return (MultiIndex(n, n),)
-    if lattice.kind == DIAGONAL_TRUNCATED:
-        return (MultiIndex(n, n),) if n <= lattice.k else ()
-    return tuple(MultiIndex(k, n - k) for k in range(n + 1))
+    if lattice.kind == FULL_QUADRANT:
+        gammas = [MultiIndex(k, n - k) for k in range(n + 1)[lo:hi]]
+    elif n >= 0 and lattice.contains(MultiIndex(n, n)):
+        gammas = [MultiIndex(n, n)][lo:hi]
+    else:
+        gammas = []
+    if gammas:
+        fill_shell(spec, n, settings)
+    return np.array([_log_c(spec, gamma, settings) for gamma in gammas], dtype=float)
 
 
-def _fill_shells(spec: DomainSpec, shells, settings):
-    """Batch the moments of every shell |gamma| = m that a shell sum looks up."""
-    for m in shells:
-        if m >= 0:
-            fill_shell(spec, m, settings)
+def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
+    """(step, offset): gamma + alpha sits in shell n + step, offset places
+    further along than gamma in shell n; gamma - alpha, the reverse."""
+    if spec.lattice.kind == FULL_QUADRANT:
+        return alpha.order, alpha.g1
+    return alpha.g1, 0
 
 
-@lru_cache(maxsize=None)
-def _shell_term_sum(spec: DomainSpec, alpha: MultiIndex, n: int, settings) -> float:
-    _fill_shells(spec, (n - alpha.order, n, n + alpha.order), settings)
-    terms = [
-        hs_term(spec, gamma, alpha, settings)
-        for gamma in _shell(spec, n)
-        if spec.lattice.contains(gamma.add(alpha))
-    ]
-    return _sum(terms)
+def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> list:
+    """Shell sums 0..n_max of S_alpha in one pass; a shell's array lives only
+    for the pass.  Terms whose gamma+alpha leaves the lattice are omitted."""
+    step, offset = _neighbours(spec, alpha)
+    logs, sums = {}, []
+    for n in range(n_max + 1):
+        key = (spec, alpha, n, settings)
+        if key not in _SHELL_SUMS:
+            for m in (n, n + step, n - step):
+                if m not in logs:
+                    logs[m] = _shell_logs(spec, m, settings)
+            mid = logs[n]
+            up = logs[n + step][offset:offset + mid.size]
+            terms = _ratios(up, mid[:up.size])
+            down = logs[n - step][:max(up.size - offset, 0)]
+            terms[offset:offset + down.size] -= _ratios(mid[offset:offset + down.size], down)
+            _SHELL_SUMS[key] = _sum(terms.tolist())
+        sums.append(_SHELL_SUMS[key])
+        logs.pop(n - step, None)
+    return sums
 
 
 def s_alpha_partial(
@@ -243,15 +271,20 @@ def s_alpha_partial(
     the lattice are omitted (the operator is only considered on the
     subspace where it is bounded).
     """
-    _check_alpha(spec, alpha, nonzero=True)
-    if n != int(n) or n < 1:
-        raise InvalidInputError(f"truncation index must be a positive integer, got {n!r}")
-    return _sum(_shell_term_sum(spec, alpha, m, settings) for m in range(int(n) + 1))
+    return s_alpha_partials(spec, alpha, (n,), settings)[0][1]
 
 
 def s_alpha_partials(spec, alpha, ns, settings=DEFAULT_SETTINGS):
-    """(n, S_alpha(n)) along a ladder of truncation indices."""
-    return tuple((n, s_alpha_partial(spec, alpha, n, settings)) for n in ns)
+    """(n, S_alpha(n)) along a ladder of truncation indices, in one pass."""
+    _check_alpha(spec, alpha, nonzero=True)
+    ns = tuple(ns)
+    for n in ns:
+        if n != int(n) or n < 1:
+            raise InvalidInputError(f"truncation index must be a positive integer, got {n!r}")
+    if not ns:
+        return ()
+    sums = _shell_sums(spec, alpha, int(max(ns)), settings)
+    return tuple((n, _sum(sums[:int(n) + 1])) for n in ns)
 
 
 def shell_bound(
@@ -264,14 +297,10 @@ def shell_bound(
     _check_alpha(spec, alpha, nonzero=True)
     if n != int(n) or n < 0:
         raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
-    _fill_shells(spec, (int(n), int(n) + alpha.order), settings)
-    ratios = []
-    for gamma in _shell(spec, int(n)):
-        up = gamma.add(alpha)
-        if not spec.lattice.contains(up):
-            continue
-        ratios.append(_ratio(_log_c(spec, up, settings), _log_c(spec, gamma, settings)))
-    return _sum(ratios)
+    step, offset = _neighbours(spec, alpha)
+    mid = _shell_logs(spec, int(n), settings)
+    up = _shell_logs(spec, int(n) + step, settings, offset, offset + mid.size)
+    return _sum(_ratios(up, mid[:up.size]).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,39 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
         assert err.getvalue().count("\n") == 1
 
 
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(
+    task=st.sampled_from(["salpha", "dbar"]),
+    domain=st.one_of(
+        st.just("omega0"),
+        st.integers(1, 5).map(lambda k: f"omega_k:{k}"),
+        st.sampled_from([0.5, 1, 2.5]).map(lambda p: f"profile:inv_one_minus_pow:p={p}"),
+    ),
+    alpha=st.one_of(
+        st.integers(0, 3).map(lambda a: f"{a},{a}"),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda a: f"{a[0]},{a[1]}"),
+        st.text(alphabet="0123,-. a", max_size=5),
+    ),
+    n_max=st.integers(-1, 8),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, fmt):
+    # The diagonal (omega0), truncated (omega_k) and quadrature-backed
+    # profile paths of the series evaluator, with alphas off and on the lattice.
+    argv = [task, "--domain", domain, f"--n-max={n_max}", "--format", fmt]
+    if task == "salpha":
+        argv.append(f"--alpha={alpha}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 0 and fmt == "json":
+        json.loads(out.getvalue())
+    if code != 0:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
 def _perfbench_module(name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)

@@ -1,10 +1,12 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
-from reinhardt.domains import DomainSpec, MultiIndex
+from reinhardt import hankel
+from reinhardt.domains import FULL_QUADRANT, DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import (
     Convergent,
@@ -21,7 +23,7 @@ from reinhardt.hankel import (
     sample_ladder,
     shell_bound,
 )
-from reinhardt.moments import log_c_gamma_sq
+from reinhardt.moments import clear_moment_caches, log_c_gamma_sq
 from reinhardt.profiles import profile_family
 from reinhardt.wiegerinck import omega0_ratio
 
@@ -113,6 +115,69 @@ def test_nonnegativity_spot_check():
             gamma = MultiIndex(rng.randrange(12), rng.randrange(12))
             alpha = MultiIndex(rng.randrange(3), rng.randrange(3))
             assert hs_term(spec, gamma, alpha) >= -1e-9
+
+
+ORACLE_DOMAINS = {
+    "polydisc:2": DomainSpec.polydisc(2.0),
+    "ball": BALL,
+    "inv_pow_1": DomainSpec.profile_domain(profile_family("inv_one_minus_pow", {"p": 1})),
+    "neg_log": NEG_LOG,
+    "omega0": OMEGA0,
+    "omega_k:3": DomainSpec.wiegerinck_omega_k(3),
+}
+
+
+def _oracle_shell(spec, n, alpha):
+    """The gammas of shell n whose gamma+alpha stays on the lattice."""
+    if spec.lattice.kind == FULL_QUADRANT:
+        gammas = [MultiIndex(k, n - k) for k in range(n + 1)]
+    else:
+        gammas = [MultiIndex(n, n)]
+    return [g for g in gammas if spec.lattice.contains(g) and spec.lattice.contains(g.add(alpha))]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_DOMAINS))
+def test_shell_arrays_match_the_hs_term_oracle(name):
+    # s_alpha_partial and shell_bound come from per-shell log-moment
+    # arrays; hs_term is the term-by-term reference.  On omega_k:3 the
+    # shells run past k and include terms whose gamma+alpha leaves the
+    # lattice, which both sides omit.
+    spec = ORACLE_DOMAINS[name]
+    alphas = [MultiIndex(*a) for a in ((1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
+    checked = 0
+    for alpha in (a for a in alphas if spec.lattice.contains(a)):
+        for n in range(1, 7):
+            want = math.fsum(hs_term(spec, g, alpha) for m in range(n + 1)
+                             for g in _oracle_shell(spec, m, alpha))
+            assert math.isclose(s_alpha_partial(spec, alpha, n), want,
+                                rel_tol=4 * sys.float_info.epsilon), (alpha, n)
+            bound = math.fsum(
+                math.exp(log_c_gamma_sq(spec, g.add(alpha)) - log_c_gamma_sq(spec, g))
+                for g in _oracle_shell(spec, n, alpha)
+            )
+            assert math.isclose(shell_bound(spec, alpha, n), bound,
+                                rel_tol=4 * sys.float_info.epsilon), (alpha, n)
+            checked += 1
+    assert checked == (30 if spec.lattice.kind == FULL_QUADRANT else 12)
+
+
+def test_series_pass_looks_up_each_moment_once(monkeypatch):
+    # Shells 0..41 hold 42 * 43 / 2 = 903 gammas: one lookup each, through
+    # the name hankel calls, though every shell serves three shell sums.
+    calls = []
+    lookup = hankel.log_c_gamma_sq
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lookup(*args, **kwargs)
+
+    clear_moment_caches()
+    monkeypatch.setattr(hankel, "_SHELL_SUMS", {})
+    monkeypatch.setattr(hankel, "log_c_gamma_sq", counting)
+    partials = s_alpha_partials(DomainSpec.polydisc(2.0), MultiIndex(1, 0), sample_ladder(40))
+    assert [n for n, _ in partials] == list(sample_ladder(40))
+    assert len(calls) == 903
+    assert len(set(calls)) == 903
 
 
 # ---------------------------------------------------------------------------

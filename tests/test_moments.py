@@ -86,6 +86,20 @@ def test_inv_pow_profile_against_tight_tolerance_run():
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
+@pytest.mark.parametrize("x, y", [(1, 802), (3, 1002), (201, 2), (0, 2), (11, 40),
+                                  (51, 152), (101, 2)])
+def test_inv_pow_p1_against_exact_exponential_integrals(x, y):
+    # phi = 1/(1-r); with t = 1/(1-r), M(x, y) = sum_j (-1)^j C(x, j) E_(j+2)(y)
+    # for integer x.  The alternating sum cancels catastrophically, so it is
+    # evaluated with 300 digits; naive mpmath.quad is no oracle here.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(300):
+        exact = mpmath.fsum((-1) ** j * mpmath.binomial(x, j) * mpmath.expint(j + 2, y)
+                            for j in range(x + 1))
+        log_exact = float(mpmath.log(exact))
+    assert abs(log_radial_moment(INV_POW, float(x), float(y)) - log_exact) <= 1e-10
+
+
 def test_moment_input_validation():
     with pytest.raises(InvalidInputError):
         log_radial_moment(ZERO, -1.0, 0.0)
