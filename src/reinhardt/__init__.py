@@ -30,10 +30,8 @@ from .hankel import (
     DbarReport,
     DivergentLinear,
     Inconclusive,
-    SymbolSpec,
     classify_growth,
     dbar_canonical_report,
-    hs_norm_sq,
     hs_term,
     s_alpha_partial,
     s_alpha_partials,
@@ -46,17 +44,12 @@ from .moments import (
     log_c_gamma_sq,
     log_profile_interval_moment,
     log_radial_moment,
-    log_region_moment,
-    monomial_in_basis,
 )
 from .profiles import RadialProfile, profile_family
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import (
-    Omega0Series,
     OmegaKReport,
     omega0_log_ck_sq,
-    omega0_s11,
-    omega0_term,
     omegak_report,
 )
 

@@ -39,6 +39,7 @@ from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 _WINDOW_THRESHOLD = 0.1   # smallest accepted value of r phi'(r) at the left edge
 _MASS_SLACK = 1e-6        # numerical slack on the >= 1/2 mass checks
 _GRID_EPS = 1e-6
+_SUBHARMONIC_GRID = 1000  # points at which check_subharmonic evaluates the Laplacian
 _CONVEXITY_GRID = 1000    # points at which lambda_alpha checks phi'' >= 0
 
 
@@ -49,16 +50,15 @@ class SubharmonicityCheck:
     worst_r: float
 
 
-def check_subharmonic(profile: RadialProfile, grid_points: int = 1000) -> SubharmonicityCheck:
+def check_subharmonic(profile: RadialProfile) -> SubharmonicityCheck:
     """Evaluate phi'' + phi'/r on a geometric-plus-uniform grid.
 
     Passes when the minimum stays above -1e-9; the worst margin and its
     location are reported either way.
     """
-    if grid_points < 100:
-        raise InvalidInputError("subharmonicity check needs at least 100 grid points")
-    uniform = np.linspace(_GRID_EPS, 1.0 - _GRID_EPS, grid_points // 2)
-    geometric = np.geomspace(_GRID_EPS, 1.0 - _GRID_EPS, grid_points - grid_points // 2)
+    half = _SUBHARMONIC_GRID // 2
+    uniform = np.linspace(_GRID_EPS, 1.0 - _GRID_EPS, half)
+    geometric = np.geomspace(_GRID_EPS, 1.0 - _GRID_EPS, _SUBHARMONIC_GRID - half)
     grid = np.unique(np.concatenate([uniform, geometric]))
     with np.errstate(over="ignore"):
         laplacian = np.asarray(profile.d2phi(grid), dtype=float) \

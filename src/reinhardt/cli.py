@@ -18,6 +18,7 @@ produce byte-identical files.  Exit codes: 0 success, 1 invalid input,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,8 +27,6 @@ from .certificate import certificate_ladder
 from .domains import DomainSpec, MultiIndex, builtin_domain
 from .errors import InvalidInputError, NumericalFailureError
 from .hankel import (
-    Convergent,
-    DivergentLinear,
     Inconclusive,
     SYMBOL_NOT_IN_SPACE,
     classify_growth,
@@ -38,9 +37,7 @@ from .hankel import (
 )
 from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
-from .wiegerinck import omega0_s11, omegak_report
-
-TASKS = ("moments", "salpha", "certify", "wiegerinck", "dbar")
+from .wiegerinck import S11_LIMIT, omegak_report, s11_tail_bound
 
 BASIS_NOTE = (
     "assumes the monomials of the basis lattice form a complete "
@@ -80,36 +77,22 @@ def _write_text(path: str | None, text: str):
         handle.write(text)
 
 
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if cell is None else _fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2) + "\n"
+def _classify(partials):
+    """classify_growth on at least 8 partial sums, else Inconclusive."""
+    if len(partials) >= 8:
+        return classify_growth(partials)
+    return Inconclusive(reason=f"only {len(partials)} samples")
 
 
 def _classification_dict(classification) -> dict:
-    if isinstance(classification, DivergentLinear):
-        return {
-            "kind": "DivergentLinear",
-            "slope": classification.slope,
-            "intercept": classification.intercept,
-            "fit_residual": classification.fit_residual,
-        }
-    if isinstance(classification, Convergent):
-        return {"kind": "Convergent", "limit": classification.limit, "tail": classification.tail}
-    return {"kind": "Inconclusive", "reason": classification.reason}
+    return {"kind": classification.label, **dataclasses.asdict(classification)}
 
 
 def _classification_label(classification) -> str:
-    if isinstance(classification, DivergentLinear):
-        return f"DivergentLinear(slope={_fmt(classification.slope)})"
-    if isinstance(classification, Convergent):
-        return f"Convergent(limit={_fmt(classification.limit)})"
-    return "Inconclusive"
+    if isinstance(classification, Inconclusive):
+        return classification.label
+    first = dataclasses.fields(classification)[0].name
+    return f"{classification.label}({first}={_fmt(getattr(classification, first))})"
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +160,14 @@ def _domain_from_config(value) -> DomainSpec:
     raise InvalidInputError(f"cannot interpret config domain {value!r}")
 
 
+def _alpha_from_config(value) -> MultiIndex:
+    if isinstance(value, str):
+        return parse_alpha(value)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return parse_alpha(f"{value[0]},{value[1]}")
+    raise InvalidInputError(f"cannot interpret alpha {value!r}")
+
+
 def _settings_from_config(value) -> QuadratureSettings:
     if value is None:
         return DEFAULT_SETTINGS
@@ -191,31 +182,33 @@ def _settings_from_config(value) -> QuadratureSettings:
     raise InvalidInputError(f"cannot interpret tolerance {value!r}")
 
 
+# How run() reads each required config key.
+_PARSE = {"domain": _domain_from_config, "alpha": _alpha_from_config, "n_max": int}
+
+
 # ---------------------------------------------------------------------------
-# Tasks.  Each returns (text, summary_line).
+# Tasks.  Each builder returns (summary line, CSV header, CSV rows, JSON
+# payload); run() formats the one the config asks for.  The payload comes as
+# a function, so a CSV run never builds it.
 # ---------------------------------------------------------------------------
 
 
-def _run_moments(domain, n_max, fmt, settings):
+def _moments(config, settings, domain, n_max):
     rows = []
-    divergent = 0
     for order in range(n_max + 1):
         fill_shell(domain, order, settings)
         for g1 in range(order + 1):
-            gamma = MultiIndex(g1, order - g1)
-            value = log_c_gamma_sq(domain, gamma, settings)
+            value = log_c_gamma_sq(domain, MultiIndex(g1, order - g1), settings)
             if value == DIVERGENT:
-                divergent += 1
-                rows.append((gamma.g1, gamma.g2, "divergent", None))
+                rows.append((g1, order - g1, "divergent", None))
             else:
-                rows.append((gamma.g1, gamma.g2, "ok", value))
+                rows.append((g1, order - g1, "ok", value))
+    divergent = sum(status == "divergent" for _, _, status, _ in rows)
     summary = (
         f"moments {domain.describe()}: {len(rows)} monomials up to order {n_max}, "
         f"{divergent} divergent"
     )
-    if fmt == "csv":
-        return _csv_text(("g1", "g2", "status", "log_c_sq"), rows), summary
-    payload = {
+    return summary, ("g1", "g2", "status", "log_c_sq"), rows, lambda: {
         "task": "moments",
         "domain": domain.describe(),
         "n_max": n_max,
@@ -225,42 +218,31 @@ def _run_moments(domain, n_max, fmt, settings):
             for g1, g2, status, log in rows
         ],
     }
-    return _json_text(payload), summary
 
 
-def _salpha_data(domain, alpha, n_max, n_step, settings):
-    ns = sample_ladder(n_max, n_step)
+def _certificate(domain, alpha, ns, settings):
+    """The certificate ladder on a profile domain with a window, else None."""
+    if domain.kind != "profile":
+        return None
+    try:
+        return certificate_ladder(domain.profile, alpha, ns, settings)
+    except InvalidInputError:
+        return None
+
+
+def _salpha(config, settings, domain, alpha, n_max):
+    ns = sample_ladder(n_max, config.get("n_step"))
     partials = s_alpha_partials(domain, alpha, ns, settings)
-    shells = [(n, shell_bound(domain, alpha, n, settings)) for n in ns]
-    certificate = None
-    if domain.kind == "profile":
-        try:
-            certificate = certificate_ladder(domain.profile, alpha, ns, settings)
-        except InvalidInputError:
-            certificate = None
-    if len(partials) >= 8:
-        classification = classify_growth(partials)
-    else:
-        classification = Inconclusive(reason=f"only {len(partials)} samples")
-    return ns, partials, shells, certificate, classification
-
-
-def _run_salpha(domain, alpha, n_max, n_step, fmt, settings):
-    ns, partials, shells, certificate, classification = _salpha_data(
-        domain, alpha, n_max, n_step, settings
-    )
+    shells = [shell_bound(domain, alpha, n, settings) for n in ns]
+    certificate = _certificate(domain, alpha, ns, settings)
+    classification = _classify(partials)
     bounds = dict(certificate.bounds) if certificate else {}
-    rows = [
-        (n, value, shells[i][1], bounds.get(n))
-        for i, (n, value) in enumerate(partials)
-    ]
+    rows = [(n, value, shell, bounds.get(n)) for (n, value), shell in zip(partials, shells)]
     summary = (
         f"salpha {domain.describe()} alpha={alpha}: S_alpha({ns[-1]})="
         f"{_fmt(partials[-1][1])}, {_classification_label(classification)}"
     )
-    if fmt == "csv":
-        return _csv_text(("N", "S_alpha", "shell_bound", "cert_bound"), rows), summary
-    payload = {
+    return summary, ("N", "S_alpha", "shell_bound", "cert_bound"), rows, lambda: {
         "task": "salpha",
         "domain": domain.describe(),
         "alpha": [alpha.g1, alpha.g2],
@@ -271,47 +253,41 @@ def _run_salpha(domain, alpha, n_max, n_step, fmt, settings):
             for n, s, sh, cb in rows
         ],
     }
-    return _json_text(payload), summary
 
 
-def _run_certify(domain, alpha, n_max, n_step, fmt, settings):
+def _certify(config, settings, domain, alpha, n_max):
     if domain.kind != "profile":
         raise InvalidInputError("certificates are only defined on profile domains")
-    ns, partials, _, certificate, classification = _salpha_data(
-        domain, alpha, n_max, n_step, settings
-    )
+    ns = sample_ladder(n_max, config.get("n_step"))
+    partials = s_alpha_partials(domain, alpha, ns, settings)
+    certificate = _certificate(domain, alpha, ns, settings)
+    classification = _classify(partials)
     if certificate is None:
         raise InvalidInputError("no certificate window exists for this profile")
-    window = certificate.window
     entries = []
-    all_masses_ok = True
-    for entry, (n, s_value) in zip(certificate.entries, partials):
-        min_mass = min((m for _, m in entry.mass_checks), default=1.0)
-        all_masses_ok = all_masses_ok and min_mass >= 0.5 - 1e-6
+    for entry, (_, s_value) in zip(certificate.entries, partials):
         entries.append({
             "N": entry.n,
             "count": entry.count,
             "cert_bound": entry.bound,
-            "min_mass": min_mass,
+            "min_mass": min((m for _, m in entry.mass_checks), default=1.0),
             "prefactor_min": entry.prefactor_min,
             "S_alpha": s_value,
             "mass_checks": [
                 {"x": x, "y": y, "mass": mass} for (x, y), mass in entry.mass_checks
             ],
         })
+    all_masses_ok = all(e["min_mass"] >= 0.5 - 1e-6 for e in entries)
     verdict = _classification_label(classification)
     summary = (
         f"certify {domain.describe()} alpha={alpha}: bound({ns[-1]})="
         f"{_fmt(certificate.entries[-1].bound)}, masses>=1/2: {_fmt(all_masses_ok)}, "
         f"verdict {verdict}"
     )
-    if fmt == "csv":
-        rows = [
-            (e["N"], e["count"], e["cert_bound"], e["min_mass"], e["S_alpha"])
-            for e in entries
-        ]
-        return _csv_text(("N", "count", "cert_bound", "min_mass", "S_alpha"), rows), summary
-    payload = {
+    header = ("N", "count", "cert_bound", "min_mass", "S_alpha")
+    rows = [tuple(e[key] for key in header) for e in entries]
+    window = certificate.window
+    return summary, header, rows, lambda: {
         "task": "certify",
         "domain": domain.describe(),
         "alpha": [alpha.g1, alpha.g2],
@@ -322,17 +298,14 @@ def _run_certify(domain, alpha, n_max, n_step, fmt, settings):
         "classification": _classification_dict(classification),
         "verdict": verdict,
     }
-    return _json_text(payload), summary
 
 
-def _run_wiegerinck(n_max, k, n_step, fmt, settings):
+def _wiegerinck(config, settings):
+    k = config.get("k")
     if k is not None:
         report = omegak_report(k)
         summary = f"wiegerinck omega_k k={k}: dimension {report.dimension}"
-        if fmt == "csv":
-            rows = [(j, count) for j, count in report.term_counts]
-            return _csv_text(("j", "structural_terms"), rows), summary
-        payload = {
+        return summary, ("j", "structural_terms"), report.term_counts, lambda: {
             "task": "wiegerinck",
             "domain": f"omega_k(k={k})",
             "dimension": report.dimension,
@@ -340,48 +313,37 @@ def _run_wiegerinck(n_max, k, n_step, fmt, settings):
             "term_counts": [{"j": j, "terms": c} for j, c in report.term_counts],
             "statement": report.statement,
         }
-        return _json_text(payload), summary
-    if n_max is None:
-        raise InvalidInputError("wiegerinck needs --n-max (series cutoff M) or --k")
-    ms = sample_ladder(n_max, n_step)
-    series = [omega0_s11(m) for m in ms]
-    partials = [(m, s.partial_sum) for m, s in zip(ms, series)]
-    if len(partials) >= 8:
-        classification = classify_growth(partials)
-    else:
-        classification = Inconclusive(reason=f"only {len(partials)} samples")
-    last = series[-1]
+    if config.get("n_max") is None:
+        raise InvalidInputError("wiegerinck requires k or n_max")
+    ms = sample_ladder(config["n_max"], config.get("n_step"))
+    partials = s_alpha_partials(DomainSpec.wiegerinck_omega0(), MultiIndex(1, 1), ms, settings)
+    classification = _classify(partials)
+    m, last = partials[-1]
     summary = (
-        f"wiegerinck omega0 M={last.m}: S_11={_fmt(last.partial_sum)}, "
-        f"limit_estimate={_fmt(last.limit_estimate)}, "
-        f"{_classification_label(classification)}"
+        f"wiegerinck omega0 M={m}: S_11={_fmt(last)}, "
+        f"limit_estimate={_fmt(S11_LIMIT)}, {_classification_label(classification)}"
     )
-    if fmt == "csv":
-        rows = [(m, s.partial_sum, s.tail_bound) for m, s in zip(ms, series)]
-        return _csv_text(("M", "S_11", "tail_bound"), rows), summary
-    payload = {
+    rows = [(m, s, s11_tail_bound(m)) for m, s in partials]
+    return summary, ("M", "S_11", "tail_bound"), rows, lambda: {
         "task": "wiegerinck",
         "domain": "omega0",
-        "m_max": last.m,
-        "partials": [{"M": m, "S_11": s.partial_sum} for m, s in zip(ms, series)],
-        "limit_estimate": last.limit_estimate,
-        "tail_bound": last.tail_bound,
+        "m_max": m,
+        "partials": [{"M": m, "S_11": s} for m, s in partials],
+        "limit_estimate": S11_LIMIT,
+        "tail_bound": s11_tail_bound(m),
         "classification": _classification_dict(classification),
     }
-    return _json_text(payload), summary
 
 
-def _run_dbar(domain, n_max, fmt, settings):
+def _dbar(config, settings, domain, n_max):
     report = dbar_canonical_report(domain, n_max, settings)
+    rows = [
+        (f"({c.alpha.g1};{c.alpha.g2})", n, value)
+        for c in report.coordinates if c.status != SYMBOL_NOT_IN_SPACE
+        for n, value in c.partials
+    ]
     summary = f"dbar {domain.describe()}: {report.verdict}"
-    if fmt == "csv":
-        rows = []
-        for coord in report.coordinates:
-            if coord.status != SYMBOL_NOT_IN_SPACE:
-                for n, value in coord.partials:
-                    rows.append((f"({coord.alpha.g1};{coord.alpha.g2})", n, value))
-        return _csv_text(("alpha", "N", "S_alpha"), rows), summary
-    payload = {
+    return summary, ("alpha", "N", "S_alpha"), rows, lambda: {
         "task": "dbar",
         "domain": domain.describe(),
         "coordinates": [
@@ -397,7 +359,19 @@ def _run_dbar(domain, n_max, fmt, settings):
         ],
         "verdict": report.verdict,
     }
-    return _json_text(payload), summary
+
+
+# task: (required config keys, in the order they are read; default format;
+# builder).  A builder takes the config, the quadrature settings and the
+# parsed required values.  Builders look up the library functions when they
+# run, so a name patched on this module is the one they call.
+TASKS = {
+    "moments": (("domain", "n_max"), "csv", _moments),
+    "salpha": (("domain", "alpha", "n_max"), "csv", _salpha),
+    "certify": (("domain", "alpha", "n_max"), "json", _certify),
+    "wiegerinck": ((), "json", _wiegerinck),
+    "dbar": (("domain", "n_max"), "json", _dbar),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +383,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reinhardt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS + ("report",):
+    for task in (*TASKS, "report"):
         p = sub.add_parser(task)
         if task == "report":
             p.add_argument("--config", required=True, help="JSON config file")
@@ -436,7 +410,7 @@ def _merged_config(args) -> dict:
             raise InvalidInputError("config must be a JSON object")
         task = config.get("task")
         if task not in TASKS:
-            raise InvalidInputError(f"config task must be one of {TASKS}, got {task!r}")
+            raise InvalidInputError(f"config task must be one of {tuple(TASKS)}, got {task!r}")
     else:
         config["task"] = args.task
 
@@ -466,52 +440,26 @@ def run(config: dict) -> tuple:
     """Execute a validated config; returns (report text, summary line, path)."""
     task = config.get("task")
     if task not in TASKS:
-        raise InvalidInputError(f"task must be one of {TASKS}, got {task!r}")
+        raise InvalidInputError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    required, default_fmt, build = TASKS[task]
     settings = _settings_from_config(config.get("tol"))
     output = config.get("output", {})
-    default_fmt = "csv" if task in ("moments", "salpha") else "json"
     fmt = output.get("format", default_fmt)
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"format must be csv or json, got {fmt!r}")
-    path = output.get("path")
-
-    def need(key):
+    values = []
+    for key in required:
         if config.get(key) is None:
             raise InvalidInputError(f"task {task} requires {key!r}")
-        return config[key]
-
-    if task == "wiegerinck":
-        if config.get("k") is None and config.get("n_max") is None:
-            raise InvalidInputError("wiegerinck requires k or n_max")
-        text, summary = _run_wiegerinck(
-            config.get("n_max"), config.get("k"), config.get("n_step"), fmt, settings
-        )
-        return text, summary, path
-
-    domain = _domain_from_config(need("domain"))
-    if task == "moments":
-        text, summary = _run_moments(domain, int(need("n_max")), fmt, settings)
-    elif task == "salpha":
-        alpha = _alpha_from_config(need("alpha"))
-        text, summary = _run_salpha(
-            domain, alpha, int(need("n_max")), config.get("n_step"), fmt, settings
-        )
-    elif task == "certify":
-        alpha = _alpha_from_config(need("alpha"))
-        text, summary = _run_certify(
-            domain, alpha, int(need("n_max")), config.get("n_step"), fmt, settings
-        )
+        values.append(_PARSE[key](config[key]))
+    summary, header, rows, payload = build(config, settings, *values)
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join("" if cell is None else _fmt(cell) for cell in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
-        text, summary = _run_dbar(domain, int(need("n_max")), fmt, settings)
-    return text, summary, path
-
-
-def _alpha_from_config(value) -> MultiIndex:
-    if isinstance(value, str):
-        return parse_alpha(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return parse_alpha(f"{value[0]},{value[1]}")
-    raise InvalidInputError(f"cannot interpret alpha {value!r}")
+        text = json.dumps(_jsonable(payload()), indent=2) + "\n"
+    return text, summary, output.get("path")
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,11 @@ array, once per gamma; a shell's terms are exps of differences with the
 arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell is
 one point, and alpha = (a, a) is a shells away).  hs_term, one summand
 on its own, is the reference the tests hold the shell sums to.
+
+This one evaluator serves every series of the package: the salpha and
+certify ladders, both coordinates of the dbar report, and S_(1,1) on the
+Wiegerinck domain Omega_0, whose diagonal terms telescope exactly to one
+moment ratio.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ Classification = DivergentLinear | Convergent | Inconclusive
 _LINEAR_RESIDUAL_MAX = 0.05   # relative residual of the upper-half line
 _LINEAR_SPAN_MIN = 2.0        # values must at least double over the samples
 _EXTRAPOLATION_RTOL = 1e-3    # Richardson diagonal agreement for convergence
+_MIN_SAMPLES = 8              # fewest partial sums classified, and the default ladder's divisor
 
 
 def classify_growth(partials) -> Classification:
@@ -89,8 +95,10 @@ def classify_growth(partials) -> Classification:
     at ordinary scales classify bit for bit as they would unscaled.
     """
     points = [(int(n), float(v)) for n, v in partials]
-    if len(points) < 8:
-        raise InvalidInputError(f"classification needs >= 8 samples, got {len(points)}")
+    if len(points) < _MIN_SAMPLES:
+        raise InvalidInputError(
+            f"classification needs >= {_MIN_SAMPLES} samples, got {len(points)}"
+        )
     ns = np.array([n for n, _ in points], dtype=float)
     if not np.all(np.diff(ns) > 0):
         raise InvalidInputError("sample indices must be strictly increasing")
@@ -304,59 +312,8 @@ def shell_bound(
 
 
 # ---------------------------------------------------------------------------
-# Symbols, Hilbert-Schmidt norms, reports.
+# The dbar report and the sample ladder.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolSpec:
-    """A finitely supported symbol, as coefficients in the orthonormal basis.
-
-    ``coeffs`` maps a multi-index alpha to f_alpha, the coefficient of
-    z^alpha / c_alpha.
-    """
-
-    coeffs: tuple
-
-    @classmethod
-    def from_dict(cls, mapping) -> "SymbolSpec":
-        items = []
-        for key, value in mapping.items():
-            if not isinstance(key, MultiIndex):
-                key = MultiIndex(*key)
-            items.append((key, complex(value)))
-        items.sort(key=lambda kv: (kv[0].order, kv[0].g1))
-        return cls(coeffs=tuple(items))
-
-
-def hs_norm_sq(
-    spec: DomainSpec,
-    symbol: SymbolSpec,
-    n: int,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
-    """Truncated squared HS norm and its per-alpha breakdown.
-
-    Returns (lower bound, tuple of (alpha, |f_alpha|^2, S_alpha(n)));
-    the alpha = 0 coefficient contributes nothing, so constant symbols
-    come out at exactly 0.
-    """
-    for alpha, _ in symbol.coeffs:
-        if not spec.lattice.contains(alpha):
-            raise InvalidInputError(
-                f"symbol not in Bergman space: index {alpha} is off the basis lattice"
-            )
-    orders = [alpha.order for alpha, _ in symbol.coeffs]
-    if n != int(n) or n < max(orders, default=1):
-        raise InvalidInputError("truncation index must be >= every symbol index order")
-    breakdown = []
-    for alpha, coeff in symbol.coeffs:
-        weight = abs(coeff) ** 2
-        if alpha.order == 0 or weight == 0.0:
-            continue
-        breakdown.append((alpha, weight, s_alpha_partial(spec, alpha, int(n), settings)))
-    total = _sum(w * s for _, w, s in breakdown)
-    return total, tuple(breakdown)
 
 
 SYMBOL_IN_SPACE = "ok"
@@ -397,7 +354,7 @@ def dbar_canonical_report(
             continue
         ns = sample_ladder(n)
         partials = s_alpha_partials(spec, alpha, ns, settings)
-        if len(partials) >= 8:
+        if len(partials) >= _MIN_SAMPLES:
             classification = classify_growth(partials)
         else:
             classification = Inconclusive(reason=f"only {len(partials)} samples")
@@ -418,13 +375,14 @@ def dbar_canonical_report(
     return DbarReport(coordinates=tuple(coordinates), verdict=verdict)
 
 
-def sample_ladder(n_max: int, n_step: int | None = None, min_points: int = 8):
-    """Truncation indices n_step, 2*n_step, ..., <= n_max."""
+def sample_ladder(n_max: int, n_step: int | None = None):
+    """Truncation indices n_step, 2*n_step, ..., <= n_max; the default step
+    gives at least as many indices as classify_growth needs, where n_max allows."""
     if n_max != int(n_max) or n_max < 1:
         raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
     n_max = int(n_max)
     if n_step is None:
-        n_step = max(1, n_max // min_points)
+        n_step = max(1, n_max // _MIN_SAMPLES)
     if n_step != int(n_step) or n_step < 1:
         raise InvalidInputError(f"n_step must be a positive integer, got {n_step!r}")
     return tuple(range(int(n_step), n_max + 1, int(n_step)))

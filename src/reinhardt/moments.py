@@ -41,7 +41,7 @@ from .domains import (
     TailPiece,
     radial_shadow,
 )
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalFailureError
 from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
@@ -144,6 +144,11 @@ def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
                 _profile_log_integrand(profile, mx, my), np.full(mx.size, lo),
                 np.full(mx.size, hi), settings, presplit=presplit,
             ).tolist()
+            if LOG_ZERO in logs:
+                i = logs.index(LOG_ZERO)
+                raise _underflow(
+                    f"integral of r^{mx[i]:g} exp(-{my[i]:g} phi(r)) over [{lo:g}, {hi:g}]"
+                )
         for i, value in zip(missing, logs):
             _RADIAL_MEMO[keys[i]] = value
     return [_RADIAL_MEMO[key] for key in keys]
@@ -207,19 +212,6 @@ def _auto_presplit(profile, xs, ys, lo, hi, settings) -> np.ndarray:
 # Shadow-region moments: c_gamma^2 = 4 pi^2 * double integral over the
 # shadow of r1^(2g1+1) r2^(2g2+1).
 # --------------------------------------------------------------------------
-
-
-def log_region_moment(
-    region: RadialRegion,
-    gamma: MultiIndex,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """log c_gamma^2 over a shadow region, or DIVERGENT.
-
-    Convergence on tail pieces is decided from their recorded power/log
-    tail exponents, never from runaway quadrature.
-    """
-    return _region_log_moments(region, (gamma,), settings)[0]
 
 
 def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
@@ -299,9 +291,18 @@ def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
                 top = top + np.log1p(-np.exp(np.minimum(bottom - top, 0.0)))
             return xs[owner] * np.log(r) + top - log_ys[owner]
 
-    return log_integrate(
+    logs = log_integrate(
         log_f, np.full(xs.size, piece.r1_lo), np.full(xs.size, piece.r1_hi), settings
     ).tolist()
+    if LOG_ZERO in logs:
+        raise _underflow(f"fiber integral of z^{gammas[logs.index(LOG_ZERO)]}")
+    return logs
+
+
+def _underflow(integral: str) -> NumericalFailureError:
+    # A moment integrand is positive on its interval, so a log of 0 means it
+    # underflowed at every quadrature node, not that the moment is 0.
+    return NumericalFailureError(f"{integral} underflows to 0 at every quadrature node")
 
 
 def _tail_log_moment(piece: TailPiece, gamma: MultiIndex, settings) -> float:
@@ -340,7 +341,7 @@ def _tail_log_moment(piece: TailPiece, gamma: MultiIndex, settings) -> float:
 
 
 # --------------------------------------------------------------------------
-# Squared monomial norms and basis membership.
+# Squared monomial norms.
 # --------------------------------------------------------------------------
 
 
@@ -410,17 +411,6 @@ def _log_c_gamma_sq_batch(spec: DomainSpec, gammas, settings) -> list:
             for gamma in gammas
         ]
     return _region_log_moments(_shadow(spec), gammas, settings)
-
-
-def monomial_in_basis(spec: DomainSpec, gamma: MultiIndex) -> bool:
-    """Whether z^gamma is square-integrable, hence a basis monomial.
-
-    Built-in variants answer from their lattice; generic regions run the
-    analytic tail convergence test on their tail pieces.
-    """
-    if spec.kind == "region":
-        return _region_converges(spec.region, gamma)
-    return spec.lattice.contains(gamma)
 
 
 def clear_moment_caches():

@@ -35,9 +35,9 @@ from reinhardt.hankel import (
     shell_bound,
 )
 from reinhardt.logdomain import log_sub_exp
-from reinhardt.moments import log_c_gamma_sq, log_region_moment
+from reinhardt.moments import log_c_gamma_sq
 from reinhardt.profiles import profile_family
-from reinhardt.wiegerinck import omega0_log_ck_sq, omega0_s11, omega0_term
+from reinhardt.wiegerinck import omega0_log_ck_sq
 
 PI2 = math.pi**2
 E4 = math.exp(4.0)
@@ -195,16 +195,17 @@ def test_criterion_6_wiegerinck_convergence():
     started = time.perf_counter()
     series_ok = True
     for m in (10**3, 10**4):
-        s = omega0_s11(m)
-        series_ok = series_ok and abs(s.partial_sum - E4) <= 3.0 * E4 / m
+        s11 = s_alpha_partial(OMEGA0, MultiIndex(1, 1), m)
+        series_ok = series_ok and abs(s11 - E4) <= 3.0 * E4 / m
     const_ok = all(
-        abs(k * k * omega0_term(k) - 2.0 * E4) <= 0.05 * 2.0 * E4
+        abs(k * k * hs_term(OMEGA0, MultiIndex(k, k), MultiIndex(1, 1)) - 2.0 * E4)
+        <= 0.05 * 2.0 * E4
         for k in (500, 1000, 5000)
     )
-    region = radial_shadow(OMEGA0)
+    shadow = DomainSpec.region_domain(radial_shadow(OMEGA0))
     worst = 0.0
     for k in range(21):
-        quad = log_region_moment(region, MultiIndex(k, k))
+        quad = log_c_gamma_sq(shadow, MultiIndex(k, k))
         worst = max(worst, abs(quad - omega0_log_ck_sq(k)))
     _report(6, series_ok and const_ok and worst <= 1e-6,
             f"S_11 within 3e4/M; k^2 terms near 2e^4; shadow-vs-closed-form "

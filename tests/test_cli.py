@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from reinhardt.cli import main, parse_alpha, parse_domain, run
 from reinhardt.domains import MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
+from reinhardt.hankel import sample_ladder
 from reinhardt.moments import log_radial_moment
 from reinhardt.profiles import profile_family
 from reinhardt.quadrature import QuadratureSettings
@@ -93,6 +94,35 @@ def test_bad_input_is_a_one_line_error(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--domain", "profile:inv_one_minus_pow:p=1e6", "--n-max", "1"],
+    ["salpha", "--domain", "profile:inv_one_minus_pow:p=1e6", "--alpha", "1,0", "--n-max", "8"],
+], ids=["moments-underflow", "salpha-underflow"])
+def test_numerical_failure_is_a_one_line_error(argv, capsys):
+    # Every quadrature node lands where (1-r)^-p overflows, so the positive
+    # moments would read as log 0.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_only_salpha_computes_shell_bounds(monkeypatch, capsys):
+    # certify never prints shell bounds, so it must not compute them.
+    import reinhardt.cli as cli
+
+    shells = []
+    real = cli.shell_bound
+    monkeypatch.setattr(cli, "shell_bound", lambda *args: shells.append(args[2]) or real(*args))
+    argv = ["--domain", "profile:neg_log_one_minus_r2", "--alpha", "1,1", "--n-max", "40"]
+    assert main(["certify", *argv]) == 0
+    assert shells == []
+    assert main(["salpha", *argv]) == 0
+    assert shells == list(sample_ladder(40))
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -221,6 +251,14 @@ def test_json_round_trip_under_schema(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which JSON does not allow."""
+    def reject(constant):
+        raise ValueError(f"non-finite number {constant} in a JSON report")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
     task=st.sampled_from(["salpha", "dbar", "moments"]),
@@ -241,7 +279,7 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 0 and fmt == "json":
-        json.loads(out.getvalue())
+        _strict_json(out.getvalue())
     if code != 0:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
@@ -249,11 +287,11 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(
-    task=st.sampled_from(["salpha", "dbar"]),
+    task=st.sampled_from(["salpha", "dbar", "moments", "wiegerinck"]),
     domain=st.one_of(
-        st.just("omega0"),
+        st.sampled_from(["omega0", "ball", "profile:zero", "profile:neg_log_one_minus_r2"]),
         st.integers(1, 5).map(lambda k: f"omega_k:{k}"),
-        st.sampled_from([0.5, 1, 2.5]).map(lambda p: f"profile:inv_one_minus_pow:p={p}"),
+        st.sampled_from([0.5, 1, 2.5, 3e5, 1e6]).map(lambda p: f"profile:inv_one_minus_pow:p={p}"),
     ),
     alpha=st.one_of(
         st.integers(0, 3).map(lambda a: f"{a},{a}"),
@@ -261,12 +299,21 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
         st.text(alphabet="0123,-. a", max_size=5),
     ),
     n_max=st.integers(-1, 8),
+    m_max=st.integers(-1, 64),
+    k=st.one_of(st.none(), st.integers(0, 5)),
     fmt=st.sampled_from(["csv", "json"]),
 )
-def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, fmt):
-    # The diagonal (omega0), truncated (omega_k) and quadrature-backed
-    # profile paths of the series evaluator, with alphas off and on the lattice.
-    argv = [task, "--domain", domain, f"--n-max={n_max}", "--format", fmt]
+def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, m_max, k, fmt):
+    # The diagonal (omega0), truncated (omega_k), closed-form and
+    # quadrature-backed paths of the series evaluator, with alphas off and on
+    # the lattice; p = 3e5 and 1e6 put every quadrature node where
+    # (1-r)^-p overflows.  The wiegerinck task takes a cutoff M and k.
+    if task == "wiegerinck":
+        argv = [task, f"--n-max={m_max}", "--format", fmt]
+        if k is not None:
+            argv.append(f"--k={k}")
+    else:
+        argv = [task, "--domain", domain, f"--n-max={n_max}", "--format", fmt]
     if task == "salpha":
         argv.append(f"--alpha={alpha}")
     out, err = io.StringIO(), io.StringIO()
@@ -274,7 +321,7 @@ def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, 
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 0 and fmt == "json":
-        json.loads(out.getvalue())
+        _strict_json(out.getvalue())
     if code != 0:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1

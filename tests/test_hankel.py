@@ -13,10 +13,8 @@ from reinhardt.hankel import (
     DivergentLinear,
     Inconclusive,
     SYMBOL_NOT_IN_SPACE,
-    SymbolSpec,
     classify_growth,
     dbar_canonical_report,
-    hs_norm_sq,
     hs_term,
     s_alpha_partial,
     s_alpha_partials,
@@ -25,7 +23,12 @@ from reinhardt.hankel import (
 )
 from reinhardt.moments import clear_moment_caches, log_c_gamma_sq
 from reinhardt.profiles import profile_family
-from reinhardt.wiegerinck import omega0_ratio
+from reinhardt.wiegerinck import omega0_log_ck_sq
+
+def omega0_ratio(k):
+    """c_(k+1,k+1)^2 / c_(k,k)^2 on Omega_0, from the closed form."""
+    return math.exp(omega0_log_ck_sq(k + 1) - omega0_log_ck_sq(k))
+
 
 POLYDISC = DomainSpec.polydisc(1.0)
 BALL = DomainSpec.ball()
@@ -226,39 +229,25 @@ def test_classify_square_root_growth_is_inconclusive():
 
 
 def test_constant_symbol_has_zero_norm():
-    symbol = SymbolSpec.from_dict({(0, 0): 3.5})
-    total, breakdown = hs_norm_sq(POLYDISC, symbol, 10)
-    assert total == 0.0
-    assert breakdown == ()
+    # The Hankel operator of a constant symbol is 0: every alpha = 0 summand
+    # of its Hilbert-Schmidt norm vanishes.
+    assert math.fsum(
+        hs_term(POLYDISC, MultiIndex(g1, n - g1), MultiIndex(0, 0))
+        for n in range(11) for g1 in range(n + 1)
+    ) == 0.0
 
 
 def test_hs_norm_symbol_off_lattice_rejected():
-    symbol = SymbolSpec.from_dict({(1, 0): 1.0})
-    with pytest.raises(InvalidInputError, match="not in Bergman space"):
-        hs_norm_sq(OMEGA0, symbol, 10)
+    with pytest.raises(InvalidInputError, match="not in the Bergman space"):
+        s_alpha_partial(OMEGA0, MultiIndex(1, 0), 10)
 
 
 def test_hs_norm_z1z2_on_omega0_approaches_c11_sq_times_e4():
-    c11_sq = math.exp(log_c_gamma_sq(OMEGA0, MultiIndex(1, 1)))
-    symbol = SymbolSpec.from_dict({(1, 1): math.sqrt(c11_sq)})
+    # z1 z2 is c_11 times the basis vector of index (1,1), so the squared
+    # norm of its Hankel operator is c_11^2 S_(1,1), and S_(1,1) tends to e^4.
     m = 1000
-    total, breakdown = hs_norm_sq(OMEGA0, symbol, m)
-    assert len(breakdown) == 1
-    assert abs(total / c11_sq - math.exp(4.0)) <= 3.0 * math.exp(4.0) / m
-
-
-def test_hs_norm_combines_alphas():
-    symbol = SymbolSpec.from_dict({(1, 0): 2.0, (0, 1): 1.0j})
-    total, breakdown = hs_norm_sq(POLYDISC, symbol, 6)
-    expected = 4.0 * s_alpha_partial(POLYDISC, MultiIndex(1, 0), 6) \
-        + 1.0 * s_alpha_partial(POLYDISC, MultiIndex(0, 1), 6)
-    assert total == pytest.approx(expected, rel=1e-12)
-
-
-def test_hs_norm_requires_large_enough_truncation():
-    symbol = SymbolSpec.from_dict({(2, 1): 1.0})
-    with pytest.raises(InvalidInputError):
-        hs_norm_sq(POLYDISC, symbol, 2)
+    s11 = s_alpha_partial(OMEGA0, MultiIndex(1, 1), m)
+    assert abs(s11 - math.exp(4.0)) <= 3.0 * math.exp(4.0) / m
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from reinhardt.errors import InvalidInputError, NumericalFailureError
-from reinhardt.wiegerinck import (
-    omega0_log_ck_sq,
-    omega0_ratio,
-    omega0_s11,
-    omega0_term,
-    omegak_report,
-)
+from reinhardt.domains import DomainSpec, MultiIndex
+from reinhardt.errors import InvalidInputError
+from reinhardt.hankel import hs_term, s_alpha_partial, s_alpha_partials
+from reinhardt.wiegerinck import S11_LIMIT, omega0_log_ck_sq, omegak_report, s11_tail_bound
 
 E4 = math.exp(4.0)
+OMEGA0 = DomainSpec.wiegerinck_omega0()
+S11 = MultiIndex(1, 1)
+
+
+def omega0_ratio(k: int) -> float:
+    """c_(k+1,k+1)^2 / c_(k,k)^2, via one log difference of the closed form."""
+    return math.exp(omega0_log_ck_sq(k + 1) - omega0_log_ck_sq(k))
+
+
+def omega0_term(k: int) -> float:
+    """The k-th summand of S_(1,1) on Omega_0, from the series evaluator's term oracle."""
+    return hs_term(OMEGA0, MultiIndex(k, k), S11)
 
 
 def closed_form_direct(k: int) -> float:
@@ -61,9 +69,7 @@ def test_index_validation():
     with pytest.raises(InvalidInputError):
         omega0_log_ck_sq(-1)
     with pytest.raises(InvalidInputError):
-        omega0_term(0)
-    with pytest.raises(InvalidInputError):
-        omega0_s11(0)
+        s_alpha_partial(OMEGA0, S11, 0)
 
 
 def test_term_at_k_1_against_exact_closed_forms():
@@ -82,21 +88,6 @@ def test_term_asymptotic_constant():
         assert k * k * omega0_term(k) == pytest.approx(2.0 * E4, rel=0.05)
 
 
-def test_single_fraction_path_agrees_with_plain_difference():
-    from reinhardt.wiegerinck import _omega0_term_single_fraction
-
-    for k in (2, 10, 60):
-        plain = omega0_ratio(k) - omega0_ratio(k - 1)
-        assert _omega0_term_single_fraction(k) == pytest.approx(plain, rel=1e-8)
-
-
-def test_cancellation_floor_raises_with_best_estimate():
-    with pytest.raises(NumericalFailureError) as err:
-        omega0_term(5_000_000)
-    assert err.value.best_estimate > 0.0
-    assert err.value.achieved_error < 1e-13
-
-
 def test_telescoping_sum_matches_single_ratio():
     m = 500
     total = omega0_ratio(0)  # j = 0 summand, with the below-range ratio read as 0
@@ -106,13 +97,18 @@ def test_telescoping_sum_matches_single_ratio():
 
 
 def test_partial_sums_and_tail_bound():
-    series = omega0_s11(1)
-    assert series.partial_sum == pytest.approx(ratio_fraction_oracle(1), rel=1e-12)
+    assert s_alpha_partial(OMEGA0, S11, 1) == pytest.approx(ratio_fraction_oracle(1), rel=1e-12)
     for m in (100, 1000):
-        series = omega0_s11(m)
-        assert abs(series.partial_sum - E4) <= series.tail_bound
-        assert series.limit_estimate == E4
-        assert series.tail_bound == pytest.approx(3.0 * E4 / m, rel=1e-12)
+        assert abs(s_alpha_partial(OMEGA0, S11, m) - E4) <= s11_tail_bound(m)
+        assert S11_LIMIT == E4
+        assert s11_tail_bound(m) == pytest.approx(3.0 * E4 / m, rel=1e-12)
+
+
+def test_partial_sums_are_exactly_one_ratio():
+    # Each summand r_j - r_(j-1) of adjacent ratios is exact (Sterbenz), so
+    # the summed series telescopes to the last ratio bit for bit.
+    ms = range(1, 1001)
+    assert s_alpha_partials(OMEGA0, S11, ms) == tuple((m, omega0_ratio(m)) for m in ms)
 
 
 def test_ratios_against_fraction_oracle():
