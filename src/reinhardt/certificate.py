@@ -37,7 +37,6 @@ from .profiles import RadialProfile
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _WINDOW_THRESHOLD = 0.1   # smallest accepted value of r phi'(r) at the left edge
-_MASS_SLACK = 1e-6        # numerical slack on the >= 1/2 mass checks
 _GRID_EPS = 1e-6
 _SUBHARMONIC_GRID = 1000  # points at which check_subharmonic evaluates the Laplacian
 _CONVEXITY_GRID = 1000    # points at which lambda_alpha checks phi'' >= 0
@@ -107,24 +106,24 @@ def find_window(profile: RadialProfile) -> Window:
     b phi'(b) > a phi'(a) has not yet been reached.
     """
     grid = np.arange(1, int(round(1.0 / _WINDOW_GRID_STEP))) * _WINDOW_GRID_STEP
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # phi, phi' -> inf near r = 1 fail the checks
         rdphi = grid * np.asarray(profile.dphi(grid), dtype=float)
-    hits = np.nonzero(rdphi >= _WINDOW_THRESHOLD)[0]
-    if hits.size == 0:
-        raise InvalidInputError(
-            f"profile {profile!r} does not grow to infinity: r*phi'(r) never reaches "
-            f"{_WINDOW_THRESHOLD} on the grid"
-        )
-    a = float(grid[hits[0]])
-    big_a = float(a * profile.dphi(a))
-    b = 0.5 * (a + 1.0)
-    while True:
-        big_b = float(b * profile.dphi(b))
-        if big_b > big_a and math.isfinite(float(profile.phi(b))):
-            break
-        b = 0.5 * (b + 1.0)
-        if 1.0 - b < 1e-12:
-            raise InvalidInputError(f"no usable window endpoint b for {profile!r}")
+        hits = np.nonzero(rdphi >= _WINDOW_THRESHOLD)[0]
+        if hits.size == 0:
+            raise InvalidInputError(
+                f"profile {profile!r} does not grow to infinity: r*phi'(r) never reaches "
+                f"{_WINDOW_THRESHOLD} on the grid"
+            )
+        a = float(grid[hits[0]])
+        big_a = float(a * profile.dphi(a))
+        b = 0.5 * (a + 1.0)
+        while True:
+            big_b = float(b * profile.dphi(b))
+            if big_b > big_a and math.isfinite(float(profile.phi(b))):
+                break
+            b = 0.5 * (b + 1.0)
+            if 1.0 - b < 1e-12:
+                raise InvalidInputError(f"no usable window endpoint b for {profile!r}")
     return Window(a=a, b=b, A=big_a, B=big_b)
 
 
@@ -216,7 +215,8 @@ def lambda_alpha(profile: RadialProfile, alpha: MultiIndex, window: Window) -> f
         out = 2.0 * alpha.g1 * math.log(r)
         return out - 2.0 * alpha.g2 * float(profile.phi(r)) if alpha.g2 else out
 
-    return math.exp(min(log_factor(lo), log_factor(hi))) / (2.0 * (1.0 + alpha.g2))
+    with np.errstate(over="ignore"):  # phi(hi) = inf gives the weight 0
+        return math.exp(min(log_factor(lo), log_factor(hi))) / (2.0 * (1.0 + alpha.g2))
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,9 @@ def certificate_ladder(
     """Assemble and verify the linear lower bound at every index n of ns.
 
     The profile checks, the window and lambda_alpha run once.  Every
-    shell index k in the window of n gets its mass checked (>= 1/2 - 1e-6)
-    and its prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2); a
-    failed check raises with the offending pair.
+    shell index k in the window of n gets its mass checked (>= 1/2) and
+    its prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2), with no
+    slack; a failed check raises with the offending pair.
     """
     if alpha.order == 0:
         raise InvalidInputError("certificates are defined for nonzero symbol indices")
@@ -277,14 +277,14 @@ def certificate_ladder(
         masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), settings)
         prefactor_min = 1.0
         for k, x, y, mass in zip(ks, xs, ys, masses):
-            if mass < 0.5 - _MASS_SLACK:
+            if not mass >= 0.5:
                 raise NumericalFailureError(
                     f"window mass {mass:.9g} < 1/2 at (x, y) = ({x:g}, {y:g})",
                     best_estimate=mass,
                 )
             prefactor = (n - k + 1.0) / (n - k + alpha.g2 + 1.0)
             prefactor_min = min(prefactor_min, prefactor)
-            if prefactor < 1.0 / (1.0 + alpha.g2) - 1e-12:
+            if prefactor < 1.0 / (1.0 + alpha.g2):
                 raise NumericalFailureError(
                     f"prefactor {prefactor:.9g} fell below 1/(1+a2) at k={k}"
                 )

@@ -35,7 +35,7 @@ from .hankel import (
     sample_ladder,
     shell_bound,
 )
-from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
+from .moments import DIVERGENT, log_c_gamma_sq, log_c_shell
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .wiegerinck import S11_LIMIT, omegak_report, s11_tail_bound
 
@@ -182,8 +182,19 @@ def _settings_from_config(value) -> QuadratureSettings:
     raise InvalidInputError(f"cannot interpret tolerance {value!r}")
 
 
-# How run() reads each required config key.
-_PARSE = {"domain": _domain_from_config, "alpha": _alpha_from_config, "n_max": int}
+def _integer(value, key: str) -> int:
+    """A config integer: an int, an integral float or a string of digits."""
+    if isinstance(value, str) and value.strip().isdecimal():
+        value = int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InvalidInputError(f"{key} must be an integer, got {value!r}")
+
+
+# How run() reads the required config keys that are not integers.
+_PARSE = {"domain": _domain_from_config, "alpha": _alpha_from_config}
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +207,16 @@ _PARSE = {"domain": _domain_from_config, "alpha": _alpha_from_config, "n_max": i
 def _moments(config, settings, domain, n_max):
     rows = []
     for order in range(n_max + 1):
-        fill_shell(domain, order, settings)
+        # Off-lattice monomials are divergent.  The lookup of the first
+        # lattice point computes the shell; the rest come from its array.
+        g1s, logs = domain.lattice.shell(order), {}
+        if g1s:
+            log_c_gamma_sq(domain, MultiIndex(g1s[0], order - g1s[0]), settings)
+            logs = dict(zip(g1s, log_c_shell(domain, order, settings).tolist()))
         for g1 in range(order + 1):
-            value = log_c_gamma_sq(domain, MultiIndex(g1, order - g1), settings)
-            if value == DIVERGENT:
-                rows.append((g1, order - g1, "divergent", None))
-            else:
-                rows.append((g1, order - g1, "ok", value))
+            value = logs.get(g1, DIVERGENT)
+            ok = value != DIVERGENT
+            rows.append((g1, order - g1, "ok" if ok else "divergent", value if ok else None))
     divergent = sum(status == "divergent" for _, _, status, _ in rows)
     summary = (
         f"moments {domain.describe()}: {len(rows)} monomials up to order {n_max}, "
@@ -277,7 +291,7 @@ def _certify(config, settings, domain, alpha, n_max):
                 {"x": x, "y": y, "mass": mass} for (x, y), mass in entry.mass_checks
             ],
         })
-    all_masses_ok = all(e["min_mass"] >= 0.5 - 1e-6 for e in entries)
+    all_masses_ok = all(e["min_mass"] >= 0.5 for e in entries)
     verdict = _classification_label(classification)
     summary = (
         f"certify {domain.describe()} alpha={alpha}: bound({ns[-1]})="
@@ -447,11 +461,14 @@ def run(config: dict) -> tuple:
     fmt = output.get("format", default_fmt)
     if fmt not in ("csv", "json"):
         raise InvalidInputError(f"format must be csv or json, got {fmt!r}")
+    integers = {key: _integer(config[key], key) for key in ("n_max", "n_step", "k")
+                if config.get(key) is not None}
+    config = {**config, **integers}
     values = []
     for key in required:
         if config.get(key) is None:
             raise InvalidInputError(f"task {task} requires {key!r}")
-        values.append(_PARSE[key](config[key]))
+        values.append(_PARSE[key](config[key]) if key in _PARSE else config[key])
     summary, header, rows, payload = build(config, settings, *values)
     if fmt == "csv":
         lines = [",".join(header)]

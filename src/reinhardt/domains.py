@@ -49,9 +49,6 @@ class MultiIndex:
             return None
         return MultiIndex(g1, g2)
 
-    def swap(self) -> "MultiIndex":
-        return MultiIndex(self.g2, self.g1)
-
     def __iter__(self):
         return iter((self.g1, self.g2))
 
@@ -83,6 +80,14 @@ class BasisLattice:
         if gamma.g1 != gamma.g2:
             return False
         return self.k is None or gamma.g1 <= self.k
+
+    def shell(self, n: int) -> range:
+        """The g1 of the lattice points with |gamma| = n: every g1 in 0..n on
+        the full quadrant, n/2 or none on the diagonal lattices."""
+        if self.kind == FULL_QUADRANT:
+            return range(n + 1)
+        on = n >= 0 and n % 2 == 0 and (self.k is None or n // 2 <= self.k)
+        return range(n // 2, n // 2 + 1) if on else range(0)
 
     @staticmethod
     def full() -> "BasisLattice":

@@ -13,10 +13,10 @@ equals the sum of c_(gamma+alpha)^2/c_gamma^2 over the last |alpha|
 shells.  The squared Hilbert-Schmidt norm of the Hankel operator with
 symbol conjugate(f) is sum over alpha of |f_alpha|^2 S_alpha.
 
-One pass over the shells gathers each shell's log c_gamma^2 into an
-array, once per gamma; a shell's terms are exps of differences with the
-arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell is
-one point, and alpha = (a, a) is a shells away).  hs_term, one summand
+One pass over the shells takes each shell's memoized log c_gamma^2 array
+whole (moments.log_c_shell); a shell's terms are exps of differences with
+the arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell
+is one point, and alpha = (a, a) is a shells away).  hs_term, one summand
 on its own, is the reference the tests hold the shell sums to.
 
 This one evaluator serves every series of the package: the salpha and
@@ -35,7 +35,7 @@ import numpy as np
 
 from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
 from .errors import InvalidInputError
-from .moments import DIVERGENT, fill_shell, log_c_gamma_sq
+from .moments import DIVERGENT, log_c_gamma_sq, log_c_shell
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -224,17 +224,18 @@ def hs_term(
 
 def _shell_logs(spec: DomainSpec, n: int, settings, lo: int = 0, hi: int | None = None) -> np.ndarray:
     """log c_gamma^2 at positions lo..hi-1 of shell n, by g1: |gamma| = n, or
-    (n, n) on a diagonal lattice.  One batch, then one lookup per gamma."""
-    lattice = spec.lattice
-    if lattice.kind == FULL_QUADRANT:
-        gammas = [MultiIndex(k, n - k) for k in range(n + 1)[lo:hi]]
-    elif n >= 0 and lattice.contains(MultiIndex(n, n)):
-        gammas = [MultiIndex(n, n)][lo:hi]
-    else:
-        gammas = []
-    if gammas:
-        fill_shell(spec, n, settings)
-    return np.array([_log_c(spec, gamma, settings) for gamma in gammas], dtype=float)
+    (n, n) on a diagonal lattice.  The lookup of the first gamma computes the
+    moments shell; the rest is a read-only view of its memoized array."""
+    order = n if spec.lattice.kind == FULL_QUADRANT else 2 * n
+    g1s = spec.lattice.shell(order)[lo:hi]
+    if not g1s:
+        return np.empty(0)
+    log_c_gamma_sq(spec, MultiIndex(g1s[0], order - g1s[0]), settings)
+    logs = log_c_shell(spec, order, settings)[lo:hi]
+    if np.isinf(logs).any():  # the lookup of the first divergent gamma raises
+        g1 = g1s[int(np.argmax(np.isinf(logs)))]
+        _log_c(spec, MultiIndex(g1, order - g1), settings)
+    return logs
 
 
 def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:

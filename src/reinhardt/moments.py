@@ -12,17 +12,17 @@ on profile domains and to piecewise shadow integrals otherwise.  Closed
 forms are used where a family admits one; everything else goes through
 the adaptive log-domain quadrature.  Every result is a plain float log;
 a monomial that is not square-integrable has the log of an infinite
-norm, DIVERGENT = inf.  Results are memoized keyed by (domain identity,
-arguments, settings); the cache never changes values.
+norm, DIVERGENT = inf.
 
-Callers that need a whole shell |gamma| = n (the moments table and the
-S_alpha shell sums) call fill_shell first.  On the two quadrature paths,
-the profile radial integral and the FiberPiece shadow, it integrates
-every missing moment of the shell in one batched log_integrate call,
-with phi evaluated once per shell on the pre-split grid; the per-gamma
-lookups that follow are memo hits.  Each moment of a shell is refined
-with the same panels and the same per-panel arithmetic as when it is
-integrated alone, so the memo holds the same value either way.
+Moments come a shell |gamma| = n at a time: log_c_shell returns the
+shell's read-only array, memoized under (domain, n, settings), and
+log_c_gamma_sq reads one entry of it.  On the two quadrature paths, the
+profile radial integral and the FiberPiece shadow, a shell is one batched
+log_integrate call, with phi evaluated once per shell on the pre-split
+grid; the profile path also memoizes each M(x, y), which the
+certificate's window masses divide by.  Each moment of a shell is refined
+with the same panels and per-panel arithmetic as when it is integrated
+alone, so the cache never changes a value.
 """
 
 from __future__ import annotations
@@ -49,18 +49,15 @@ from .wiegerinck import omega0_log_ck_sq
 
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 _LOG_2PI2 = math.log(2.0 * math.pi**2)
-_CLOSED_FORM_FAMILIES = ("zero", "neg_log_one_minus_r2")
 
 # log c_gamma^2 of a monomial that is not square-integrable.
 DIVERGENT = math.inf
 
-# Memoized log moments, keyed by (profile, x, y, lo, hi, settings) and by
-# (domain, gamma, settings), and the (domain, n, settings) shells already
-# filled.  Values never depend on whether they were computed alone or as
-# part of a shell.
+# Memoized log moments: radial integrals keyed by (profile, x, y, lo, hi,
+# settings), and one read-only log c_gamma^2 array per (domain, n, settings)
+# shell.  Values never depend on whether they were computed alone or in a batch.
 _RADIAL_MEMO: dict = {}
 _MOMENT_MEMO: dict = {}
-_FILLED_SHELLS: set = set()
 # One shadow per domain: building it costs more than a closed-form moment.
 _shadow = lru_cache(maxsize=None)(radial_shadow)
 
@@ -215,9 +212,9 @@ def _auto_presplit(profile, xs, ys, lo, hi, settings) -> np.ndarray:
 
 
 def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
-    """log c_gamma^2 over a shadow region for each gamma, or DIVERGENT.
+    """log c_gamma^2 over a shadow region for each (g1, g2) pair, or DIVERGENT.
 
-    Every FiberPiece integrates all convergent gammas in one batched
+    Every FiberPiece integrates all convergent pairs in one batched
     log_integrate call.
     """
     converges = [_region_converges(region, gamma) for gamma in gammas]
@@ -239,27 +236,23 @@ def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
     return logs
 
 
-def _region_converges(region: RadialRegion, gamma: MultiIndex) -> bool:
-    return all(_tail_converges(p, gamma) for p in region.pieces if isinstance(p, TailPiece))
+def _region_converges(region: RadialRegion, gamma) -> bool:
+    tails = [_tail_exponents(p, gamma) for p in region.pieces if isinstance(p, TailPiece)]
+    return all(x < -1.0 or (x == -1.0 and m < -1.0) for x, m, _ in tails)
 
 
-def _tail_exponents(piece: TailPiece, gamma: MultiIndex):
-    g = gamma.swap() if piece.transposed else gamma
-    y_exp = 2.0 * g.g2 + 2.0
-    x_exp = 2.0 * g.g1 + 1.0 + piece.r_pow * y_exp
+def _tail_exponents(piece: TailPiece, gamma):
+    g1, g2 = gamma[::-1] if piece.transposed else gamma
+    y_exp = 2.0 * g2 + 2.0
+    x_exp = 2.0 * g1 + 1.0 + piece.r_pow * y_exp
     m_exp = piece.log_pow * y_exp
     return x_exp, m_exp, y_exp
 
 
-def _tail_converges(piece: TailPiece, gamma: MultiIndex) -> bool:
-    x_exp, m_exp, _ = _tail_exponents(piece, gamma)
-    return x_exp < -1.0 or (x_exp == -1.0 and m_exp < -1.0)
-
-
-def _piece_log_moment(piece, gamma: MultiIndex, settings) -> float:
+def _piece_log_moment(piece, gamma, settings) -> float:
     if isinstance(piece, BoxPiece):
-        return _axis_log_moment(piece.r1_lo, piece.r1_hi, 2 * gamma.g1 + 1) + \
-            _axis_log_moment(piece.r2_lo, piece.r2_hi, 2 * gamma.g2 + 1)
+        return _axis_log_moment(piece.r1_lo, piece.r1_hi, 2 * gamma[0] + 1) + \
+            _axis_log_moment(piece.r2_lo, piece.r2_hi, 2 * gamma[1] + 1)
     if isinstance(piece, TailPiece):
         return _tail_log_moment(piece, gamma, settings)
     raise InvalidInputError(f"cannot integrate piece {piece!r}")
@@ -277,8 +270,8 @@ def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
     """log of the fiber integrals of r1^(2g1+1) r2^(2g2+1), one batched call."""
     if not gammas:
         return []
-    xs = np.array([2.0 * gamma.g1 + 1.0 for gamma in gammas])
-    ys = np.array([2.0 * gamma.g2 + 2.0 for gamma in gammas])
+    xs = np.array([2.0 * g1 + 1.0 for g1, _ in gammas])
+    ys = np.array([2.0 * g2 + 2.0 for _, g2 in gammas])
     log_ys = np.array([math.log(y) for y in ys.tolist()])
     log_hi, log_lo = piece.log_hi, piece.log_lo
 
@@ -295,7 +288,7 @@ def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
         log_f, np.full(xs.size, piece.r1_lo), np.full(xs.size, piece.r1_hi), settings
     ).tolist()
     if LOG_ZERO in logs:
-        raise _underflow(f"fiber integral of z^{gammas[logs.index(LOG_ZERO)]}")
+        raise _underflow("fiber integral of z^({},{})".format(*gammas[logs.index(LOG_ZERO)]))
     return logs
 
 
@@ -305,7 +298,7 @@ def _underflow(integral: str) -> NumericalFailureError:
     return NumericalFailureError(f"{integral} underflows to 0 at every quadrature node")
 
 
-def _tail_log_moment(piece: TailPiece, gamma: MultiIndex, settings) -> float:
+def _tail_log_moment(piece: TailPiece, gamma, settings) -> float:
     """Integrate a tail piece in t = log r1 coordinates.
 
     The fiber integral turns the outer integrand into
@@ -350,66 +343,51 @@ def log_c_gamma_sq(
     gamma: MultiIndex,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """log c_gamma^2 for the domain, or DIVERGENT when gamma is off-basis.
+    """log c_gamma^2 for the domain, or DIVERGENT when gamma is off-basis:
+    the entry of gamma in the array of its shell (log_c_shell)."""
+    g1s = spec.lattice.shell(gamma.order)
+    if gamma.g1 not in g1s:
+        return DIVERGENT
+    return float(log_c_shell(spec, gamma.order, settings)[g1s.index(gamma.g1)])
 
-    Profile domains reduce to the radial integral M(2g1+1, 2g2+2); the
+
+def log_c_shell(
+    spec: DomainSpec,
+    n: int,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> np.ndarray:
+    """Read-only, memoized log c_gamma^2 (or DIVERGENT) at the lattice points
+    spec.lattice.shell(n) of the shell |gamma| = n, by g1.
+
+    Profile domains reduce to the radial integrals M(2g1+1, 2g2+2); the
     Wiegerinck domains use the diagonal closed form (for the truncated
     family only the shared Omega_0 region is counted, the connecting
     strip is never integrated); everything else integrates the shadow.
     """
-    key = (spec, gamma, settings)
-    result = _MOMENT_MEMO.get(key)
-    if result is None:
-        result = _MOMENT_MEMO[key] = _log_c_gamma_sq_batch(spec, (gamma,), settings)[0]
-    return result
-
-
-def fill_shell(
-    spec: DomainSpec,
-    n: int,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
-    """Memoize log c_gamma^2 for every gamma of the shell |gamma| = n.
-
-    On the two quadrature paths, the profile radial integral and the
-    FiberPiece shadow, the moments of the shell missing from the memo
-    are one batched log_integrate call, so the log_c_gamma_sq lookups
-    that follow are memo hits.  Closed-form domains return at once.
-    """
-    if spec.kind == "profile":
-        if spec.profile.name in _CLOSED_FORM_FAMILIES:
-            return
-    elif spec.kind not in ("ball", "region"):
-        return
     if n != int(n) or n < 0:
         raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    shell = (spec, n, settings)
-    if shell in _FILLED_SHELLS:
-        return
-    gammas = [
-        gamma for gamma in (MultiIndex(k, n - k) for k in range(n + 1))
-        if (spec, gamma, settings) not in _MOMENT_MEMO
-    ]
-    for gamma, value in zip(gammas, _log_c_gamma_sq_batch(spec, gammas, settings)):
-        _MOMENT_MEMO[(spec, gamma, settings)] = value
-    _FILLED_SHELLS.add(shell)
+    key = (spec, int(n), settings)
+    logs = _MOMENT_MEMO.get(key)
+    if logs is None:
+        logs = np.array(_log_c_gamma_sq_batch(spec, int(n), settings), dtype=float)
+        logs.flags.writeable = False
+        _MOMENT_MEMO[key] = logs
+    return logs
 
 
-def _log_c_gamma_sq_batch(spec: DomainSpec, gammas, settings) -> list:
+def _log_c_gamma_sq_batch(spec: DomainSpec, n: int, settings) -> list:
+    """log c_gamma^2 at every lattice point (g1, n - g1) of shell n."""
+    gammas = [(g1, n - g1) for g1 in spec.lattice.shell(n)]
     if spec.kind == "profile":
         radial = _interval_moments(
             spec.profile,
-            [2.0 * gamma.g1 + 1.0 for gamma in gammas],
-            [2.0 * gamma.g2 + 2.0 for gamma in gammas],
+            [2.0 * g1 + 1.0 for g1, _ in gammas],
+            [2.0 * g2 + 2.0 for _, g2 in gammas],
             0.0, 1.0, settings,
         )
-        return [_LOG_2PI2 - math.log(gamma.g2 + 1.0) + r for gamma, r in zip(gammas, radial)]
+        return [_LOG_2PI2 - math.log(g2 + 1.0) + r for (_, g2), r in zip(gammas, radial)]
     if spec.kind in ("omega0", "omega_k"):
-        return [
-            omega0_log_ck_sq(gamma.g1) if spec.lattice.contains(gamma) else DIVERGENT
-            for gamma in gammas
-        ]
+        return [omega0_log_ck_sq(g1) for g1, _ in gammas]
     return _region_log_moments(_shadow(spec), gammas, settings)
 
 
@@ -417,5 +395,4 @@ def clear_moment_caches():
     """Drop memoized moments (useful in long test sessions)."""
     _RADIAL_MEMO.clear()
     _MOMENT_MEMO.clear()
-    _FILLED_SHELLS.clear()
     _shadow.cache_clear()

@@ -17,7 +17,7 @@ from reinhardt.certificate import (
     lambda_alpha,
 )
 from reinhardt.domains import DomainSpec, MultiIndex
-from reinhardt.errors import InvalidInputError
+from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.hankel import s_alpha_partial, s_alpha_partials, sample_ladder
 from reinhardt.moments import log_radial_moment
 from reinhardt.profiles import RadialProfile, profile_family
@@ -273,3 +273,23 @@ def test_density_mass_batch_matches_scalar_calls():
     assert density_mass(INV_POW, [], [], interval) == []
     with pytest.raises(InvalidInputError):
         density_mass(INV_POW, xs, ys[:2], interval)
+
+
+@pytest.mark.parametrize("mass, fails", [(0.5 - 1e-7, True), (0.5, False)])
+def test_window_mass_check_has_no_slack(monkeypatch, mass, fails):
+    # The bound counts every window index at mass >= 1/2, so a mass a hair
+    # below 1/2 must fail the certificate; exactly 1/2 passes.
+    real = certificate.density_mass
+
+    def one_low(*args, **kwargs):
+        masses = real(*args, **kwargs)
+        masses[len(masses) // 2] = mass
+        return masses
+
+    monkeypatch.setattr(certificate, "density_mass", one_low)
+    if fails:
+        with pytest.raises(NumericalFailureError, match="window mass"):
+            certificate_ladder(INV_POW, MultiIndex(1, 1), (40,))
+    else:
+        entry = certificate_ladder(INV_POW, MultiIndex(1, 1), (40,)).entries[0]
+        assert min(m for _, m in entry.mass_checks) == 0.5

@@ -6,6 +6,8 @@ import importlib.util
 import io
 import json
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,6 +127,18 @@ def test_only_salpha_computes_shell_bounds(monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("task, code", [("certify", 1), ("salpha", 0)])
+def test_steep_profile_prints_no_runtime_warning(task, code, capsys):
+    # phi and phi' overflow near r = 1 at p = 1e5; the window search must not
+    # print numpy's overflow warnings ahead of the report or the error line.
+    argv = [task, "--domain", "profile:inv_one_minus_pow:p=1e5", "--alpha", "1,0", "--n-max", "8"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_report_on_stdout_parses(fmt, capsys):
     assert main(["salpha", "--domain", "polydisc", "--alpha", "1,0", "--n-max", "2",
@@ -239,6 +253,13 @@ def test_config_task_must_be_concrete():
     for alpha in ([1.5, 0], ["a", 0], [True, 0]):
         with pytest.raises(InvalidInputError):
             run({"task": "salpha", "domain": "polydisc", "alpha": alpha, "n_max": 2, "output": {}})
+    # Integer keys are checked, not truncated: moments used to run n_max 2.5
+    # as 2, and "abc" ended in a ValueError traceback.
+    for n_max in ("abc", 2.5):
+        with pytest.raises(InvalidInputError, match="n_max must be an integer"):
+            run({"task": "moments", "domain": "ball", "n_max": n_max, "output": {}})
+        with pytest.raises(InvalidInputError, match="n_max must be an integer"):
+            run({"task": "wiegerinck", "n_max": n_max, "output": {}})
 
 
 def test_json_round_trip_under_schema(tmp_path, capsys):
@@ -302,12 +323,26 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
     m_max=st.integers(-1, 64),
     k=st.one_of(st.none(), st.integers(0, 5)),
     fmt=st.sampled_from(["csv", "json"]),
+    config=st.one_of(st.none(), st.fixed_dictionaries({
+        "n_max": st.one_of(
+            st.integers(-1, 8), st.floats(-2, 10), st.just(math.nan), st.booleans(), st.none(),
+            st.text(alphabet="0123 .a-", max_size=3),
+        ),
+        "alpha": st.one_of(
+            st.text(alphabet="0123,-. a", max_size=5),
+            st.lists(st.one_of(st.integers(-1, 3), st.floats(-1, 3), st.booleans(),
+                               st.text(alphabet="01a", max_size=2)), max_size=3),
+        ),
+    })),
 )
-def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, m_max, k, fmt):
+def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, m_max, k, fmt,
+                                                    config):
     # The diagonal (omega0), truncated (omega_k), closed-form and
     # quadrature-backed paths of the series evaluator, with alphas off and on
     # the lattice; p = 3e5 and 1e6 put every quadrature node where
-    # (1-r)^-p overflows.  The wiegerinck task takes a cutoff M and k.
+    # (1-r)^-p overflows.  The wiegerinck task takes a cutoff M and k.  A
+    # drawn config runs the same task through report --config, with junk and
+    # non-integer n_max values and alpha lists.
     if task == "wiegerinck":
         argv = [task, f"--n-max={m_max}", "--format", fmt]
         if k is not None:
@@ -317,7 +352,16 @@ def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, 
     if task == "salpha":
         argv.append(f"--alpha={alpha}")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.ExitStack() as stack:
+        if config is not None:
+            path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "config.json"
+            config = {"task": task, "domain": domain, **config, "output": {"format": fmt}}
+            if task == "wiegerinck" and k is not None:
+                config["k"] = k
+            path.write_text(json.dumps(config))
+            argv = ["report", "--config", str(path)]
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 0 and fmt == "json":

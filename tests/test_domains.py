@@ -24,7 +24,6 @@ def test_multi_index_validation_and_arithmetic():
     assert g.add(MultiIndex(1, 0)) == MultiIndex(3, 3)
     assert g.sub(MultiIndex(1, 1)) == MultiIndex(1, 2)
     assert g.sub(MultiIndex(3, 0)) is None
-    assert g.swap() == MultiIndex(3, 2)
     assert tuple(g) == (2, 3)
     with pytest.raises(InvalidInputError):
         MultiIndex(-1, 0)
@@ -41,6 +40,14 @@ def test_lattice_membership():
     assert not diag.contains(MultiIndex(3, 2))
     assert trunc.contains(MultiIndex(2, 2))
     assert not trunc.contains(MultiIndex(3, 3))
+
+
+def test_lattice_shells_list_the_lattice_points():
+    lattices = (BasisLattice.full(), BasisLattice.diagonal(), BasisLattice.diagonal_truncated(2))
+    for lattice in lattices:
+        for n in range(-2, 12):
+            points = [g1 for g1 in range(n + 1) if lattice.contains(MultiIndex(g1, n - g1))]
+            assert list(lattice.shell(n)) == points, (lattice, n)
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ from reinhardt.errors import InvalidInputError
 from reinhardt.moments import (
     DIVERGENT,
     clear_moment_caches,
-    fill_shell,
     log_c_gamma_sq,
+    log_c_shell,
     log_profile_interval_moment,
     log_radial_moment,
 )
@@ -381,20 +381,30 @@ def _shell_reference(spec, gamma):
 def test_shell_batch_equals_per_integrand_quadrature(spec):
     clear_moment_caches()
     for n in range(61):
-        fill_shell(spec, n)
+        shell = log_c_shell(spec, n)
         for k in range(n + 1):
-            gamma = MultiIndex(k, n - k)
-            assert log_c_gamma_sq(spec, gamma) == pytest.approx(
-                _shell_reference(spec, gamma), abs=1e-13
+            assert shell[k] == pytest.approx(
+                _shell_reference(spec, MultiIndex(k, n - k)), abs=1e-13
             )
+
+
+def _lone_moment(spec, g1, g2):
+    """log c_gamma^2 integrated on its own, as a batch of one."""
+    from reinhardt import moments
+
+    if spec.kind == "profile":
+        radial = log_radial_moment(spec.profile, 2.0 * g1 + 1.0, 2.0 * g2 + 2.0)
+        return moments._LOG_2PI2 - math.log(g2 + 1.0) + radial
+    region = moments._shadow(spec)
+    return moments._region_log_moments(region, [(g1, g2)], DEFAULT_SETTINGS)[0]
 
 
 def test_shell_member_is_bit_identical_to_lone_moment():
     for spec in (DomainSpec.profile_domain(INV_POW), DomainSpec.ball()):
         clear_moment_caches()
-        fill_shell(spec, 40)
-        shell = [log_c_gamma_sq(spec, MultiIndex(k, 40 - k)) for k in range(41)]
+        shell = log_c_shell(spec, 40).tolist()
         clear_moment_caches()
+        assert shell == [_lone_moment(spec, k, 40 - k) for k in range(41)]
         assert shell == [log_c_gamma_sq(spec, MultiIndex(k, 40 - k)) for k in range(41)]
 
 
@@ -405,9 +415,9 @@ def test_one_quadrature_per_shell_and_none_on_closed_forms(monkeypatch):
     integrate = moments.log_integrate
     monkeypatch.setattr(moments, "log_integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
     clear_moment_caches()
-    fill_shell(DomainSpec.profile_domain(INV_POW), 30)
-    fill_shell(DomainSpec.ball(), 30)
-    fill_shell(DomainSpec.ball(), 30)
+    log_c_shell(DomainSpec.profile_domain(INV_POW), 30)
+    log_c_shell(DomainSpec.ball(), 30)
+    log_c_shell(DomainSpec.ball(), 30)
     assert len(calls) == 2
 
     calls.clear()
@@ -417,3 +427,45 @@ def test_one_quadrature_per_shell_and_none_on_closed_forms(monkeypatch):
                  ["salpha", "--domain", "omega0", "--alpha", "1,1", "--n-max", "32"]):
         assert cli.main(argv + ["--out", os.devnull]) == 0
     assert calls == []
+
+
+def test_moment_memo_holds_one_array_per_shell(monkeypatch):
+    # dbar reads shells 0..41 at n-max 40; each is one memo entry, whatever
+    # the number of its monomials or of the series that read it.
+    from reinhardt import cli, hankel, moments
+
+    clear_moment_caches()
+    monkeypatch.setattr(hankel, "_SHELL_SUMS", {})
+    assert cli.main(["dbar", "--domain", "polydisc:2", "--n-max", "40", "--out", os.devnull]) == 0
+    spec = DomainSpec.polydisc(2.0)
+    assert sorted(moments._MOMENT_MEMO) == sorted(
+        (spec, n, DEFAULT_SETTINGS) for n in range(42)
+    ), list(moments._MOMENT_MEMO)[:5]
+    assert [moments._MOMENT_MEMO[(spec, n, DEFAULT_SETTINGS)].shape for n in range(42)] == [
+        (n + 1,) for n in range(42)
+    ]
+
+
+def test_shell_arrays_are_read_only():
+    for spec in (DomainSpec.polydisc(2.0), DomainSpec.ball(), DomainSpec.wiegerinck_omega0()):
+        shell = log_c_shell(spec, 4)
+        with pytest.raises(ValueError):
+            shell[0] = 0.0
+        with pytest.raises(ValueError):
+            shell[:1] += 1.0
+    assert log_c_shell(DomainSpec.polydisc(2.0), 4) is log_c_shell(DomainSpec.polydisc(2.0), 4.0)
+    with pytest.raises(InvalidInputError):
+        log_c_shell(DomainSpec.ball(), -1)
+    with pytest.raises(InvalidInputError):
+        log_c_shell(DomainSpec.ball(), 1.5)
+
+
+def test_diagonal_shells_hold_one_point_or_none():
+    omega0, omegak = DomainSpec.wiegerinck_omega0(), DomainSpec.wiegerinck_omega_k(2)
+    assert [log_c_shell(omega0, n).size for n in range(7)] == [1, 0, 1, 0, 1, 0, 1]
+    assert [log_c_shell(omegak, n).size for n in range(9)] == [1, 0, 1, 0, 1, 0, 0, 0, 0]
+    for spec in (omega0, omegak):
+        assert log_c_shell(spec, 4)[0] == log_c_gamma_sq(spec, MultiIndex(2, 2))
+        for gamma in (MultiIndex(1, 0), MultiIndex(3, 1), MultiIndex(0, 4), MultiIndex(2, 1)):
+            assert log_c_gamma_sq(spec, gamma) == DIVERGENT
+    assert log_c_gamma_sq(omegak, MultiIndex(3, 3)) == DIVERGENT
