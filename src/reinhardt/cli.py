@@ -9,6 +9,11 @@ wiegerinck  diagonal series on Omega_0 (or the structural Omega_k report)
 dbar        Hilbert-Schmidt test of the canonical dbar solution operator
 report      run any of the above from a JSON config file
 
+TASKS names the keys each task reads (domain, alpha, n_max, n_step, k,
+tol), and every task reads output; a subcommand has a flag --key for each
+of its keys, and report has them all.  A config key the task does not read,
+and an unknown or repeated domain parameter, is invalid input.
+
 Reports are written as CSV or JSON with fixed field order, 12
 significant digits and LF line endings, so identical configurations
 produce byte-identical files.  Exit codes: 0 success, 1 invalid input,
@@ -73,15 +78,11 @@ def _write_text(path: str | None, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
-def _classify(partials):
-    """classify_growth on at least 8 partial sums, else Inconclusive."""
-    if len(partials) >= 8:
-        return classify_growth(partials)
-    return Inconclusive(reason=f"only {len(partials)} samples")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write the report: {exc}") from exc
 
 
 def _classification_dict(classification) -> dict:
@@ -105,87 +106,57 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def parse_domain(text: str) -> DomainSpec:
-    """Parse 'family[:params]', e.g. polydisc:2 or profile:inv_one_minus_pow:p=1."""
-    tokens = text.strip().split(":")
-    kind, rest = tokens[0], tokens[1:]
-    kwargs = {}
-    if kind == "profile":
-        if not rest:
-            raise InvalidInputError("profile domain needs a family, e.g. profile:zero")
-        kwargs["family"] = rest[0]
-        rest = rest[1:]
-    positional = {"polydisc": "radius", "omega_k": "k"}.get(kind)
-    for token in rest:
-        if "=" in token:
-            key, _, value = token.partition("=")
-        elif positional:
-            key, value = positional, token
-        else:
-            raise InvalidInputError(f"cannot interpret domain parameter {token!r}")
-        kwargs[key] = _number(value)
-    return builtin_domain(kind, **kwargs)
+def parse_domain(value) -> DomainSpec:
+    """A domain from its string form (polydisc:2, profile:inv_one_minus_pow:p=1)
+    or its object form ({"kind": "profile", "family": ..., "params": {...}});
+    both become the (name, value) pairs that domains.builtin_domain checks."""
+    if isinstance(value, str):
+        kind, *tokens = value.strip().split(":")
+        pairs = [("family", tokens.pop(0))] if kind == "profile" and tokens else []
+        bare = {"polydisc": "radius", "omega_k": "k"}.get(kind)
+        for token in tokens:
+            name, eq, text = token.partition("=")
+            if not eq:
+                if bare is None:
+                    raise InvalidInputError(f"cannot interpret domain parameter {token!r}")
+                name, text = bare, token
+            pairs.append((name, _number(text, f"domain parameter {name}")))
+    elif isinstance(value, dict) and isinstance(value.get("kind"), str):
+        fields = dict(value)
+        kind, nested = fields.pop("kind"), fields.pop("params", {})
+        if not isinstance(nested, dict):
+            raise InvalidInputError(f"domain params must be an object, got {nested!r}")
+        pairs = [*fields.items(), *nested.items()]
+    else:
+        raise InvalidInputError(f"domain must be a string or an object with a 'kind', got {value!r}")
+    return builtin_domain(kind, pairs)
 
 
-def _number(text: str):
+def _number(text: str, what: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise InvalidInputError(f"domain parameter {text!r} is not a number") from None
+        value = math.nan
     if not math.isfinite(value):
-        raise InvalidInputError(f"domain parameter must be finite, got {text!r}")
-    return int(value) if value.is_integer() else value
+        raise InvalidInputError(f"{what} must be a finite number, got {text!r}")
+    return value
 
 
-def parse_alpha(text: str) -> MultiIndex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise InvalidInputError(f"alpha must be 'a1,a2', got {text!r}")
-    try:
-        a1, a2 = (int(part) for part in parts)
-    except ValueError:
-        raise InvalidInputError(f"alpha must be two integers 'a1,a2', got {text!r}") from None
-    return MultiIndex(a1, a2)
-
-
-def _domain_from_config(value) -> DomainSpec:
-    if isinstance(value, str):
-        return parse_domain(value)
-    if isinstance(value, dict):
-        value = dict(value)
-        kind = value.pop("kind", None)
-        if kind is None:
-            raise InvalidInputError("config domain object needs a 'kind'")
-        return builtin_domain(kind, **value)
-    raise InvalidInputError(f"cannot interpret config domain {value!r}")
-
-
-def _alpha_from_config(value) -> MultiIndex:
-    if isinstance(value, str):
-        return parse_alpha(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return parse_alpha(f"{value[0]},{value[1]}")
-    raise InvalidInputError(f"cannot interpret alpha {value!r}")
-
-
-def _settings_from_config(value) -> QuadratureSettings:
-    if value is None:
-        return DEFAULT_SETTINGS
-    if isinstance(value, (int, float)):
-        return QuadratureSettings(rel_tol=float(value))
-    if isinstance(value, dict):
-        allowed = {"rel_tol", "max_subdivisions"}
-        unknown = set(value) - allowed
-        if unknown:
-            raise InvalidInputError(f"unknown tolerance fields: {sorted(unknown)}")
-        return QuadratureSettings(**{**{"rel_tol": 1e-10}, **value})
-    raise InvalidInputError(f"cannot interpret tolerance {value!r}")
+def parse_alpha(value) -> MultiIndex:
+    """A symbol index from 'a1,a2' or a list [a1, a2]."""
+    parts = value.split(",") if isinstance(value, str) else value
+    if not isinstance(parts, (list, tuple)) or len(parts) != 2:
+        raise InvalidInputError(f"alpha must be 'a1,a2' or [a1, a2], got {value!r}")
+    return MultiIndex(*(_integer(part, "an alpha component") for part in parts))
 
 
 def _integer(value, key: str) -> int:
-    """A config integer: an int, an integral float or a string of digits."""
-    if isinstance(value, str) and value.strip().isdecimal():
-        value = int(value)
+    """An int, an integral float or the text of an int; booleans are not integers."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -193,26 +164,58 @@ def _integer(value, key: str) -> int:
     raise InvalidInputError(f"{key} must be an integer, got {value!r}")
 
 
-# How run() reads the required config keys that are not integers.
-_PARSE = {"domain": _domain_from_config, "alpha": _alpha_from_config}
+def _settings(value) -> QuadratureSettings:
+    """A relative tolerance (a number, or the text of --tol), or an object
+    with rel_tol and max_subdivisions; QuadratureSettings checks the values."""
+    if isinstance(value, dict):
+        unknown = sorted(set(value) - {"rel_tol", "max_subdivisions"})
+        if unknown:
+            raise InvalidInputError(f"unknown tolerance fields: {unknown}")
+        return QuadratureSettings(**value)
+    return QuadratureSettings(rel_tol=_number(value, "tol") if isinstance(value, str) else value)
+
+
+def _output(value) -> tuple:
+    """(path, format) from an output object; either may be None."""
+    if not isinstance(value, dict) or not set(value) <= {"path", "format"}:
+        raise InvalidInputError(f"output must be an object with path and format, got {value!r}")
+    path, fmt = value.get("path"), value.get("format")
+    if not isinstance(path, (str, type(None))):
+        raise InvalidInputError(f"output path must be a string, got {path!r}")
+    if fmt not in (None, "csv", "json"):
+        raise InvalidInputError(f"format must be csv or json, got {fmt!r}")
+    return path, fmt
+
+
+# Every key a task may read: its reader and the help of its flag --key.  A
+# reader takes a flag's text or a config value and returns the typed value.
+_KEYS = {
+    "domain": (parse_domain, "domain, e.g. polydisc:1 or profile:zero"),
+    "alpha": (parse_alpha, "symbol index, e.g. 1,0"),
+    "n_max": (lambda value: _integer(value, "n_max"), "largest truncation index"),
+    "n_step": (lambda value: _integer(value, "n_step"), "ladder stride (default n_max // 8)"),
+    "k": (lambda value: _integer(value, "k"), "truncated Wiegerinck index"),
+    "tol": (_settings, "quadrature relative tolerance (default 1e-10)"),
+}
 
 
 # ---------------------------------------------------------------------------
-# Tasks.  Each builder returns (summary line, CSV header, CSV rows, JSON
-# payload); run() formats the one the config asks for.  The payload comes as
-# a function, so a CSV run never builds it.
+# Tasks.  A builder takes the typed value of each key the task reads, as
+# keyword arguments named after the keys, and returns (summary line, CSV
+# header, CSV rows, JSON payload); run() formats the one the config asks for.
+# The payload comes as a function, so a CSV run never builds it.
 # ---------------------------------------------------------------------------
 
 
-def _moments(config, settings, domain, n_max):
+def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
     rows = []
     for order in range(n_max + 1):
         # Off-lattice monomials are divergent.  The lookup of the first
         # lattice point computes the shell; the rest come from its array.
         g1s, logs = domain.lattice.shell(order), {}
         if g1s:
-            log_c_gamma_sq(domain, MultiIndex(g1s[0], order - g1s[0]), settings)
-            logs = dict(zip(g1s, log_c_shell(domain, order, settings).tolist()))
+            log_c_gamma_sq(domain, MultiIndex(g1s[0], order - g1s[0]), tol)
+            logs = dict(zip(g1s, log_c_shell(domain, order, tol).tolist()))
         for g1 in range(order + 1):
             value = logs.get(g1, DIVERGENT)
             ok = value != DIVERGENT
@@ -234,23 +237,17 @@ def _moments(config, settings, domain, n_max):
     }
 
 
-def _certificate(domain, alpha, ns, settings):
-    """The certificate ladder on a profile domain with a window, else None."""
-    if domain.kind != "profile":
-        return None
-    try:
-        return certificate_ladder(domain.profile, alpha, ns, settings)
-    except InvalidInputError:
-        return None
-
-
-def _salpha(config, settings, domain, alpha, n_max):
-    ns = sample_ladder(n_max, config.get("n_step"))
-    partials = s_alpha_partials(domain, alpha, ns, settings)
-    shells = [shell_bound(domain, alpha, n, settings) for n in ns]
-    certificate = _certificate(domain, alpha, ns, settings)
-    classification = _classify(partials)
-    bounds = dict(certificate.bounds) if certificate else {}
+def _salpha(domain, alpha, n_max, n_step=None, tol=DEFAULT_SETTINGS):
+    ns = sample_ladder(n_max, n_step)
+    partials = s_alpha_partials(domain, alpha, ns, tol)
+    shells = [shell_bound(domain, alpha, n, tol) for n in ns]
+    bounds = {}
+    if domain.kind == "profile":
+        try:
+            bounds = dict(certificate_ladder(domain.profile, alpha, ns, tol).bounds)
+        except InvalidInputError:
+            pass  # the profile has no certificate window: the column stays empty
+    classification = classify_growth(partials)
     rows = [(n, value, shell, bounds.get(n)) for (n, value), shell in zip(partials, shells)]
     summary = (
         f"salpha {domain.describe()} alpha={alpha}: S_alpha({ns[-1]})="
@@ -269,15 +266,13 @@ def _salpha(config, settings, domain, alpha, n_max):
     }
 
 
-def _certify(config, settings, domain, alpha, n_max):
+def _certify(domain, alpha, n_max, n_step=None, tol=DEFAULT_SETTINGS):
     if domain.kind != "profile":
         raise InvalidInputError("certificates are only defined on profile domains")
-    ns = sample_ladder(n_max, config.get("n_step"))
-    partials = s_alpha_partials(domain, alpha, ns, settings)
-    certificate = _certificate(domain, alpha, ns, settings)
-    classification = _classify(partials)
-    if certificate is None:
-        raise InvalidInputError("no certificate window exists for this profile")
+    ns = sample_ladder(n_max, n_step)
+    partials = s_alpha_partials(domain, alpha, ns, tol)
+    certificate = certificate_ladder(domain.profile, alpha, ns, tol)
+    classification = classify_growth(partials)
     entries = []
     for entry, (_, s_value) in zip(certificate.entries, partials):
         entries.append({
@@ -314,9 +309,10 @@ def _certify(config, settings, domain, alpha, n_max):
     }
 
 
-def _wiegerinck(config, settings):
-    k = config.get("k")
+def _wiegerinck(n_max=None, n_step=None, k=None):
     if k is not None:
+        if n_max is not None or n_step is not None:
+            raise InvalidInputError("wiegerinck reads either k or n_max and n_step, not both")
         report = omegak_report(k)
         summary = f"wiegerinck omega_k k={k}: dimension {report.dimension}"
         return summary, ("j", "structural_terms"), report.term_counts, lambda: {
@@ -327,11 +323,12 @@ def _wiegerinck(config, settings):
             "term_counts": [{"j": j, "terms": c} for j, c in report.term_counts],
             "statement": report.statement,
         }
-    if config.get("n_max") is None:
+    if n_max is None:
         raise InvalidInputError("wiegerinck requires k or n_max")
-    ms = sample_ladder(config["n_max"], config.get("n_step"))
-    partials = s_alpha_partials(DomainSpec.wiegerinck_omega0(), MultiIndex(1, 1), ms, settings)
-    classification = _classify(partials)
+    # The Omega_0 moments are closed forms, so no quadrature setting applies.
+    ms = sample_ladder(n_max, n_step)
+    partials = s_alpha_partials(DomainSpec.wiegerinck_omega0(), MultiIndex(1, 1), ms)
+    classification = classify_growth(partials)
     m, last = partials[-1]
     summary = (
         f"wiegerinck omega0 M={m}: S_11={_fmt(last)}, "
@@ -349,8 +346,8 @@ def _wiegerinck(config, settings):
     }
 
 
-def _dbar(config, settings, domain, n_max):
-    report = dbar_canonical_report(domain, n_max, settings)
+def _dbar(domain, n_max, tol=DEFAULT_SETTINGS):
+    report = dbar_canonical_report(domain, n_max, tol)
     rows = [
         (f"({c.alpha.g1};{c.alpha.g2})", n, value)
         for c in report.coordinates if c.status != SYMBOL_NOT_IN_SPACE
@@ -375,16 +372,16 @@ def _dbar(config, settings, domain, n_max):
     }
 
 
-# task: (required config keys, in the order they are read; default format;
-# builder).  A builder takes the config, the quadrature settings and the
-# parsed required values.  Builders look up the library functions when they
-# run, so a name patched on this module is the one they call.
+# task: (keys it requires, in the order they are read; keys it may take;
+# default format; builder).  Every task also reads "output".  Builders look
+# up the library functions when they run, so a name patched on this module
+# is the one they call.
 TASKS = {
-    "moments": (("domain", "n_max"), "csv", _moments),
-    "salpha": (("domain", "alpha", "n_max"), "csv", _salpha),
-    "certify": (("domain", "alpha", "n_max"), "json", _certify),
-    "wiegerinck": ((), "json", _wiegerinck),
-    "dbar": (("domain", "n_max"), "json", _dbar),
+    "moments": (("domain", "n_max"), ("tol",), "csv", _moments),
+    "salpha": (("domain", "alpha", "n_max"), ("n_step", "tol"), "csv", _salpha),
+    "certify": (("domain", "alpha", "n_max"), ("n_step", "tol"), "json", _certify),
+    "wiegerinck": ((), ("n_max", "n_step", "k"), "json", _wiegerinck),
+    "dbar": (("domain", "n_max"), ("tol",), "json", _dbar),
 }
 
 
@@ -397,24 +394,25 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="reinhardt", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="task", required=True)
-    for task in (*TASKS, "report"):
-        p = sub.add_parser(task)
-        if task == "report":
-            p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--domain", help="domain, e.g. polydisc:1 or profile:zero")
-        p.add_argument("--alpha", help="symbol index, e.g. 1,0")
-        p.add_argument("--n-max", type=int, dest="n_max")
-        p.add_argument("--n-step", type=int, dest="n_step")
-        p.add_argument("--k", type=int, help="truncated Wiegerinck index")
-        p.add_argument("--tol", type=float, help="quadrature relative tolerance")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt")
+    for task, (required, optional, _, _) in TASKS.items():
+        _add_flags(sub.add_parser(task), (*required, *optional))
+    report = sub.add_parser("report")
+    report.add_argument("--config", required=True, help="JSON config file")
+    _add_flags(report, _KEYS)
     return parser
 
 
+def _add_flags(parser, keys):
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_KEYS[key][1])
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
+
+
 def _merged_config(args) -> dict:
-    config = {}
-    if getattr(args, "config", None):
+    """The config of `report --config`, or {"task": task}, with the flags on top."""
+    config = {"task": args.task}
+    if args.task == "report":
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
                 config = json.load(handle)
@@ -422,61 +420,46 @@ def _merged_config(args) -> dict:
             raise InvalidInputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):
             raise InvalidInputError("config must be a JSON object")
-        task = config.get("task")
-        if task not in TASKS:
-            raise InvalidInputError(f"config task must be one of {tuple(TASKS)}, got {task!r}")
-    else:
-        config["task"] = args.task
-
+    config.update((key, getattr(args, key)) for key in _KEYS if getattr(args, key, None) is not None)
     output = config.get("output", {})
-    if not isinstance(output, dict):
-        raise InvalidInputError("config 'output' must be an object with path/format")
-    overrides = {
-        "domain": args.domain,
-        "alpha": args.alpha,
-        "n_max": args.n_max,
-        "n_step": args.n_step,
-        "k": args.k,
-        "tol": args.tol,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    if args.out is not None:
-        output["path"] = args.out
-    if args.fmt is not None:
-        output["format"] = args.fmt
-    config["output"] = output
+    if isinstance(output, dict):  # anything else is for run() to reject
+        flags = (("path", args.out), ("format", args.fmt))
+        config["output"] = {**output, **{name: value for name, value in flags if value is not None}}
     return config
 
 
 def run(config: dict) -> tuple:
-    """Execute a validated config; returns (report text, summary line, path)."""
+    """Execute a config; returns (report text, summary line, path).
+
+    A key the task does not read is an error.  Each value it reads is read
+    once, by its key's reader; a null domain, alpha, n_max, n_step, k or tol
+    counts as absent.
+    """
     task = config.get("task")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:
         raise InvalidInputError(f"task must be one of {tuple(TASKS)}, got {task!r}")
-    required, default_fmt, build = TASKS[task]
-    settings = _settings_from_config(config.get("tol"))
-    output = config.get("output", {})
-    fmt = output.get("format", default_fmt)
-    if fmt not in ("csv", "json"):
-        raise InvalidInputError(f"format must be csv or json, got {fmt!r}")
-    integers = {key: _integer(config[key], key) for key in ("n_max", "n_step", "k")
-                if config.get(key) is not None}
-    config = {**config, **integers}
-    values = []
-    for key in required:
-        if config.get(key) is None:
+    required, optional, default_fmt, build = TASKS[task]
+    unread = sorted(set(config) - {"task", "output", *required, *optional})
+    if unread:
+        raise InvalidInputError(f"task {task} does not read {', '.join(unread)}")
+    path, fmt = _output(config.get("output", {}))
+    values = {}
+    for key in (*required, *optional):
+        if config.get(key) is not None:
+            values[key] = _KEYS[key][0](config[key])
+        elif key in required:
             raise InvalidInputError(f"task {task} requires {key!r}")
-        values.append(_PARSE[key](config[key]) if key in _PARSE else config[key])
-    summary, header, rows, payload = build(config, settings, *values)
-    if fmt == "csv":
+    summary, header, rows, payload = build(**values)
+    if (fmt or default_fmt) == "csv":
         lines = [",".join(header)]
         lines += [",".join("" if cell is None else _fmt(cell) for cell in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_jsonable(payload()), indent=2) + "\n"
-    return text, summary, output.get("path")
+        try:
+            text = json.dumps(_jsonable(payload()), indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise NumericalFailureError(f"the JSON report holds a non-finite number: {exc}") from exc
+    return text, summary, path
 
 
 def main(argv=None) -> int:

@@ -125,17 +125,15 @@ class BoxPiece:
 
 @dataclass(frozen=True, eq=False)
 class FiberPiece:
-    """A bounded piece r1 in [r1_lo, r1_hi], r2 in [lo(r1), hi(r1)].
+    """A bounded piece r1 in [r1_lo, r1_hi], r2 in [0, hi(r1)].
 
-    Fiber bounds are supplied as vectorized log-height callables so the
+    The fiber height is supplied as a vectorized log-height callable so the
     moment engine can integrate without leaving the log domain.
     """
 
     r1_lo: float
     r1_hi: float
     log_hi: Callable
-    log_lo: Callable | None = None
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,7 @@ def radial_shadow(spec: DomainSpec) -> RadialRegion:
     if spec.kind == PROFILE:
         phi = spec.profile.phi
         return RadialRegion(pieces=(
-            FiberPiece(0.0, 1.0, log_hi=lambda r: -phi(r), label=f"exp(-phi), {spec.profile!r}"),
+            FiberPiece(0.0, 1.0, log_hi=lambda r: -phi(r)),
         ))
     if spec.kind == REGION:
         return spec.region
@@ -279,7 +277,7 @@ def radial_shadow(spec: DomainSpec) -> RadialRegion:
         return RadialRegion(pieces=(BoxPiece(0.0, 1.0, 0.0, spec.radius2),))
     if spec.kind == BALL:
         return RadialRegion(pieces=(
-            FiberPiece(0.0, 1.0, log_hi=lambda r: 0.5 * np.log1p(-np.square(r)), label="sqrt(1-r^2)"),
+            FiberPiece(0.0, 1.0, log_hi=lambda r: 0.5 * np.log1p(-np.square(r))),
         ))
     if spec.kind == OMEGA0:
         return RadialRegion(pieces=_omega0_pieces())
@@ -301,21 +299,45 @@ def _omega0_pieces() -> tuple:
     )
 
 
-def builtin_domain(name: str, **kwargs) -> DomainSpec:
-    """Convenience constructor used by the CLI config parser."""
-    if name == POLYDISC:
-        return DomainSpec.polydisc(kwargs.pop("radius", kwargs.pop("radius2", 1.0)))
-    if name == BALL:
-        return DomainSpec.ball()
-    if name == OMEGA0:
-        return DomainSpec.wiegerinck_omega0()
-    if name == OMEGA_K:
-        if "k" not in kwargs:
-            raise InvalidInputError("omega_k needs k")
-        return DomainSpec.wiegerinck_omega_k(kwargs.pop("k"))
-    if name == PROFILE:
-        family = kwargs.pop("family", None)
-        if family is None:
+def builtin_domain(kind: str, params) -> DomainSpec:
+    """The built-in domain ``kind`` from its ``(name, value)`` parameter pairs.
+
+    Every value is a finite number (booleans are not), except a profile's
+    ``family``; an unknown parameter, or one given twice, is an error.
+    """
+    given = {}
+    for name, value in params:
+        if name != "family" and not _finite_number(value):
+            raise InvalidInputError(f"domain parameter {name} must be a finite number, got {value!r}")
+        if kind == POLYDISC and name == "radius2":
+            name = "radius"  # another name of the second radius
+        if name in given:
+            raise InvalidInputError(f"domain parameter {name} is given twice")
+        given[name] = value
+    if kind == PROFILE:
+        family = given.pop("family", None)
+        if not isinstance(family, str):
             raise InvalidInputError("profile domain needs a family name")
-        return DomainSpec.profile_domain(profile_family(family, kwargs.pop("params", kwargs)))
-    raise InvalidInputError(f"unknown domain {name!r}")
+        return DomainSpec.profile_domain(profile_family(family, given))
+    takes = {POLYDISC: {"radius"}, BALL: set(), OMEGA0: set(), OMEGA_K: {"k"}}
+    if kind not in takes:
+        raise InvalidInputError(f"unknown domain {kind!r}")
+    unknown = sorted(set(given) - takes[kind])
+    if unknown:
+        raise InvalidInputError(f"domain {kind} takes no parameter {', '.join(unknown)}")
+    if kind == POLYDISC:
+        return DomainSpec.polydisc(given.get("radius", 1.0))
+    if kind == OMEGA_K:
+        if "k" not in given:
+            raise InvalidInputError("omega_k needs k")
+        return DomainSpec.wiegerinck_omega_k(given["k"])
+    return DomainSpec.ball() if kind == BALL else DomainSpec.wiegerinck_omega0()
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False

@@ -87,7 +87,8 @@ def classify_growth(partials) -> Classification:
     small residual against all samples and at least a 2x value span,
     reads as linear divergence.  Otherwise, decaying increments plus a
     Richardson extrapolation (polynomial in 1/N) that stabilizes to
-    relative 1e-3 reads as convergence.  Anything else is inconclusive.
+    relative 1e-3 reads as convergence.  Anything else, and any sequence
+    of fewer than 8 samples, is inconclusive.
 
     The values are fitted after division by the power of two nearest
     their largest magnitude, so squares and products stay in double
@@ -95,13 +96,11 @@ def classify_growth(partials) -> Classification:
     at ordinary scales classify bit for bit as they would unscaled.
     """
     points = [(int(n), float(v)) for n, v in partials]
-    if len(points) < _MIN_SAMPLES:
-        raise InvalidInputError(
-            f"classification needs >= {_MIN_SAMPLES} samples, got {len(points)}"
-        )
     ns = np.array([n for n, _ in points], dtype=float)
     if not np.all(np.diff(ns) > 0):
         raise InvalidInputError("sample indices must be strictly increasing")
+    if len(points) < _MIN_SAMPLES:
+        return Inconclusive(reason=f"only {len(points)} samples")
     _, exponent = math.frexp(max(abs(v) for _, v in points))
     vs = np.ldexp(np.array([v for _, v in points], dtype=float), -exponent)
 
@@ -355,13 +354,9 @@ def dbar_canonical_report(
             continue
         ns = sample_ladder(n)
         partials = s_alpha_partials(spec, alpha, ns, settings)
-        if len(partials) >= _MIN_SAMPLES:
-            classification = classify_growth(partials)
-        else:
-            classification = Inconclusive(reason=f"only {len(partials)} samples")
         coordinates.append(DbarCoordinate(
             alpha=alpha, status=SYMBOL_IN_SPACE,
-            partials=partials, classification=classification,
+            partials=partials, classification=classify_growth(partials),
         ))
     statuses = [c.status for c in coordinates]
     classes = [c.classification for c in coordinates]

@@ -273,15 +273,11 @@ def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
     xs = np.array([2.0 * g1 + 1.0 for g1, _ in gammas])
     ys = np.array([2.0 * g2 + 2.0 for _, g2 in gammas])
     log_ys = np.array([math.log(y) for y in ys.tolist()])
-    log_hi, log_lo = piece.log_hi, piece.log_lo
+    log_hi = piece.log_hi
 
     def log_f(r, owner):
-        y = ys[owner]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            top = y * np.asarray(log_hi(r), dtype=float)
-            if log_lo is not None:
-                bottom = y * np.asarray(log_lo(r), dtype=float)
-                top = top + np.log1p(-np.exp(np.minimum(bottom - top, 0.0)))
+            top = ys[owner] * np.asarray(log_hi(r), dtype=float)
             return xs[owner] * np.log(r) + top - log_ys[owner]
 
     logs = log_integrate(

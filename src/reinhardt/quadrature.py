@@ -59,10 +59,13 @@ class QuadratureSettings:
     max_subdivisions: int = 10**6
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-4):
-            raise InvalidInputError(f"rel_tol must lie in (0, 1e-4], got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise InvalidInputError("max_subdivisions must be positive")
+        # Booleans are ints to Python, but no setting is a truth value.
+        rel_tol, budget = self.rel_tol, self.max_subdivisions
+        real = isinstance(rel_tol, (int, float)) and not isinstance(rel_tol, bool)
+        if not (real and 0 < rel_tol <= 1e-4):
+            raise InvalidInputError(f"rel_tol must lie in (0, 1e-4], got {rel_tol!r}")
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise InvalidInputError(f"max_subdivisions must be a positive integer, got {budget!r}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 import hypothesis
 from hypothesis import strategies as st
 
-from reinhardt.cli import main, parse_alpha, parse_domain, run
+from reinhardt.cli import TASKS, main, parse_alpha, parse_domain, run
 from reinhardt.domains import MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.hankel import sample_ladder
@@ -33,6 +34,11 @@ def test_parse_domain_variants():
     assert parse_domain("profile:zero").profile.name == "zero"
     spec = parse_domain("profile:inv_one_minus_pow:p=1")
     assert spec.profile.params == (("p", 1.0),)
+    # The object form and the string form are one grammar.
+    assert parse_domain({"kind": "polydisc", "radius": 2}) == parse_domain("polydisc:radius2=2")
+    assert parse_domain({"kind": "omega_k", "k": 3}) == parse_domain("omega_k:k=3")
+    for form in ({"params": {"p": 1}}, {"p": 1}, {"params": {"p": 1.0}}):
+        assert parse_domain({"kind": "profile", "family": "inv_one_minus_pow", **form}) == spec
 
 
 def test_parse_domain_errors():
@@ -79,18 +85,69 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert f"achieved_error={failure.value.achieved_error:.12g}" in message
 
 
-@pytest.mark.parametrize("argv", [
-    ["salpha", "--domain", "polydisc", "--alpha", "a,b", "--n-max", "2"],
-    ["salpha", "--domain", "polydisc", "--alpha", "1.5,0", "--n-max", "2"],
-    ["salpha", "--domain", "polydisc:nan", "--alpha", "1,0", "--n-max", "2"],
-    ["salpha", "--domain", "polydisc:1e200", "--alpha", "0,1", "--n-max", "2"],
-    ["salpha", "--domain", "polydisc:1e154", "--alpha", "0,1", "--n-max", "16"],
-    ["dbar", "--domain", "polydisc:1e154", "--n-max", "16"],
-    ["salpha", "--domain", "polydisc:1e-300", "--alpha", "0,1", "--n-max", "16"],
-    ["salpha", "--domain", "polydisc:1e-160", "--alpha", "0,1", "--n-max", "16"],
-], ids=["alpha-letters", "alpha-fraction", "domain-nan", "ratio-overflow",
-        "salpha-sum-overflow", "dbar-sum-overflow", "ratio-underflow", "ratio-subnormal"])
-def test_bad_input_is_a_one_line_error(argv, capsys):
+_P1 = {"kind": "profile", "family": "inv_one_minus_pow"}
+_MOMENTS = {"task": "moments", "domain": "ball", "n_max": 2}
+
+# An argv, or a config dict run through report --config.  "{tmp}" is a
+# temporary directory.
+_BAD_INPUTS = {
+    "alpha-letters": ["salpha", "--domain", "polydisc", "--alpha", "a,b", "--n-max", "2"],
+    "alpha-fraction": ["salpha", "--domain", "polydisc", "--alpha", "1.5,0", "--n-max", "2"],
+    "domain-nan": ["salpha", "--domain", "polydisc:nan", "--alpha", "1,0", "--n-max", "2"],
+    "ratio-overflow": ["salpha", "--domain", "polydisc:1e200", "--alpha", "0,1", "--n-max", "2"],
+    "salpha-sum-overflow": ["salpha", "--domain", "polydisc:1e154", "--alpha", "0,1", "--n-max", "16"],
+    "dbar-sum-overflow": ["dbar", "--domain", "polydisc:1e154", "--n-max", "16"],
+    "ratio-underflow": ["salpha", "--domain", "polydisc:1e-300", "--alpha", "0,1", "--n-max", "16"],
+    "ratio-subnormal": ["salpha", "--domain", "polydisc:1e-160", "--alpha", "0,1", "--n-max", "16"],
+    # Quadrature settings reached QuadratureSettings unchecked: text raised a
+    # TypeError, and a fractional or boolean budget was accepted.
+    "tol-rel-tol-text": {**_MOMENTS, "tol": {"rel_tol": "abc"}},
+    "tol-budget-text": {**_MOMENTS, "tol": {"max_subdivisions": "x"}},
+    "tol-budget-fraction": {**_MOMENTS, "tol": {"max_subdivisions": 1.5}},
+    "tol-budget-bool": {**_MOMENTS, "tol": {"max_subdivisions": True}},
+    # Domain objects: wrong types raised TypeErrors; true read as p = 1; a
+    # flat p beside "params" and an unknown parameter were ignored.
+    "polydisc-radius-text": {**_MOMENTS, "domain": {"kind": "polydisc", "radius": "2"}},
+    "polydisc-radius-list": {**_MOMENTS, "domain": {"kind": "polydisc", "radius": [1]}},
+    "profile-p-text": {**_MOMENTS, "domain": {**_P1, "params": {"p": "x"}}},
+    "profile-params-list": {**_MOMENTS, "domain": {**_P1, "params": [1]}},
+    "profile-p-bool": {**_MOMENTS, "domain": {**_P1, "p": True}},
+    "profile-p-nested-and-flat": {**_MOMENTS, "domain": {**_P1, "params": {"p": 1}, "p": 2}},
+    "ball-unknown-parameter": {**_MOMENTS, "domain": {"kind": "ball", "foo": 1}},
+    # Domain strings: an unknown parameter was ignored, a repeated one kept
+    # its last value.
+    "ball-string-parameter": ["moments", "--domain", "ball:r=2", "--n-max", "2"],
+    "polydisc-two-radii": ["moments", "--domain", "polydisc:2:3", "--n-max", "2"],
+    "polydisc-radius-twice": ["moments", "--domain", "polydisc:radius=2:3", "--n-max", "2"],
+    "polydisc-radius-and-radius2": ["moments", "--domain", "polydisc:radius=2:radius2=3", "--n-max", "2"],
+    "omega-k-twice": ["moments", "--domain", "omega_k:2:k=3", "--n-max", "2"],
+    "profile-p-twice": ["moments", "--domain", "profile:inv_one_minus_pow:p=1:p=2", "--n-max", "2"],
+    # Keys no task reads, or this task does not read, were ignored.
+    "unknown-key": {**_MOMENTS, "nmax": 5},
+    "unread-key": {**_MOMENTS, "alpha": "1,0"},
+    "moments-alpha-flag": ["moments", "--domain", "ball", "--n-max", "2", "--alpha", "1,0"],
+    "dbar-n-step-flag": ["dbar", "--domain", "ball", "--n-max", "16", "--n-step", "5"],
+    "certify-k-flag": ["certify", "--domain", "profile:neg_log_one_minus_r2", "--alpha", "1,0",
+                       "--n-max", "16", "--k", "3"],
+    "wiegerinck-domain-flag": ["wiegerinck", "--domain", "ball", "--n-max", "64"],
+    "wiegerinck-k-and-n-max": ["wiegerinck", "--k", "2", "--n-max", "64"],
+    # Output: unwritable paths raised tracebacks, and a number was taken as a
+    # file descriptor.
+    "out-missing-directory": ["moments", "--domain", "ball", "--n-max", "2",
+                              "--out", "{tmp}/missing/x.csv"],
+    "out-directory": ["moments", "--domain", "ball", "--n-max", "2", "--out", "{tmp}"],
+    "output-path-number": {**_MOMENTS, "output": {"path": 5}},
+}
+
+
+@pytest.mark.parametrize("case", _BAD_INPUTS.values(), ids=list(_BAD_INPUTS))
+def test_bad_input_is_a_one_line_error(case, tmp_path, capsys):
+    if isinstance(case, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(case))
+        argv = ["report", "--config", str(config)]
+    else:
+        argv = [arg.format(tmp=tmp_path) for arg in case]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -215,6 +272,49 @@ def test_certify_rejects_non_profile_domains(capsys):
     capsys.readouterr()
 
 
+def test_certify_reports_why_no_certificate_exists(capsys):
+    # The ladder's own reason, not a generic "no certificate window".
+    assert main(["certify", "--domain", "profile:zero", "--alpha", "1,0", "--n-max", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not grow to infinity" in err
+
+
+@pytest.mark.parametrize("task, flags", [
+    ("moments", {"--domain", "--n-max", "--tol"}),
+    ("salpha", {"--domain", "--alpha", "--n-max", "--n-step", "--tol"}),
+    ("certify", {"--domain", "--alpha", "--n-max", "--n-step", "--tol"}),
+    ("wiegerinck", {"--n-max", "--n-step", "--k"}),
+    ("dbar", {"--domain", "--n-max", "--tol"}),
+    ("report", {"--config", "--domain", "--alpha", "--n-max", "--n-step", "--k", "--tol"}),
+])
+def test_task_help_lists_only_the_flags_it_reads(task, flags, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([task, "--help"])
+    assert done.value.code == 0
+    listed = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, flags=re.MULTILINE))
+    assert listed == flags | {"--out", "--format"}
+
+
+def test_json_report_refuses_non_finite_numbers(monkeypatch, capsys):
+    # JSON has no Infinity; a payload that holds one fails the run instead.
+    import reinhardt.cli as cli
+
+    required, optional, fmt, build = cli.TASKS["moments"]
+
+    def infinite(**values):
+        summary, header, rows, payload = build(**values)
+        return summary, header, rows, lambda: {**payload(), "log_c_sq": math.inf}
+
+    monkeypatch.setitem(cli.TASKS, "moments", (required, optional, fmt, infinite))
+    argv = ["moments", "--domain", "ball", "--n-max", "2"]
+    assert main([*argv, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert main([*argv, "--format", "csv"]) == 0
+    capsys.readouterr()
+
+
 def test_dbar_json_report(tmp_path, capsys):
     out = tmp_path / "d.json"
     assert main(["dbar", "--domain", "omega0", "--n-max", "32", "--out", str(out)]) == 0
@@ -334,41 +434,120 @@ def test_polydisc_cli_boundary_property(task, radius, alpha, n_max, fmt):
                                st.text(alphabet="01a", max_size=2)), max_size=3),
         ),
     })),
+    unread=st.one_of(st.none(), st.sampled_from(["domain", "alpha", "k", "nmax"])),
 )
 def test_diagonal_and_profile_cli_boundary_property(task, domain, alpha, n_max, m_max, k, fmt,
-                                                    config):
+                                                    config, unread):
     # The diagonal (omega0), truncated (omega_k), closed-form and
     # quadrature-backed paths of the series evaluator, with alphas off and on
     # the lattice; p = 3e5 and 1e6 put every quadrature node where
-    # (1-r)^-p overflows.  The wiegerinck task takes a cutoff M and k.  A
+    # (1-r)^-p overflows.  The wiegerinck task takes a cutoff M or k.  A
     # drawn config runs the same task through report --config, with junk and
-    # non-integer n_max values and alpha lists.
+    # non-integer n_max values and alpha lists, and holds only the keys the
+    # task reads, unless `unread` names one it does not read.
     if task == "wiegerinck":
-        argv = [task, f"--n-max={m_max}", "--format", fmt]
-        if k is not None:
-            argv.append(f"--k={k}")
+        argv = [task, f"--k={k}" if k is not None else f"--n-max={m_max}", "--format", fmt]
     else:
         argv = [task, "--domain", domain, f"--n-max={n_max}", "--format", fmt]
     if task == "salpha":
         argv.append(f"--alpha={alpha}")
+    required, optional, _, _ = TASKS[task]
+    unread = unread if unread not in (*required, *optional) else None
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if config is not None:
             path = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "config.json"
-            config = {"task": task, "domain": domain, **config, "output": {"format": fmt}}
-            if task == "wiegerinck" and k is not None:
-                config["k"] = k
-            path.write_text(json.dumps(config))
+            drawn = {"domain": domain, **config, **({"k": k, "n_max": None} if k is not None else {})}
+            config = {key: value for key, value in drawn.items() if key in (*required, *optional)}
+            if unread is not None:
+                config[unread] = drawn.get(unread, 1)
+            path.write_text(json.dumps({"task": task, **config, "output": {"format": fmt}}))
             argv = ["report", "--config", str(path)]
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(err))
         code = main(argv)
     assert code in (0, 1, 2)
+    if config is not None and unread is not None:
+        assert code == 1
     if code == 0 and fmt == "json":
         _strict_json(out.getvalue())
     if code != 0:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
+
+
+_JUNK = st.one_of(st.text(alphabet="ab 1.", max_size=3), st.booleans(), st.none(),
+                  st.lists(st.integers(0, 3), max_size=2), st.just(math.nan))
+_NUMBER = st.one_of(st.one_of(st.integers(1, 3), st.floats(0.5, 3.0)), _JUNK)
+_CONFIG_VALUES = {
+    "domain": st.one_of(
+        st.sampled_from(["ball", "polydisc:2", "omega_k:2", "profile:inv_one_minus_pow:p=1",
+                         "profile:neg_log_one_minus_r2", "polydisc:2:3", "ball:r=1"]),
+        st.fixed_dictionaries({"kind": st.just("polydisc")},
+                              optional={"radius": _NUMBER, "radius2": _NUMBER}),
+        st.fixed_dictionaries({"kind": st.just("omega_k"), "k": _NUMBER}),
+        st.fixed_dictionaries(
+            {"kind": st.just("profile"),
+             "family": st.one_of(st.sampled_from(["zero", "inv_one_minus_pow"]), _JUNK)},
+            optional={"p": _NUMBER,
+                      "params": st.one_of(st.dictionaries(st.sampled_from(["p", "q"]), _NUMBER,
+                                                          max_size=2), _JUNK)}),
+        st.fixed_dictionaries({"kind": st.one_of(st.sampled_from(["ball", "omega0", "torus"]), _JUNK)},
+                              optional={"foo": _NUMBER}),
+        _JUNK),
+    "alpha": st.one_of(st.sampled_from(["1,0", "1,1", [0, 1], [1, 1.0]]), _JUNK),
+    "n_max": st.one_of(st.integers(1, 12), _JUNK),
+    "n_step": st.one_of(st.integers(1, 4), _JUNK),
+    "k": st.one_of(st.integers(1, 3), _JUNK),
+    "tol": st.one_of(
+        st.sampled_from([1e-8, 1e-10, "1e-9"]),
+        st.dictionaries(st.sampled_from(["rel_tol", "max_subdivisions", "bogus"]),
+                        st.one_of(st.sampled_from([1e-9, 1000]), _NUMBER), max_size=2),
+        _JUNK),
+    "nmax": st.integers(1, 5),
+}
+# A path is "-" or not a string, so no run writes a file.
+_CONFIG_OUTPUT = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "path": st.one_of(st.just("-"), st.sampled_from([5, True, ["-"]])),
+        "format": st.one_of(st.sampled_from(["csv", "json"]), st.sampled_from(["yaml", 1, None])),
+    }),
+    st.one_of(st.fixed_dictionaries({"mode": st.just("w")}), _JUNK))
+
+
+@st.composite
+def _configs(draw):
+    """A config holding mostly the keys its task reads, now and then one more."""
+    task = draw(st.sampled_from(list(TASKS)))
+    required, optional, _, _ = TASKS[task]
+    config = draw(st.fixed_dictionaries(
+        {"task": st.just(task), **{key: _CONFIG_VALUES[key] for key in required}},
+        optional={"output": _CONFIG_OUTPUT, **{key: _CONFIG_VALUES[key] for key in optional}},
+    ))
+    if draw(st.integers(0, 3)) == 0:
+        unread = [key for key in _CONFIG_VALUES if key not in (*required, *optional)]
+        key = draw(st.sampled_from(unread))
+        config[key] = draw(_CONFIG_VALUES[key])
+    return config
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(config=_configs())
+def test_config_object_property(config):
+    # Junk types, NaN, unknown and unread keys, domain parameters given in
+    # both the flat and the nested form, tol objects and non-string output
+    # paths: every config either runs or fails with one line.
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", "--config", str(path)])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
 
 
 def _perfbench_module(name):

@@ -218,10 +218,13 @@ def test_classify_logarithmic_growth_is_inconclusive():
 
 
 def test_classify_validates_input():
-    with pytest.raises(InvalidInputError):
-        classify_growth([(n, 1.0 * n) for n in range(7)][:7])
+    # Seven samples are too few to classify, which is a verdict, not an error.
+    assert classify_growth([(n, 1.0 * n) for n in range(7)]) == Inconclusive("only 7 samples")
+    assert classify_growth([]) == Inconclusive("only 0 samples")
     with pytest.raises(InvalidInputError):
         classify_growth([(10, 1.0), (9, 2.0)] + [(20 + i, 3.0) for i in range(6)])
+    with pytest.raises(InvalidInputError):
+        classify_growth([(10, 1.0), (9, 2.0)])
 
 
 def test_classify_square_root_growth_is_inconclusive():
