@@ -208,6 +208,8 @@ _KEYS = {
 
 
 def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
+    if n_max < 0:
+        raise InvalidInputError(f"n_max must be >= 0, got {n_max}")
     rows = []
     for order in range(n_max + 1):
         # Off-lattice monomials are divergent.  The lookup of the first
@@ -409,13 +411,23 @@ def _add_flags(parser, keys):
     parser.add_argument("--format", choices=("csv", "json"), dest="fmt")
 
 
+def _unique_members(pairs) -> dict:
+    """A JSON object as a dict; a repeated key is an error, not a silent overwrite."""
+    members = {}
+    for key, value in pairs:
+        if key in members:
+            raise InvalidInputError(f"config repeats the key {key!r}")
+        members[key] = value
+    return members
+
+
 def _merged_config(args) -> dict:
     """The config of `report --config`, or {"task": task}, with the flags on top."""
     config = {"task": args.task}
     if args.task == "report":
         try:
             with open(args.config, "r", encoding="utf-8") as handle:
-                config = json.load(handle)
+                config = json.load(handle, object_pairs_hook=_unique_members)
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidInputError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(config, dict):

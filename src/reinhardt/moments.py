@@ -18,11 +18,12 @@ Moments come a shell |gamma| = n at a time: log_c_shell returns the
 shell's read-only array, memoized under (domain, n, settings), and
 log_c_gamma_sq reads one entry of it.  On the two quadrature paths, the
 profile radial integral and the FiberPiece shadow, a shell is one batched
-log_integrate call, with phi evaluated once per shell on the pre-split
-grid; the profile path also memoizes each M(x, y), which the
-certificate's window masses divide by.  Each moment of a shell is refined
-with the same panels and per-panel arithmetic as when it is integrated
-alone, so the cache never changes a value.
+log_integrate call.  A profile integrand starts from a mesh graded away
+from its analytic peak on its Laplace scale (no grid scan), and the
+profile path also memoizes each M(x, y), which the certificate's window
+masses divide by.  Each moment of a shell is refined with the same panels
+and per-panel arithmetic as when it is integrated alone, so the cache
+never changes a value.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .domains import (
 )
 from .errors import InvalidInputError, NumericalFailureError
 from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
-from .profiles import RadialProfile
+from .profiles import RadialProfile, peak_radius
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import omega0_log_ck_sq
 
@@ -53,9 +54,13 @@ _LOG_2PI2 = math.log(2.0 * math.pi**2)
 # log c_gamma^2 of a monomial that is not square-integrable.
 DIVERGENT = math.inf
 
-# Memoized log moments: radial integrals keyed by (profile, x, y, lo, hi,
-# settings), and one read-only log c_gamma^2 array per (domain, n, settings)
-# shell.  Values never depend on whether they were computed alone or in a batch.
+# Multiples of the Laplace scale at which _auto_presplit cuts a profile integrand.
+_MESH_OFFSETS = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
+
+# Memoized log moments: radial integrals, one dict keyed by (x, y) per
+# (profile, lo, hi, settings) interval, and one read-only log c_gamma^2 array
+# per (domain, n, settings) shell.  Values never depend on whether they were
+# computed alone or in a batch.
 _RADIAL_MEMO: dict = {}
 _MOMENT_MEMO: dict = {}
 # One shadow per domain: building it costs more than a closed-form moment.
@@ -124,8 +129,9 @@ def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
     families; every other missing value is integrated in one batched
     log_integrate call.
     """
-    keys = [(profile, x, y, lo, hi, settings) for x, y in zip(xs, ys)]
-    missing = [i for i, key in enumerate(keys) if key not in _RADIAL_MEMO]
+    memo = _RADIAL_MEMO.setdefault((profile, lo, hi, settings), {})
+    keys = list(zip(xs, ys))
+    missing = [i for i, key in enumerate(keys) if key not in memo]
     if missing:
         mx = [xs[i] for i in missing]
         my = [ys[i] for i in missing]
@@ -136,7 +142,7 @@ def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
             logs = [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0) for x, y in zip(mx, my)]
         else:
             mx, my = np.array(mx, dtype=float), np.array(my, dtype=float)
-            presplit = _auto_presplit(profile, mx, my, lo, hi, settings)
+            presplit = _auto_presplit(profile, mx, my, lo, hi)
             logs = log_integrate(
                 _profile_log_integrand(profile, mx, my), np.full(mx.size, lo),
                 np.full(mx.size, hi), settings, presplit=presplit,
@@ -147,8 +153,8 @@ def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
                     f"integral of r^{mx[i]:g} exp(-{my[i]:g} phi(r)) over [{lo:g}, {hi:g}]"
                 )
         for i, value in zip(missing, logs):
-            _RADIAL_MEMO[keys[i]] = value
-    return [_RADIAL_MEMO[key] for key in keys]
+            memo[keys[i]] = value
+    return [memo[key] for key in keys]
 
 
 def _profile_log_values(x, y, log_r, phi_r):
@@ -170,38 +176,29 @@ def _profile_log_integrand(profile, xs, ys):
     return log_f
 
 
-def _auto_presplit(profile, xs, ys, lo, hi, settings) -> np.ndarray:
+def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
     """Initial panel cuts for each (x, y), one row each (NaN = no cut): a
-    graded mesh around the integrand peak plus a split where y*phi has
-    already killed the integrand.
+    mesh graded away from the integrand peak on its Laplace scale.
 
-    The peak is located on a fixed 256-point grid, on which phi is
-    evaluated once for the whole batch.  The cut separating the decayed
-    right end sits at the first grid point where y*phi(r) exceeds
-    log(1/rel_tol) + |max of the log-integrand|; the graded mesh halves
-    toward the peak so that sharply concentrated integrands resolve in
-    one or two rounds.  An integrand with no finite grid value gets no
-    cuts.
+    The peak r* is the analytic one, the root of x = y r phi'(r) on
+    [lo, hi] (profiles.peak_radius), and the scale is that of the
+    Gaussian that matches the log-integrand's curvature there,
+    s = 1/sqrt(x/r*^2 + y phi''(r*)).  The cuts sit at r* +- s c 2^j for
+    c = 0.75 and j = 0..9, so a sharply concentrated integrand resolves
+    in one or two rounds; those outside (lo, hi) are dropped by
+    log_integrate.  A row with a non-finite scale gets no cuts.  Each row
+    depends only on its own (x, y, lo, hi), so a moment's panels are the
+    same in any batch.
     """
-    grid = np.linspace(lo, hi, 258)[1:-1]
-    with np.errstate(divide="ignore", over="ignore"):
-        phis = np.asarray(profile.phi(grid), dtype=float)
-        values = _profile_log_values(xs[:, None], ys[:, None], np.log(grid), phis)
-    finite = np.isfinite(values)
-    any_finite = finite.any(axis=1)
-    values[~finite] = -np.inf
-    peaks = grid[np.argmax(values, axis=1)]
-    width = hi - lo
-    offsets = np.array([sign * width * 0.5 ** j for j in range(1, 10) for sign in (-1.0, 1.0)])
-    tails = np.full(xs.size, np.nan)
-    if profile.unbounded:
-        thresholds = math.log(1.0 / settings.rel_tol) + np.abs(np.max(values, axis=1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            exceeded = ys[:, None] * phis >= thresholds[:, None]
-        hit = exceeded.any(axis=1) & (ys != 0.0)
-        tails[hit] = grid[np.argmax(exceeded[hit], axis=1)]
-    cuts = np.column_stack([peaks[:, None] + offsets, tails])
-    cuts[~any_finite] = np.nan
+    peaks = peak_radius(profile, xs, ys, lo, hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # -x/r^2 - y phi''(r), the log-integrand's second derivative, drops
+        # a zero exponent's term as the log-integrand does.
+        curvature = -_profile_log_values(xs, ys, -1.0 / np.square(peaks),
+                                         np.asarray(profile.d2phi(peaks), dtype=float))
+        scale = 1.0 / np.sqrt(curvature)
+    cuts = peaks[:, None] + scale[:, None] * _MESH_OFFSETS
+    cuts[~np.isfinite(scale)] = np.nan
     return cuts
 
 

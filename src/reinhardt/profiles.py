@@ -25,10 +25,8 @@ FAMILIES = ("zero", "neg_log_one_minus_r2", "inv_one_minus_pow")
 class RadialProfile:
     """A C^2 radial weight with analytic derivatives.
 
-    ``unbounded`` records whether phi(r) -> +inf as r -> 1-; the window
-    search and the quadrature pre-split rely on it.  Identity for
-    caching purposes is (name, params), so distinct profiles must carry
-    distinct names.
+    Identity for caching purposes is (name, params), so distinct profiles
+    must carry distinct names.
     """
 
     name: str
@@ -36,7 +34,6 @@ class RadialProfile:
     dphi: Callable
     d2phi: Callable
     params: tuple = field(default=())
-    unbounded: bool = True
 
     def __eq__(self, other):
         if not isinstance(other, RadialProfile):
@@ -70,7 +67,6 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
             phi=lambda r: 0.0 * np.asarray(r, dtype=float),
             dphi=lambda r: 0.0 * np.asarray(r, dtype=float),
             d2phi=lambda r: 0.0 * np.asarray(r, dtype=float),
-            unbounded=False,
         )
     if name == "neg_log_one_minus_r2":
         _reject_params(name, params)
@@ -94,6 +90,51 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
             params=(("p", p),),
         )
     raise InvalidInputError(f"unknown profile family {name!r}; choose from {FAMILIES}")
+
+
+def peak_radius(profile: RadialProfile, x, y, lo: float, hi: float) -> np.ndarray:
+    """The peak of r^x exp(-y phi(r)) on [lo, hi] for each (x, y) of a batch.
+
+    Inside (lo, hi) the peak is the root of g(r) = x - y r phi'(r), which
+    decreases where r phi'(r) increases (a subharmonic phi).  A row with
+    no sign change gets the nearer endpoint: lo where g(lo) <= 0, hi where
+    g(hi) >= 0.  The root is found by Newton steps on
+    log(r phi'(r)) - log(x/y) in t = log(r/(1-r)), nearly linear in t at
+    both ends of (0, 1) for the built-in families, kept inside a shrinking
+    bracket: a step that would leave the bracket bisects it instead.  A
+    row stops after a Newton step below 1e-9 relative (its error is then
+    of order the step squared) or once its bracket has collapsed, so its
+    value does not depend on the rest of the batch.
+    """
+    xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    xs, ys = xs.ravel(), ys.ravel()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g_lo, g_hi = (np.where(ys != 0.0, xs - ys * (end * profile.dphi(end)), xs)
+                      for end in (float(lo), float(hi)))
+        peaks = np.where(g_lo > 0.0, float(hi), float(lo))
+        rows = np.nonzero((g_lo > 0.0) & (g_hi < 0.0))[0]
+        log_ratio = np.log(xs[rows] / ys[rows])
+        a, b = np.full(rows.size, float(lo)), np.full(rows.size, float(hi))
+        r = 0.5 * (a + b)
+        for _ in range(200):
+            if rows.size == 0:
+                break
+            dphi = np.asarray(profile.dphi(r), dtype=float)
+            value = np.log(r * dphi) - log_ratio
+            slope = (1.0 - r) * (1.0 + r * np.asarray(profile.d2phi(r), dtype=float) / dphi)
+            newton = 1.0 / (1.0 + (1.0 - r) / r * np.exp(value / slope))
+            root_above = value < 0.0
+            a, b = np.where(root_above, r, a), np.where(root_above, b, r)
+            converged = np.abs(newton - r) <= 1e-9 * r
+            r = np.where((a < newton) & (newton < b) | converged,
+                         np.minimum(np.maximum(newton, a), b), 0.5 * (a + b))
+            done = converged | (b - a <= 1e-15 * r)
+            if done.any():
+                peaks[rows[done]] = r[done]
+                keep = ~done
+                rows, log_ratio, a, b, r = (v[keep] for v in (rows, log_ratio, a, b, r))
+        peaks[rows] = r
+    return peaks
 
 
 def _reject_params(name, params):

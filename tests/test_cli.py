@@ -66,23 +66,28 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    config = {
-        "task": "moments",
-        "domain": "profile:inv_one_minus_pow:p=1",
-        "n_max": 6,
-        "tol": {"rel_tol": 1e-12, "max_subdivisions": 1},
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    assert main(["report", "--config", str(path)]) == 2
-    message = capsys.readouterr().err
-    # Shell 1 fails on its second moment, gamma = (1, 0): the radial integral M(3, 2).
-    assert "(integrand 1 of 2)" in message
-    settings = QuadratureSettings(**config["tol"])
-    with pytest.raises(NumericalFailureError) as failure:
-        log_radial_moment(profile_family("inv_one_minus_pow", {"p": 1}), 3.0, 2.0, settings)
-    assert f"best_estimate={failure.value.best_estimate:.12g}" in message
-    assert f"achieved_error={failure.value.achieved_error:.12g}" in message
+    # With rel_tol 1e-12, a budget of one subdivision fails on shell 0, whose
+    # lone moment gamma = (0, 0) is the radial integral M(1, 2); a budget of
+    # three gets through shells 0..5 and fails on shell 6 at its fifth
+    # moment, gamma = (4, 2): M(9, 6).
+    profile = profile_family("inv_one_minus_pow", {"p": 1})
+    for budget, which, (x, y) in ((1, "", (1.0, 2.0)), (3, " (integrand 4 of 7)", (9.0, 6.0))):
+        config = {
+            "task": "moments",
+            "domain": "profile:inv_one_minus_pow:p=1",
+            "n_max": 6,
+            "tol": {"rel_tol": 1e-12, "max_subdivisions": budget},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["report", "--config", str(path)]) == 2
+        message = capsys.readouterr().err
+        assert f"more than {budget} subdivisions{which} (" in message
+        settings = QuadratureSettings(**config["tol"])
+        with pytest.raises(NumericalFailureError) as failure:
+            log_radial_moment(profile, x, y, settings)
+        assert f"best_estimate={failure.value.best_estimate:.12g}" in message
+        assert f"achieved_error={failure.value.achieved_error:.12g}" in message
 
 
 _P1 = {"kind": "profile", "family": "inv_one_minus_pow"}
@@ -131,6 +136,9 @@ _BAD_INPUTS = {
                        "--n-max", "16", "--k", "3"],
     "wiegerinck-domain-flag": ["wiegerinck", "--domain", "ball", "--n-max", "64"],
     "wiegerinck-k-and-n-max": ["wiegerinck", "--k", "2", "--n-max", "64"],
+    # A negative order gave a header-only table and exit 0.
+    "moments-negative-n-max": ["moments", "--domain", "ball", "--n-max", "-1"],
+    "moments-negative-n-max-config": {**_MOMENTS, "n_max": -1},
     # Output: unwritable paths raised tracebacks, and a number was taken as a
     # file descriptor.
     "out-missing-directory": ["moments", "--domain", "ball", "--n-max", "2",
@@ -155,18 +163,60 @@ def test_bad_input_is_a_one_line_error(case, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["moments", "--domain", "profile:inv_one_minus_pow:p=1e6", "--n-max", "1"],
-    ["salpha", "--domain", "profile:inv_one_minus_pow:p=1e6", "--alpha", "1,0", "--n-max", "8"],
-], ids=["moments-underflow", "salpha-underflow"])
-def test_numerical_failure_is_a_one_line_error(argv, capsys):
-    # Every quadrature node lands where (1-r)^-p overflows, so the positive
-    # moments would read as log 0.
-    assert main(argv) == 2
+@pytest.mark.parametrize("text", [
+    '{"task": "moments", "domain": "ball", "n_max": 2, "n_max": 3}',
+    '{"task": "moments", "domain": {"kind": "polydisc", "radius": 1, "radius": 2}, "n_max": 2}',
+    '{"task": "moments", "domain": "ball", "n_max": 2, "output": {"format": "csv", "format": "json"}}',
+], ids=["top-level", "domain-object", "output-object"])
+def test_config_with_a_repeated_key_is_a_one_line_error(text, tmp_path, capsys):
+    # json.load keeps the last of repeated members; a config must not.
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["report", "--config", str(config)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.startswith("error: config repeats the key ")
     assert captured.err.count("\n") == 1
+
+
+def test_moments_reads_order_zero(capsys):
+    assert main(["moments", "--domain", "ball", "--n-max", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,0,ok,1.59631259114"]
+
+
+def test_steep_profile_moments_match_mpmath(capsys):
+    # At p = 1e6 the peak of r^x exp(-y (1-r)^-p) sits near r = 1e-6, which a
+    # 256-point grid scan misses: the moments then read as underflowing to 0
+    # at every quadrature node (exit 2).  The analytic peak finds it: both
+    # runs exit 0 with one summary line, and the moments match mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    p = mpmath.mpf(10) ** 6
+
+    def oracle(x, y):
+        # log M(x, y) with r = u/p; past u = 8 the integrand is below e^-5000.
+        def f(u):
+            return mpmath.exp(x * mpmath.log(u / p) - y * mpmath.exp(-p * mpmath.log1p(-u / p)))
+
+        with mpmath.workdps(30):
+            pieces = mpmath.linspace(0, 8, 81) + [60]
+            return float(mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre")) - mpmath.log(p))
+
+    domain = "profile:inv_one_minus_pow:p=1e6"
+    assert main(["salpha", "--domain", domain, "--alpha", "1,0", "--n-max", "8"]) == 0
+    assert capsys.readouterr().err.count("\n") == 1
+    assert main(["moments", "--domain", domain, "--n-max", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [(row["g1"], row["g2"]) for row in rows] == [("0", "0"), ("0", "1"), ("1", "0")]
+    steep = profile_family("inv_one_minus_pow", {"p": 1e6})
+    for row in rows:
+        g1, g2 = int(row["g1"]), int(row["g2"])
+        x, y = 2 * g1 + 1, 2 * g2 + 2
+        log_m = log_radial_moment(steep, float(x), float(y))
+        assert abs(log_m - oracle(x, y)) <= 1e-10
+        assert float(row["log_c_sq"]) == pytest.approx(
+            math.log(2 * math.pi**2 / (g2 + 1)) + log_m, rel=1e-11)
 
 
 def test_only_salpha_computes_shell_bounds(monkeypatch, capsys):

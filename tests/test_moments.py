@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reinhardt.domains import DomainSpec, MultiIndex, RadialRegion, TailPiece, radial_shadow
-from reinhardt.errors import InvalidInputError
+from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
     DIVERGENT,
     clear_moment_caches,
@@ -312,7 +312,8 @@ def test_membership_on_generic_regions():
 
 
 def scan_presplit(profile, x, y, lo, hi, settings):
-    """Reference: the per-integrand 256-point scan the shell batch replaced."""
+    """An independent mesh for reference quadratures: the per-integrand
+    256-point grid scan that the Laplace-scaled peak mesh replaced."""
     grid = np.linspace(lo, hi, 258)[1:-1]
 
     def log_f(r):
@@ -331,7 +332,7 @@ def scan_presplit(profile, x, y, lo, hi, settings):
     peak = float(grid[int(np.argmax(np.where(finite, values, -np.inf)))])
     width = hi - lo
     cuts = {peak + sign * width * 0.5 ** j for j in range(1, 10) for sign in (-1.0, 1.0)}
-    if y != 0.0 and profile.unbounded:
+    if y != 0.0 and profile.name != "zero":
         with np.errstate(over="ignore"):
             phis = y * np.asarray(profile.phi(grid), dtype=float)
         threshold = math.log(1.0 / settings.rel_tol) + abs(float(np.max(values[finite])))
@@ -341,19 +342,112 @@ def scan_presplit(profile, x, y, lo, hi, settings):
     return tuple(c for c in cuts if lo < c < hi)
 
 
-def test_batched_presplit_equals_scan():
-    from reinhardt.moments import _auto_presplit
+def _mp_log_integrand(profile, x, y):
+    """x log r - y phi(r) in mpmath, a zero exponent dropping its term."""
+    mpmath = pytest.importorskip("mpmath")
+    p = dict(profile.params).get("p")
+    phi = {
+        "zero": lambda r: mpmath.mpf(0),
+        "neg_log_one_minus_r2": lambda r: -mpmath.log1p(-r * r),
+        "inv_one_minus_pow": lambda r: (1 - r) ** -mpmath.mpf(p),
+    }[profile.name]
+    return lambda r: (x * mpmath.log(r) if x else 0) - (y * phi(r) if y else 0)
 
-    settings = QuadratureSettings()
+
+def _mp_peak(profile, x, y, lo, hi):
+    """The peak of r^x exp(-y phi(r)) on [lo, hi]: the root of
+    x - y r phi'(r) when it changes sign there, else the nearer endpoint."""
+    mpmath = pytest.importorskip("mpmath")
+    p = dict(profile.params).get("p")
+    if y == 0 or profile.name == "zero":
+        return hi if x > 0 else lo
+    if profile.name == "neg_log_one_minus_r2":
+        # x = 2 y r^2 / (1 - r^2)
+        return min(max(math.sqrt(x / (x + 2.0 * y)), lo), hi)
+
+    def g(r):
+        # log(x / (y r phi'(r))), which has the sign of x - y r phi'(r)
+        return mpmath.log(x / (y * r * p)) + (p + 1) * mpmath.log1p(-r)
+
+    with mpmath.workdps(40):
+        bottom = max(mpmath.mpf(lo), mpmath.mpf(10) ** -30)
+        top = min(mpmath.mpf(hi), 1 - mpmath.mpf(10) ** -30)
+        if g(bottom) <= 0:
+            return lo
+        if g(top) >= 0:
+            return hi
+        return float(mpmath.findroot(g, (bottom, top), solver="anderson"))
+
+
+def test_peak_locator_matches_mpmath():
+    # The locator behind the quadrature mesh and certificate.critical_point:
+    # r* against mpmath (or the -log(1-r^2) closed form), the mesh scale
+    # against the mpmath finite-difference curvature of the log-integrand,
+    # and every batch row bitwise equal to the batch of one.
+    from reinhardt.moments import _auto_presplit
+    from reinhardt.profiles import peak_radius
+
+    mpmath = pytest.importorskip("mpmath")
+    offsets = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
     xs = np.array([0.0, 1.0, 3.0, 11.0, 101.0, 401.0])
     ys = np.array([0.0, 2.0, 6.0, 50.0, 402.0, 1000.0])
     gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
     for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 2.5})):
         for lo, hi in ((0.0, 1.0), (0.2, 0.7)):
-            rows = _auto_presplit(profile, gx, gy, lo, hi, settings)
-            for x, y, row in zip(gx, gy, rows):
-                got = sorted({c for c in row.tolist() if lo < c < hi})
-                assert got == sorted(set(scan_presplit(profile, x, y, lo, hi, settings)))
+            peaks = peak_radius(profile, gx, gy, lo, hi)
+            rows = _auto_presplit(profile, gx, gy, lo, hi)
+            for x, y, peak, row in zip(gx, gy, peaks, rows):
+                case = (profile, x, y, lo, hi)
+                expected = _mp_peak(profile, x, y, lo, hi)
+                assert peak == pytest.approx(expected, rel=1e-12, abs=1e-300), case
+                assert peak_radius(profile, x, y, lo, hi).tobytes() == peak.tobytes(), case
+                assert _auto_presplit(profile, np.array([x]), np.array([y]), lo, hi)[0].tobytes() \
+                    == row.tobytes(), case
+                # At r* = 0 with x > 0, or r* = 1 with y phi unbounded, the
+                # curvature is infinite and the scale 0: every cut sits on r*.
+                unbounded = profile.name != "zero"
+                scale = 0.0 if (peak == 0.0 and x) or (peak == 1.0 and y and unbounded) else None
+                if scale is None:
+                    with mpmath.workdps(40):
+                        log_f = _mp_log_integrand(profile, x, y)
+                        curvature = -mpmath.diff(log_f, mpmath.mpf(peak), 2)
+                        scale = float(1 / mpmath.sqrt(curvature)) if curvature > 0 else math.inf
+                if 0.0 < scale < math.inf:
+                    assert row == pytest.approx(peak + scale * offsets, rel=1e-9), case
+                else:
+                    assert not ((lo < row) & (row < hi)).any(), case
+
+
+def test_presplit_scans_no_grid_and_cuts_panels(monkeypatch):
+    # Shell 100 of inv_one_minus_pow:p=1 took 2,524 panels from the 256-point
+    # grid scan; the peak mesh must take at most 80% of that, and the mesh
+    # itself never evaluates phi.
+    import dataclasses
+
+    from reinhardt import moments, quadrature
+
+    panels = []
+    evaluate = quadrature._eval_panels
+    monkeypatch.setattr(quadrature, "_eval_panels", lambda log_f, los, *rest:
+                        panels.append(los.size) or evaluate(log_f, los, *rest))
+    clear_moment_caches()
+    log_c_shell(DomainSpec.profile_domain(INV_POW), 100)
+    assert 0 < sum(panels) <= 0.8 * 2524
+
+    points = []
+    counted = dataclasses.replace(INV_POW, phi=lambda r:
+                                  points.append(np.size(r)) or INV_POW.phi(r))
+    ks = np.arange(101.0)
+    moments._auto_presplit(counted, 2.0 * ks + 1.0, 2.0 * (100.0 - ks) + 2.0, 0.0, 1.0)
+    assert points == []
+
+
+def test_all_node_underflow_is_a_numerical_failure():
+    # (1 - r)^-1e6 overflows at every r in [0.5, 0.9], so the log-integrand is
+    # log 0 at every node and the positive moment would read as log 0.
+    steep = profile_family("inv_one_minus_pow", {"p": 1e6})
+    with pytest.raises(NumericalFailureError, match="underflows to 0 at every quadrature node"):
+        log_profile_interval_moment(steep, 1.0, 2.0, 0.5, 0.9)
 
 
 def _shell_reference(spec, gamma):

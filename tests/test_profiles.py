@@ -19,7 +19,6 @@ def test_zero_family_values():
     assert float(zero.phi(0.5)) == 0.0
     assert float(zero.dphi(0.5)) == 0.0
     assert float(zero.d2phi(0.5)) == 0.0
-    assert not zero.unbounded
 
 
 def test_neg_log_family_values():
