@@ -11,16 +11,18 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import hypothesis
 from hypothesis import strategies as st
 
+from reinhardt import domains
 from reinhardt.cli import TASKS, main, parse_alpha, parse_domain, run
 from reinhardt.domains import MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.hankel import sample_ladder
 from reinhardt.moments import log_radial_moment
-from reinhardt.profiles import profile_family
+from reinhardt.profiles import RadialProfile, profile_family
 from reinhardt.quadrature import QuadratureSettings
 
 
@@ -182,6 +184,39 @@ def test_config_with_a_repeated_key_is_a_one_line_error(text, tmp_path, capsys):
 def test_moments_reads_order_zero(capsys):
     assert main(["moments", "--domain", "ball", "--n-max", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["0,0,ok,1.59631259114"]
+
+
+def _overflowing_profile(family, params):
+    # phi(r) = c / (1 - r) with c = 1e310: phi overflows double at every r,
+    # and log M(x, y) < -y c lies below -DBL_MAX, so the moments underflow
+    # even in log form.
+    def phi(r):
+        return 1e300 * (1e10 / (1.0 - np.asarray(r, dtype=float)))
+
+    return RadialProfile(
+        name="c_over_one_minus_r", phi=phi,
+        dphi=lambda r: phi(r) / (1.0 - np.asarray(r, dtype=float)),
+        d2phi=lambda r: 2.0 * phi(r) / np.square(1.0 - np.asarray(r, dtype=float)),
+        params=(("c", 1e310),),
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--domain", "profile:inv_one_minus_pow:p=1", "--n-max", "1"],
+    ["salpha", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "1,0", "--n-max", "8"],
+], ids=["moments-underflow", "salpha-underflow"])
+def test_numerical_failure_is_a_one_line_error(argv, monkeypatch, capsys):
+    # Every quadrature node lands where phi overflows, so the positive
+    # moments would read as log 0.
+    monkeypatch.setattr(domains, "profile_family", _overflowing_profile)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: ")
+    assert captured.err.endswith(" underflows to 0 at every quadrature node\n")
+    assert captured.err.count("\n") == 1
 
 
 def test_steep_profile_moments_match_mpmath(capsys):
