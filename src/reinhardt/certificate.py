@@ -10,8 +10,7 @@ profile domain:
 3. for exponent pairs (x, y) with x/y inside (A, B) = (a phi'(a), b phi'(b)),
    the normalized density r^x exp(-y phi(r)) / M(x, y) is unimodal with
    its peak inside (a, b), so at least half of its mass sits on
-   [a/2, (1+b)/2] -- the peak (critical_point) and the mass are both
-   checked numerically for every pair used;
+   [a/2, (1+b)/2] -- this is verified numerically for every pair used;
 4. each shell summand with index in the window contributes at least
    lambda_alpha = min of r^(2 a1) exp(-2 a2 phi) over [a/2, (1+b)/2],
    scaled by 1/(2 (1 + a2)), giving the bound lambda_alpha * |I_N|,
@@ -20,9 +19,8 @@ profile domain:
    it is evaluated exactly there.
 
 certificate_ladder does steps 1, 2 and the weight of step 4 once, then
-checks the peaks and the masses of each shell's window with one batched
-critical_point and one batched density_mass call.  Their moments live in
-the moments memo; this module keeps no cache.
+checks the masses of each shell's window with one batched density_mass
+call.  Their moments live in the moments memo; this module keeps no cache.
 """
 
 from __future__ import annotations
@@ -129,37 +127,29 @@ def find_window(profile: RadialProfile) -> Window:
     return Window(a=a, b=b, A=big_a, B=big_b)
 
 
-def critical_point(profile: RadialProfile, x, y, window: Window):
+def critical_point(profile: RadialProfile, x: float, y: float, window: Window) -> float:
     """The peak of r^x exp(-y phi(r)) inside the window: the unique root of
     x - y r phi'(r) in (a, b), from profiles.peak_radius.
 
     Uniqueness holds because r phi'(r) is nondecreasing under the
     subharmonicity assumption, so the function is strictly decreasing.
-    Scalar x and y give a float; equal-length 1-D sequences give a list,
-    as in density_mass.  Every pair must satisfy x, y > 0 and
-    A < x/y < B, and the function must change sign across (a, b).
     """
-    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if not ((xs > 0).all() and (ys > 0).all()):
+    if not (x > 0 and y > 0):
         raise InvalidInputError("critical point needs x > 0 and y > 0")
-    ratios = np.atleast_1d(xs / ys)
-    outside = ~((window.A < ratios) & (ratios < window.B))
-    if outside.any():
+    if not (window.A < x / y < window.B):
         raise InvalidInputError(
-            f"x/y = {ratios[outside.argmax()]:g} violates the window condition "
-            f"({window.A:g}, {window.B:g})"
+            f"x/y = {x / y:g} violates the window condition ({window.A:g}, {window.B:g})"
         )
-    with np.errstate(over="ignore"):
-        f_a, f_b = (np.atleast_1d(xs - ys * float(profile.dphi(r)) * r)
-                    for r in (window.a, window.b))
-    failed = ~((f_a > 0.0) & (0.0 > f_b))
-    if failed.any():
-        i = failed.argmax()
+
+    def f(r):
+        return x - y * float(profile.dphi(r)) * r
+
+    lo, hi = window.a, window.b
+    if not (f(lo) > 0.0 > f(hi)):
         raise NumericalFailureError(
-            f"sign conditions failed at the window edges: f(a)={f_a[i]:g}, f(b)={f_b[i]:g}"
+            f"sign conditions failed at the window edges: f(a)={f(lo):g}, f(b)={f(hi):g}"
         )
-    peaks = peak_radius(profile, xs, ys, window.a, window.b)
-    return peaks.tolist() if xs.ndim else float(peaks[0])
+    return float(peak_radius(profile, x, y, lo, hi)[0])
 
 
 def density_mass(
@@ -256,10 +246,9 @@ def certificate_ladder(
     """Assemble and verify the linear lower bound at every index n of ns.
 
     The profile checks, the window and lambda_alpha run once.  Every
-    shell index k in the window of n gets its peak located inside (a, b)
-    (critical_point), its mass checked (>= 1/2) and its prefactor
-    (n-k+1)/(n-k+a2+1) compared against 1/(1+a2), with no slack; a failed
-    check raises with the offending pair.
+    shell index k in the window of n gets its mass checked (>= 1/2) and
+    its prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2), with no
+    slack; a failed check raises with the offending pair.
     """
     if alpha.order == 0:
         raise InvalidInputError("certificates are defined for nonzero symbol indices")
@@ -278,7 +267,6 @@ def certificate_ladder(
         ks = index_window(window, n)
         xs = [2.0 * k + 1.0 for k in ks]
         ys = [2.0 * (n - k) + 2.0 for k in ks]
-        critical_point(profile, xs, ys, window)
         masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), settings)
         prefactor_min = 1.0
         for k, x, y, mass in zip(ks, xs, ys, masses):

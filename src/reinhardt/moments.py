@@ -186,9 +186,12 @@ def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
     s = 1/sqrt(x/r*^2 + y phi''(r*)).  The cuts sit at r* +- s c 2^j for
     c = 0.75 and j = 0..9, so a sharply concentrated integrand resolves
     in one or two rounds; those outside (lo, hi) are dropped by
-    log_integrate.  A row with a non-finite scale gets no cuts.  Each row
-    depends only on its own (x, y, lo, hi), so a moment's panels are the
-    same in any batch.
+    log_integrate.  A row whose scale is not positive and finite gets no
+    cuts: where y phi''(r*) overflows (p > 1.3e154 for inv_one_minus_pow)
+    the scale reads 0, and cuts piled on r* would let the rule miss the
+    peak and return a wrong value; with no cuts every node underflows and
+    the moment fails loudly.  Each row depends only on its own
+    (x, y, lo, hi), so a moment's panels are the same in any batch.
     """
     peaks = peak_radius(profile, xs, ys, lo, hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -198,7 +201,7 @@ def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
                                          np.asarray(profile.d2phi(peaks), dtype=float))
         scale = 1.0 / np.sqrt(curvature)
     cuts = peaks[:, None] + scale[:, None] * _MESH_OFFSETS
-    cuts[~np.isfinite(scale)] = np.nan
+    cuts[~(np.isfinite(scale) & (scale > 0.0))] = np.nan
     return cuts
 
 

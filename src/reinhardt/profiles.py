@@ -82,11 +82,19 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
         if p is None or not np.isfinite(p) or p <= 0:
             raise InvalidInputError("inv_one_minus_pow requires a parameter p > 0")
         p = float(p)
+
+        def power(r, k):
+            # (1-r)^-(p+k) as exp(-(p+k) log1p(-r)): a relative error of
+            # about 1 + log((1-r)^-(p+k)) ulps, below 710 wherever it is
+            # finite.  np.power(1 - r, -p) rounds 1 - r first, which costs
+            # p ulps and reads phi = 1 for every r below 1.1e-16.
+            return np.exp(-(p + k) * np.log1p(-np.asarray(r, dtype=float)))
+
         return RadialProfile(
             name="inv_one_minus_pow",
-            phi=lambda r: np.power(1.0 - np.asarray(r, dtype=float), -p),
-            dphi=lambda r: p * np.power(1.0 - r, -p - 1.0),
-            d2phi=lambda r: p * (p + 1.0) * np.power(1.0 - r, -p - 2.0),
+            phi=lambda r: power(r, 0.0),
+            dphi=lambda r: p * power(r, 1.0),
+            d2phi=lambda r: p * (p + 1.0) * power(r, 2.0),
             params=(("p", p),),
         )
     raise InvalidInputError(f"unknown profile family {name!r}; choose from {FAMILIES}")
@@ -101,10 +109,11 @@ def peak_radius(profile: RadialProfile, x, y, lo: float, hi: float) -> np.ndarra
     g(hi) >= 0.  The root is found by Newton steps on
     log(r phi'(r)) - log(x/y) in t = log(r/(1-r)), nearly linear in t at
     both ends of (0, 1) for the built-in families, kept inside a shrinking
-    bracket: a step that would leave the bracket bisects it instead.  A
-    row stops after a Newton step below 1e-9 relative (its error is then
-    of order the step squared) or once its bracket has collapsed, so its
-    value does not depend on the rest of the batch.
+    bracket: a step that would leave the bracket, or that phi' or phi''
+    overflows, bisects the bracket in t instead.  A row stops after a
+    Newton step below 1e-9 relative (its error is then of order the step
+    squared) or once its bracket has collapsed, so its value does not
+    depend on the rest of the batch.
     """
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xs, ys = xs.ravel(), ys.ravel()
@@ -125,9 +134,12 @@ def peak_radius(profile: RadialProfile, x, y, lo: float, hi: float) -> np.ndarra
             newton = 1.0 / (1.0 + (1.0 - r) / r * np.exp(value / slope))
             root_above = value < 0.0
             a, b = np.where(root_above, r, a), np.where(root_above, b, r)
-            converged = np.abs(newton - r) <= 1e-9 * r
-            r = np.where((a < newton) & (newton < b) | converged,
-                         np.minimum(np.maximum(newton, a), b), 0.5 * (a + b))
+            # An overflowed phi'' makes the slope infinite and the step 0.
+            converged = (np.abs(newton - r) <= 1e-9 * r) & np.isfinite(slope)
+            r = np.minimum(np.maximum(newton, a), b)
+            bisect = ~((a < newton) & (newton < b) | converged)
+            if bisect.any():
+                r[bisect] = _logit_midpoint(a[bisect], b[bisect])
             done = converged | (b - a <= 1e-15 * r)
             if done.any():
                 peaks[rows[done]] = r[done]
@@ -135,6 +147,17 @@ def peak_radius(profile: RadialProfile, x, y, lo: float, hi: float) -> np.ndarra
                 rows, log_ratio, a, b, r = (v[keep] for v in (rows, log_ratio, a, b, r))
         peaks[rows] = r
     return peaks
+
+
+def _logit_midpoint(a, b):
+    """The midpoint of [a, b] in t = log(r/(1-r)), with t kept inside
+    [-708, 37] so that an endpoint at 0 or 1 still gives an interior point.
+    A step halves the bracket's width in t: the peak near r = 1e-150 of
+    inv_one_minus_pow at p = 1e150 takes eight iterations, where halving
+    in r would take about 500."""
+    with np.errstate(divide="ignore"):
+        ta, tb = (np.clip(np.log(e) - np.log1p(-e), -708.0, 37.0) for e in (a, b))
+    return np.minimum(np.maximum(1.0 / (1.0 + np.exp(-0.5 * (ta + tb))), a), b)
 
 
 def _reject_params(name, params):

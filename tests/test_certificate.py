@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -261,26 +260,6 @@ def test_certificate_ladder_checks_the_profile_once(monkeypatch):
     assert calls["check_subharmonic"] == 1
     assert calls["lambda_alpha"] == 1
     assert calls["log_integrate"] <= len(ns)
-
-
-def test_certificate_ladder_checks_every_window_peak(monkeypatch):
-    # Every pair whose mass is checked first has its peak located strictly
-    # inside (a, b); with B overstated, index_window admits pairs whose peak
-    # lies right of b, and the ladder must refuse them.
-    located = []
-    real_point = certificate.critical_point
-    monkeypatch.setattr(certificate, "critical_point",
-                        lambda *args: located.append(args[1:3]) or real_point(*args))
-    cert = certificate_ladder(INV_POW, MultiIndex(1, 1), (40, 80))
-    assert [list(zip(*pairs)) for pairs in located] == [
-        [pair for pair, _ in entry.mass_checks] for entry in cert.entries
-    ]
-    real_window = certificate.find_window
-    monkeypatch.setattr(certificate, "find_window",
-                        lambda profile: dataclasses.replace(real_window(profile),
-                                                            B=4.0 * real_window(profile).B))
-    with pytest.raises(NumericalFailureError, match="sign conditions failed"):
-        certificate_ladder(INV_POW, MultiIndex(1, 1), (40,))
 
 
 def test_density_mass_batch_matches_scalar_calls():

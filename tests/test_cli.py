@@ -219,13 +219,19 @@ def test_numerical_failure_is_a_one_line_error(argv, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
-def test_steep_profile_moments_match_mpmath(capsys):
-    # At p = 1e6 the peak of r^x exp(-y (1-r)^-p) sits near r = 1e-6, which a
-    # 256-point grid scan misses: the moments then read as underflowing to 0
-    # at every quadrature node (exit 2).  The analytic peak finds it: both
-    # runs exit 0 with one summary line, and the moments match mpmath.
+@pytest.mark.parametrize("p", ["1e6", "1e50"])
+def test_steep_profile_moments_match_mpmath(p, capsys):
+    # The peak of r^x exp(-y (1-r)^-p) sits near r = 1/p, which a 256-point
+    # grid scan misses at p = 1e6: the moments then read as underflowing to
+    # 0 at every quadrature node (exit 2).  At p = 1e50, (1-r)^-p computed
+    # from a rounded 1 - r reads phi = 1 for r < 1.1e-16, which gives the
+    # same wrong moments for every p above about 1e16.  With the analytic
+    # peak and phi = exp(-p log1p(-r)) both runs exit 0 with one summary
+    # line, and the moments match mpmath.
     mpmath = pytest.importorskip("mpmath")
-    p = mpmath.mpf(10) ** 6
+    domain = f"profile:inv_one_minus_pow:p={p}"
+    steep = profile_family("inv_one_minus_pow", {"p": float(p)})
+    p = mpmath.mpf(p)
 
     def oracle(x, y):
         # log M(x, y) with r = u/p; past u = 8 the integrand is below e^-5000.
@@ -236,7 +242,6 @@ def test_steep_profile_moments_match_mpmath(capsys):
             pieces = mpmath.linspace(0, 8, 81) + [60]
             return float(mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre")) - mpmath.log(p))
 
-    domain = "profile:inv_one_minus_pow:p=1e6"
     assert main(["salpha", "--domain", domain, "--alpha", "1,0", "--n-max", "8"]) == 0
     assert capsys.readouterr().err.count("\n") == 1
     assert main(["moments", "--domain", domain, "--n-max", "1"]) == 0
@@ -244,7 +249,6 @@ def test_steep_profile_moments_match_mpmath(capsys):
     assert captured.err.count("\n") == 1
     rows = list(csv.DictReader(io.StringIO(captured.out)))
     assert [(row["g1"], row["g2"]) for row in rows] == [("0", "0"), ("0", "1"), ("1", "0")]
-    steep = profile_family("inv_one_minus_pow", {"p": 1e6})
     for row in rows:
         g1, g2 = int(row["g1"]), int(row["g2"])
         x, y = 2 * g1 + 1, 2 * g2 + 2

@@ -450,6 +450,39 @@ def test_all_node_underflow_is_a_numerical_failure():
         log_profile_interval_moment(steep, 1.0, 2.0, 0.5, 0.9)
 
 
+def _mp_steep_log_moment(p, x, y):
+    """log M(x, y) for inv_one_minus_pow at large p, in mpmath: with
+    r = u/p the integrand is u-scaled, and past u = 8 it is below e^-5000."""
+    mpmath = pytest.importorskip("mpmath")
+    p = mpmath.mpf(p)
+
+    def f(u):
+        return mpmath.exp(x * mpmath.log(u / p) - y * mpmath.exp(-p * mpmath.log1p(-u / p)))
+
+    with mpmath.workdps(30):
+        pieces = mpmath.linspace(0, 8, 81) + [60]
+        return float(mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre")) - mpmath.log(p))
+
+
+@pytest.mark.parametrize("p", [1e5, 1e10, 1e20, 1e50, 1e100, 1e150, 1e200, 1.7e308])
+def test_steep_profile_moment_matches_mpmath_or_fails(p):
+    # The peak sits near r = 1/p.  Up to p = 1e150 the moments must match
+    # mpmath, also at rel_tol = 1e-12: phi carries about 1 + log(phi) ulps
+    # of error, not p ulps, so |K-G| can fall below that tolerance instead
+    # of bisecting to the subdivision budget on rounding noise.  Where
+    # y phi''(r*) overflows (p > 1.3e154) the mesh has no scale, and the
+    # moment must fail loudly rather than read a wrong value.
+    steep = profile_family("inv_one_minus_pow", {"p": p})
+    for x, y in [(1.0, 2.0), (3.0, 2.0), (19.0, 2.0), (5.0, 7.0)]:
+        for settings in (DEFAULT_SETTINGS, QuadratureSettings(rel_tol=1e-12)):
+            if p <= 1e150:
+                want = _mp_steep_log_moment(p, x, y)
+                assert abs(log_radial_moment(steep, x, y, settings) - want) <= 1e-10
+            else:
+                with pytest.raises(NumericalFailureError):
+                    log_radial_moment(steep, x, y, settings)
+
+
 def _shell_reference(spec, gamma):
     """log c_gamma^2 from one per-integrand log_integrate call."""
     x, y = 2.0 * gamma.g1 + 1.0, 2.0 * gamma.g2 + 2.0

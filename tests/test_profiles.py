@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from reinhardt.errors import InvalidInputError
@@ -32,6 +33,29 @@ def test_inv_pow_family_values():
     assert float(prof.phi(0.5)) == pytest.approx(2.0, rel=1e-15)
     assert float(prof.dphi(0.5)) == pytest.approx(4.0, rel=1e-15)
     assert float(prof.d2phi(0.5)) == pytest.approx(16.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 1e5, 1e20, 1e50])
+def test_inv_pow_values_match_mpmath_at_every_scale(p):
+    # (1-r)^-(p+k) must stay accurate where 1 - r rounds: at p = 1e50 and
+    # r = 1e-60 phi is 1 + 1e-10, not 1, and at p = 1e5 the rounding of
+    # 1 - r must not cost p ulps.
+    mpmath = pytest.importorskip("mpmath")
+    prof = profile_family("inv_one_minus_pow", {"p": p})
+    checked = 0
+    with mpmath.workdps(50), np.errstate(over="ignore"):
+        mp = mpmath.mpf(p)
+        for r in (1e-300, 1e-60, 1e-30, 1e-17, 1e-8, 1e-3, 0.3, 0.5, 0.9, 1.0 - 1e-9):
+            log_base = mpmath.log1p(-mpmath.mpf(r))
+            for got, want in ((prof.phi(r), mpmath.exp(-mp * log_base)),
+                              (prof.dphi(r), mp * mpmath.exp(-(mp + 1) * log_base)),
+                              (prof.d2phi(r), mp * (mp + 1) * mpmath.exp(-(mp + 2) * log_base))):
+                if want < 1e300:
+                    assert abs(float(got) / want - 1) <= 1e-12, (r, float(got), want)
+                    checked += 1
+                else:
+                    assert float(got) > 1e299, (r, float(got))
+    assert checked >= 6
 
 
 def test_unknown_family_and_bad_params():
