@@ -7,7 +7,6 @@ from .certificate import (
     Window,
     certificate_ladder,
     check_subharmonic,
-    critical_point,
     density_mass,
     find_window,
     index_window,
@@ -20,7 +19,6 @@ from .domains import (
     FiberPiece,
     MultiIndex,
     RadialRegion,
-    TailPiece,
     radial_shadow,
 )
 from .errors import InvalidInputError, NumericalFailureError

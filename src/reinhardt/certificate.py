@@ -33,7 +33,7 @@ import numpy as np
 from .domains import MultiIndex
 from .errors import InvalidInputError, NumericalFailureError
 from .moments import log_profile_interval_moment, log_radial_moment
-from .profiles import RadialProfile, peak_radius
+from .profiles import RadialProfile
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _WINDOW_THRESHOLD = 0.1   # smallest accepted value of r phi'(r) at the left edge
@@ -125,31 +125,6 @@ def find_window(profile: RadialProfile) -> Window:
             if 1.0 - b < 1e-12:
                 raise InvalidInputError(f"no usable window endpoint b for {profile!r}")
     return Window(a=a, b=b, A=big_a, B=big_b)
-
-
-def critical_point(profile: RadialProfile, x: float, y: float, window: Window) -> float:
-    """The peak of r^x exp(-y phi(r)) inside the window: the unique root of
-    x - y r phi'(r) in (a, b), from profiles.peak_radius.
-
-    Uniqueness holds because r phi'(r) is nondecreasing under the
-    subharmonicity assumption, so the function is strictly decreasing.
-    """
-    if not (x > 0 and y > 0):
-        raise InvalidInputError("critical point needs x > 0 and y > 0")
-    if not (window.A < x / y < window.B):
-        raise InvalidInputError(
-            f"x/y = {x / y:g} violates the window condition ({window.A:g}, {window.B:g})"
-        )
-
-    def f(r):
-        return x - y * float(profile.dphi(r)) * r
-
-    lo, hi = window.a, window.b
-    if not (f(lo) > 0.0 > f(hi)):
-        raise NumericalFailureError(
-            f"sign conditions failed at the window edges: f(a)={f(lo):g}, f(b)={f(hi):g}"
-        )
-    return float(peak_radius(profile, x, y, lo, hi)[0])
 
 
 def density_mass(

@@ -40,7 +40,7 @@ from .hankel import (
     sample_ladder,
     shell_bound,
 )
-from .moments import DIVERGENT, log_c_gamma_sq, log_c_shell
+from .moments import log_c_gamma_sq, log_c_shell
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .wiegerinck import S11_LIMIT, omegak_report, s11_tail_bound
 
@@ -219,9 +219,7 @@ def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
             log_c_gamma_sq(domain, MultiIndex(g1s[0], order - g1s[0]), tol)
             logs = dict(zip(g1s, log_c_shell(domain, order, tol).tolist()))
         for g1 in range(order + 1):
-            value = logs.get(g1, DIVERGENT)
-            ok = value != DIVERGENT
-            rows.append((g1, order - g1, "ok" if ok else "divergent", value if ok else None))
+            rows.append((g1, order - g1, "ok" if g1 in logs else "divergent", logs.get(g1)))
     divergent = sum(status == "divergent" for _, _, status, _ in rows)
     summary = (
         f"moments {domain.describe()}: {len(rows)} monomials up to order {n_max}, "

@@ -1,9 +1,13 @@
 """Domain descriptions, basis lattices and radial shadows.
 
-Every domain here is a complete Reinhardt domain in C^2, described by
+Every domain here is a complete Reinhardt domain in C^2, determined by
 its radial shadow: the image in the (r1, r2) quarter-plane.  Volume
 integrals of |z^gamma|^2 reduce to 4*pi^2 times a double integral of
-r1^(2*g1+1) * r2^(2*g2+1) over the shadow.
+r1^(2*g1+1) * r2^(2*g2+1) over the shadow.  Every shadow built here is
+bounded, so every monomial has a finite norm.  The Wiegerinck domains
+have unbounded shadows, which are not built: their diagonal moments are
+a closed form (wiegerinck.omega0_log_ck_sq), and a monomial off the
+diagonal is not square-integrable.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .profiles import RadialProfile, profile_family
-
-_E = math.e
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,7 @@ class BasisLattice:
 
 
 # --------------------------------------------------------------------------
-# Region pieces.  A piece lives on the r1 axis unless ``transposed``, in
-# which case its geometry is stated with the axes swapped (the moment
-# engine swaps gamma accordingly).
+# Region pieces: bounded pieces over an r1-interval.
 # --------------------------------------------------------------------------
 
 
@@ -136,58 +136,25 @@ class FiberPiece:
     log_hi: Callable
 
 
-@dataclass(frozen=True)
-class TailPiece:
-    """An unbounded piece r1 in [r1_lo, inf), 0 <= r2 < coef * r1^r_pow * (log r1)^log_pow.
-
-    The power/log exponents are the analytic tail description: they
-    decide convergence of moments and bound truncation remainders.  When
-    ``transposed`` the same geometry is meant with the axes swapped.
-    """
-
-    r1_lo: float
-    coef: float = 1.0
-    r_pow: float = -1.0
-    log_pow: float = -1.0
-    transposed: bool = False
-
-    def __post_init__(self):
-        if self.r1_lo <= 1.0:
-            raise InvalidInputError("tail pieces must start at r1 > 1 (log factor)")
-        if self.coef <= 0:
-            raise InvalidInputError("tail fiber coefficient must be positive")
-        if self.log_pow > 0:
-            raise InvalidInputError("growing log factors are not supported")
-
-
 @dataclass(frozen=True, eq=False)
 class RadialRegion:
-    """A union of pieces in the (r1, r2) quarter-plane.
-
-    Pieces sharing an axis must have r1-intervals with disjoint
-    interiors; pieces on opposite axes may only meet along boundaries of
-    measure zero (the built-in shadows are constructed that way).
-    """
+    """A bounded union of pieces in the (r1, r2) quarter-plane, whose
+    r1-intervals have disjoint interiors."""
 
     pieces: tuple
 
     def __post_init__(self):
         if not self.pieces:
             raise InvalidInputError("a region needs at least one piece")
-        spans = sorted(
-            _r1_span(p) for p in self.pieces if not (isinstance(p, TailPiece) and p.transposed)
-        )
+        for piece in self.pieces:
+            if not isinstance(piece, (BoxPiece, FiberPiece)):
+                raise InvalidInputError(
+                    f"a region piece is a BoxPiece or a FiberPiece, not {piece!r}"
+                )
+        spans = sorted((p.r1_lo, p.r1_hi) for p in self.pieces)
         for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
             if blo < ahi - 1e-15:
                 raise InvalidInputError("piece r1-intervals overlap")
-
-
-def _r1_span(piece) -> tuple:
-    if isinstance(piece, (BoxPiece, FiberPiece)):
-        return (piece.r1_lo, piece.r1_hi)
-    if isinstance(piece, TailPiece):
-        return (piece.r1_lo, math.inf)
-    raise InvalidInputError(f"piece without r1 span: {piece}")
 
 
 # --------------------------------------------------------------------------
@@ -279,24 +246,12 @@ def radial_shadow(spec: DomainSpec) -> RadialRegion:
         return RadialRegion(pieces=(
             FiberPiece(0.0, 1.0, log_hi=lambda r: 0.5 * np.log1p(-np.square(r))),
         ))
-    if spec.kind == OMEGA0:
-        return RadialRegion(pieces=_omega0_pieces())
-    if spec.kind == OMEGA_K:
+    if spec.kind in (OMEGA0, OMEGA_K):
         raise InvalidInputError(
-            "the omega_k shadow is not built: its moments come from the Omega_0 "
-            "closed form, and its connecting strip is never integrated"
+            f"the {spec.kind} shadow is unbounded and is not built: its moments "
+            "are the Omega_0 closed form (wiegerinck.omega0_log_ck_sq)"
         )
     raise InvalidInputError(f"unknown domain kind {spec.kind!r}")
-
-
-def _omega0_pieces() -> tuple:
-    # Square [0,e]^2 plus two hyperbola-like tails r2 < 1/(r1 log r1)
-    # (one per axis), meeting the square along its outer edges.
-    return (
-        BoxPiece(0.0, _E, 0.0, _E),
-        TailPiece(r1_lo=_E),
-        TailPiece(r1_lo=_E, transposed=True),
-    )
 
 
 def builtin_domain(kind: str, params) -> DomainSpec:

@@ -17,7 +17,10 @@ One pass over the shells takes each shell's memoized log c_gamma^2 array
 whole (moments.log_c_shell); a shell's terms are exps of differences with
 the arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell
 is one point, and alpha = (a, a) is a shells away).  hs_term, one summand
-on its own, is the reference the tests hold the shell sums to.
+on its own, is the reference the tests hold the shell sums to.  Every
+moment on the basis lattice is finite, and the series reads no other
+(moments.DIVERGENT marks only monomials off the lattice), so no term is
+infinite; a ratio beyond double range is rejected.
 
 This one evaluator serves every series of the package: the salpha and
 certify ladders, both coordinates of the dbar report, and S_(1,1) on the
@@ -35,13 +38,10 @@ import numpy as np
 
 from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
 from .errors import InvalidInputError
-from .moments import DIVERGENT, log_c_gamma_sq, log_c_shell
+from .moments import log_c_gamma_sq, log_c_shell
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _SMALLEST_NORMAL = sys.float_info.min
-
-# Shell sums by (spec, alpha, n, settings), kept across calls.
-_SHELL_SUMS = {}
 
 # ---------------------------------------------------------------------------
 # Growth classifications.
@@ -151,13 +151,6 @@ def _extrapolate(ns, vs) -> Convergent | None:
 # ---------------------------------------------------------------------------
 
 
-def _log_c(spec: DomainSpec, gamma: MultiIndex, settings) -> float:
-    value = log_c_gamma_sq(spec, gamma, settings)
-    if value == DIVERGENT:
-        raise InvalidInputError(f"monomial z^{gamma} is not square-integrable on {spec.describe()}")
-    return value
-
-
 def _ratios(log_num, log_den) -> np.ndarray:
     """exp(log_num - log_den) termwise, rejecting ratios beyond double range
     and below its normal range, where they would read as 0 or lose digits.
@@ -213,11 +206,11 @@ def hs_term(
             f"gamma+alpha {up} leaves the basis lattice; the operator is "
             "unbounded on this basis vector"
         )
-    log_mid = _log_c(spec, gamma, settings)
-    term = _ratios(_log_c(spec, up, settings), log_mid)
+    log_mid = log_c_gamma_sq(spec, gamma, settings)
+    term = _ratios(log_c_gamma_sq(spec, up, settings), log_mid)
     down = gamma.sub(alpha)
     if down is not None and spec.lattice.contains(down):
-        term -= _ratios(log_mid, _log_c(spec, down, settings))
+        term -= _ratios(log_mid, log_c_gamma_sq(spec, down, settings))
     return float(term[0])
 
 
@@ -230,11 +223,7 @@ def _shell_logs(spec: DomainSpec, n: int, settings, lo: int = 0, hi: int | None 
     if not g1s:
         return np.empty(0)
     log_c_gamma_sq(spec, MultiIndex(g1s[0], order - g1s[0]), settings)
-    logs = log_c_shell(spec, order, settings)[lo:hi]
-    if np.isinf(logs).any():  # the lookup of the first divergent gamma raises
-        g1 = g1s[int(np.argmax(np.isinf(logs)))]
-        _log_c(spec, MultiIndex(g1, order - g1), settings)
-    return logs
+    return log_c_shell(spec, order, settings)[lo:hi]
 
 
 def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
@@ -251,18 +240,15 @@ def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> li
     step, offset = _neighbours(spec, alpha)
     logs, sums = {}, []
     for n in range(n_max + 1):
-        key = (spec, alpha, n, settings)
-        if key not in _SHELL_SUMS:
-            for m in (n, n + step, n - step):
-                if m not in logs:
-                    logs[m] = _shell_logs(spec, m, settings)
-            mid = logs[n]
-            up = logs[n + step][offset:offset + mid.size]
-            terms = _ratios(up, mid[:up.size])
-            down = logs[n - step][:max(up.size - offset, 0)]
-            terms[offset:offset + down.size] -= _ratios(mid[offset:offset + down.size], down)
-            _SHELL_SUMS[key] = _sum(terms.tolist())
-        sums.append(_SHELL_SUMS[key])
+        for m in (n, n + step, n - step):
+            if m not in logs:
+                logs[m] = _shell_logs(spec, m, settings)
+        mid = logs[n]
+        up = logs[n + step][offset:offset + mid.size]
+        terms = _ratios(up, mid[:up.size])
+        down = logs[n - step][:max(up.size - offset, 0)]
+        terms[offset:offset + down.size] -= _ratios(mid[offset:offset + down.size], down)
+        sums.append(_sum(terms.tolist()))
         logs.pop(n - step, None)
     return sums
 

@@ -9,10 +9,12 @@ and the squared monomial norms c_gamma^2, which reduce to M via
     c_gamma^2 = 2 pi^2 / (g2 + 1) * M(2 g1 + 1, 2 g2 + 2)
 
 on profile domains and to piecewise shadow integrals otherwise.  Closed
-forms are used where a family admits one; everything else goes through
-the adaptive log-domain quadrature.  Every result is a plain float log;
-a monomial that is not square-integrable has the log of an infinite
-norm, DIVERGENT = inf.
+forms are used where a family admits one, and on the Wiegerinck domains,
+whose unbounded shadows are never integrated; everything else goes
+through the adaptive log-domain quadrature over a bounded shadow, so
+every moment on the basis lattice is finite.  Every result is a plain
+float log; a monomial off the basis lattice is not square-integrable
+and has the log of an infinite norm, DIVERGENT = inf.
 
 Moments come a shell |gamma| = n at a time: log_c_shell returns the
 shell's read-only array, memoized under (domain, n, settings), and
@@ -39,11 +41,10 @@ from .domains import (
     FiberPiece,
     MultiIndex,
     RadialRegion,
-    TailPiece,
     radial_shadow,
 )
 from .errors import InvalidInputError, NumericalFailureError
-from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
+from .logdomain import LOG_ZERO, log_sub_exp, log_sum_exp
 from .profiles import RadialProfile, peak_radius
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import omega0_log_ck_sq
@@ -51,7 +52,7 @@ from .wiegerinck import omega0_log_ck_sq
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 _LOG_2PI2 = math.log(2.0 * math.pi**2)
 
-# log c_gamma^2 of a monomial that is not square-integrable.
+# log c_gamma^2 of a monomial off the basis lattice: it is not square-integrable.
 DIVERGENT = math.inf
 
 # Multiples of the Laplace scale at which _auto_presplit cuts a profile integrand.
@@ -149,9 +150,8 @@ def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
             ).tolist()
             if LOG_ZERO in logs:
                 i = logs.index(LOG_ZERO)
-                raise _underflow(
-                    f"integral of r^{mx[i]:g} exp(-{my[i]:g} phi(r)) over [{lo:g}, {hi:g}]"
-                )
+                raise _profile_failure(profile, mx[i:i + 1], my[i:i + 1], lo, hi,
+                                       scaled=not np.isnan(presplit[i]).all())
         for i, value in zip(missing, logs):
             memo[keys[i]] = value
     return [memo[key] for key in keys]
@@ -190,8 +190,8 @@ def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
     cuts: where y phi''(r*) overflows (p > 1.3e154 for inv_one_minus_pow)
     the scale reads 0, and cuts piled on r* would let the rule miss the
     peak and return a wrong value; with no cuts every node underflows and
-    the moment fails loudly.  Each row depends only on its own
-    (x, y, lo, hi), so a moment's panels are the same in any batch.
+    the moment fails loudly, naming the overflow.  Each row depends only on
+    its own (x, y, lo, hi), so a moment's panels are the same in any batch.
     """
     peaks = peak_radius(profile, xs, ys, lo, hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -212,50 +212,26 @@ def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
 
 
 def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
-    """log c_gamma^2 over a shadow region for each (g1, g2) pair, or DIVERGENT.
+    """log c_gamma^2 over a bounded shadow region for each (g1, g2) pair.
 
-    Every FiberPiece integrates all convergent pairs in one batched
-    log_integrate call.
+    Every FiberPiece integrates all pairs in one batched log_integrate call.
     """
-    converges = [_region_converges(region, gamma) for gamma in gammas]
-    live = [gamma for gamma, ok in zip(gammas, converges) if ok]
     fibers = [
-        iter(_fiber_log_moments(piece, live, settings)) if isinstance(piece, FiberPiece) else None
+        iter(_fiber_log_moments(piece, gammas, settings)) if isinstance(piece, FiberPiece) else None
         for piece in region.pieces
     ]
-    logs = []
-    for gamma, ok in zip(gammas, converges):
-        if not ok:
-            logs.append(DIVERGENT)
-            continue
-        parts = [
-            _piece_log_moment(piece, gamma, settings) if fiber is None else next(fiber)
+    return [
+        _LOG_4PI2 + log_sum_exp([
+            _box_log_moment(piece, gamma) if fiber is None else next(fiber)
             for piece, fiber in zip(region.pieces, fibers)
-        ]
-        logs.append(_LOG_4PI2 + log_sum_exp(parts))
-    return logs
+        ])
+        for gamma in gammas
+    ]
 
 
-def _region_converges(region: RadialRegion, gamma) -> bool:
-    tails = [_tail_exponents(p, gamma) for p in region.pieces if isinstance(p, TailPiece)]
-    return all(x < -1.0 or (x == -1.0 and m < -1.0) for x, m, _ in tails)
-
-
-def _tail_exponents(piece: TailPiece, gamma):
-    g1, g2 = gamma[::-1] if piece.transposed else gamma
-    y_exp = 2.0 * g2 + 2.0
-    x_exp = 2.0 * g1 + 1.0 + piece.r_pow * y_exp
-    m_exp = piece.log_pow * y_exp
-    return x_exp, m_exp, y_exp
-
-
-def _piece_log_moment(piece, gamma, settings) -> float:
-    if isinstance(piece, BoxPiece):
-        return _axis_log_moment(piece.r1_lo, piece.r1_hi, 2 * gamma[0] + 1) + \
-            _axis_log_moment(piece.r2_lo, piece.r2_hi, 2 * gamma[1] + 1)
-    if isinstance(piece, TailPiece):
-        return _tail_log_moment(piece, gamma, settings)
-    raise InvalidInputError(f"cannot integrate piece {piece!r}")
+def _box_log_moment(piece: BoxPiece, gamma) -> float:
+    return _axis_log_moment(piece.r1_lo, piece.r1_hi, 2 * gamma[0] + 1) + \
+        _axis_log_moment(piece.r2_lo, piece.r2_hi, 2 * gamma[1] + 1)
 
 
 def _axis_log_moment(lo: float, hi: float, power: int) -> float:
@@ -288,45 +264,29 @@ def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
     return logs
 
 
+def _profile_failure(profile, x, y, lo, hi, scaled: bool) -> NumericalFailureError:
+    """The error for an integral of r^x exp(-y phi(r)) (x, y: arrays of one)
+    that reads 0 at every quadrature node.  Without a Laplace scale the mesh
+    misses a peak where the integrand is finite; the message says so when
+    that is the cause, and that the integrand underflows otherwise."""
+    integral = f"integral of r^{x[0]:g} exp(-{y[0]:g} phi(r)) over [{lo:g}, {hi:g}]"
+    if not scaled:
+        peak = peak_radius(profile, x, y, lo, hi)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            phi_peak = np.asarray(profile.phi(peak), dtype=float)
+            at_peak = _profile_log_values(x, y, np.log(peak), phi_peak)
+        if np.isfinite(at_peak).all():
+            return NumericalFailureError(
+                f"{integral}: y phi''(r*) overflows at the integrand peak r* = {peak[0]:.6g}, "
+                "so the quadrature mesh has no Laplace scale to find it"
+            )
+    return _underflow(integral)
+
+
 def _underflow(integral: str) -> NumericalFailureError:
     # A moment integrand is positive on its interval, so a log of 0 means it
     # underflowed at every quadrature node, not that the moment is 0.
     return NumericalFailureError(f"{integral} underflows to 0 at every quadrature node")
-
-
-def _tail_log_moment(piece: TailPiece, gamma, settings) -> float:
-    """Integrate a tail piece in t = log r1 coordinates.
-
-    The fiber integral turns the outer integrand into
-    coef^Y / Y * exp((X+1) t) * t^m with X, m from the tail exponents;
-    X = -1 is a pure power of t with an exact antiderivative, X < -1
-    decays exponentially and is truncated once the analytic remainder
-    bound drops below rel_tol of the accumulated value.
-    """
-    x_exp, m_exp, y_exp = _tail_exponents(piece, gamma)
-    const = y_exp * math.log(piece.coef) - math.log(y_exp)
-    t0 = math.log(piece.r1_lo)
-    if x_exp == -1.0:
-        return const + (m_exp + 1.0) * math.log(t0) - math.log(-m_exp - 1.0)
-
-    s = -(x_exp + 1.0)
-
-    def log_f(t):
-        t = np.asarray(t, dtype=float)
-        return -s * t + m_exp * np.log(t)
-
-    width = (math.log(1.0 / settings.rel_tol) + 46.0) / s
-    t_hi = t0 + width
-    total = log_integrate(log_f, t0, t_hi, settings)
-    for _ in range(64):
-        # remainder <= t_hi^m exp(-s t_hi) / s since m <= 0
-        log_tail = m_exp * math.log(t_hi) - s * t_hi - math.log(s)
-        if log_tail <= math.log(settings.rel_tol) + total:
-            return const + total
-        chunk = log_integrate(log_f, t_hi, t_hi + width, settings)
-        total = log_add_exp(total, chunk)
-        t_hi += width
-    raise InvalidInputError("tail truncation failed to meet tolerance")
 
 
 # --------------------------------------------------------------------------
@@ -352,13 +312,15 @@ def log_c_shell(
     n: int,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> np.ndarray:
-    """Read-only, memoized log c_gamma^2 (or DIVERGENT) at the lattice points
-    spec.lattice.shell(n) of the shell |gamma| = n, by g1.
+    """Read-only, memoized log c_gamma^2 at the lattice points
+    spec.lattice.shell(n) of the shell |gamma| = n, by g1; every entry is
+    finite.
 
     Profile domains reduce to the radial integrals M(2g1+1, 2g2+2); the
     Wiegerinck domains use the diagonal closed form (for the truncated
     family only the shared Omega_0 region is counted, the connecting
-    strip is never integrated); everything else integrates the shadow.
+    strip is never integrated); everything else integrates its bounded
+    shadow.
     """
     if n != int(n) or n < 0:
         raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")

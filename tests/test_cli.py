@@ -219,6 +219,24 @@ def test_numerical_failure_is_a_one_line_error(argv, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("task", [["moments"], ["salpha", "--alpha", "1,0"]])
+def test_steep_profile_failure_names_the_curvature_overflow(task, capsys):
+    # At p = 1e200 the peak of r exp(-2 phi(r)) sits near r = 3.5e-201 and
+    # log M is about -925, but y phi''(r*) overflows, so the mesh has no
+    # Laplace scale; the message names that, not an underflow.
+    argv = task + ["--domain", "profile:inv_one_minus_pow:p=1e200", "--n-max", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "numerical failure: integral of r^1 exp(-2 phi(r)) over [0, 1]: y phi''(r*) overflows "
+        "at the integrand peak r* = 3.51734e-201, so the quadrature mesh has no Laplace scale "
+        "to find it\n"
+    )
+
+
 @pytest.mark.parametrize("p", ["1e6", "1e50"])
 def test_steep_profile_moments_match_mpmath(p, capsys):
     # The peak of r^x exp(-y (1-r)^-p) sits near r = 1/p, which a 256-point

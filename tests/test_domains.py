@@ -9,13 +9,10 @@ from reinhardt.domains import (
     DomainSpec,
     MultiIndex,
     RadialRegion,
-    TailPiece,
     radial_shadow,
 )
 from reinhardt.errors import InvalidInputError
 from reinhardt.profiles import profile_family
-
-E = math.e
 
 
 def test_multi_index_validation_and_arithmetic():
@@ -81,7 +78,6 @@ def test_polydisc_shadow_is_a_box():
     piece = region.pieces[0]
     assert isinstance(piece, BoxPiece)
     assert (piece.r1_lo, piece.r1_hi, piece.r2_lo, piece.r2_hi) == (0.0, 1.0, 0.0, 1.0)
-    assert not any(isinstance(p, TailPiece) for p in region.pieces)
 
 
 def test_ball_fiber_is_pythagorean():
@@ -99,32 +95,10 @@ def test_profile_fiber_height_is_exp_minus_phi():
         assert float(piece.log_hi(r)) == -float(profile.phi(r))
 
 
-def test_omega0_fiber_on_the_first_tail():
-    tail = radial_shadow(DomainSpec.wiegerinck_omega0()).pieces[1]
-    assert not tail.transposed
-    # the fiber above r1 = e^2 reaches coef * r1^r_pow * (log r1)^log_pow
-    height = tail.coef * (E**2) ** tail.r_pow * math.log(E**2) ** tail.log_pow
-    assert tail.r1_lo == E
-    assert height == pytest.approx(1.0 / (E**2 * 2.0), rel=1e-12)
-
-
-def test_omega0_region_is_unbounded_and_disjoint():
-    region = radial_shadow(DomainSpec.wiegerinck_omega0())
-    assert any(isinstance(p, TailPiece) for p in region.pieces)
-    # the square [0, e]^2 plus the same tail on each axis
-    square, tail, transposed = region.pieces
-    assert (square.r1_lo, square.r1_hi, square.r2_lo, square.r2_hi) == (0.0, E, 0.0, E)
-    assert transposed == TailPiece(r1_lo=tail.r1_lo, coef=tail.coef, r_pow=tail.r_pow,
-                                   log_pow=tail.log_pow, transposed=True)
-
-
-def test_tail_piece_validation():
-    with pytest.raises(InvalidInputError):
-        TailPiece(r1_lo=0.5)
-    with pytest.raises(InvalidInputError):
-        TailPiece(r1_lo=E, coef=-1.0)
-    with pytest.raises(InvalidInputError):
-        TailPiece(r1_lo=E, log_pow=1.0)
+def test_omega0_shadow_is_not_built():
+    # The shadow is unbounded; the moments are the closed form.
+    with pytest.raises(InvalidInputError, match="closed form"):
+        radial_shadow(DomainSpec.wiegerinck_omega0())
 
 
 def test_region_rejects_overlapping_pieces():
@@ -133,6 +107,13 @@ def test_region_rejects_overlapping_pieces():
             BoxPiece(0.0, 1.0, 0.0, 1.0),
             BoxPiece(0.5, 2.0, 0.0, 1.0),
         ))
+
+
+def test_region_rejects_what_is_not_a_piece():
+    with pytest.raises(InvalidInputError, match="BoxPiece or a FiberPiece"):
+        RadialRegion(pieces=(BoxPiece(0.0, 1.0, 0.0, 1.0), (1.0, 2.0)))
+    with pytest.raises(InvalidInputError, match="at least one piece"):
+        RadialRegion(pieces=())
 
 
 def test_describe_strings():

@@ -180,7 +180,6 @@ def test_series_pass_looks_up_each_moment_once(monkeypatch):
         return lookup(*args, **kwargs)
 
     clear_moment_caches()
-    monkeypatch.setattr(hankel, "_SHELL_SUMS", {})
     monkeypatch.setattr(hankel, "log_c_shell", counting_shell)
     monkeypatch.setattr(hankel, "log_c_gamma_sq", counting_lookup)
     partials = s_alpha_partials(DomainSpec.polydisc(2.0), MultiIndex(1, 0), sample_ladder(40))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reinhardt.domains import DomainSpec, MultiIndex, RadialRegion, TailPiece, radial_shadow
+from reinhardt.domains import BoxPiece, DomainSpec, MultiIndex, RadialRegion, radial_shadow
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
     DIVERGENT,
@@ -140,39 +140,19 @@ def test_region_moment_ball_example():
     assert got == pytest.approx(math.log(PI2 / 60.0), abs=1e-10)
 
 
-def test_region_moment_omega0_off_diagonal_diverges():
-    region = radial_shadow(DomainSpec.wiegerinck_omega0())
-    assert region_moment(region, MultiIndex(1, 0)) == DIVERGENT
-    assert region_moment(region, MultiIndex(0, 3)) == DIVERGENT
+def test_region_moment_of_a_polydisc_split_into_two_boxes():
+    # [0, 0.5] x [0, R] and [0.5, 1] x [0, R] sum to the polydisc moment
+    # pi^2 R^(2 g2 + 2) / ((g1 + 1)(g2 + 1)) through log_sum_exp.
+    radius = 1.5
+    region = RadialRegion(pieces=(BoxPiece(0.0, 0.5, 0.0, radius), BoxPiece(0.5, 1.0, 0.0, radius)))
+    for gamma in (MultiIndex(0, 0), MultiIndex(3, 2), MultiIndex(0, 17), MultiIndex(25, 4)):
+        assert abs(region_moment(region, gamma) - polydisc_oracle(radius, gamma)) <= 1e-13
 
 
 def test_region_moment_rejects_strip_without_tail_description():
     # the omega_k strip has no tail description, so its shadow is never built
-    with pytest.raises(InvalidInputError, match="never integrated"):
+    with pytest.raises(InvalidInputError, match="closed form"):
         region_moment(radial_shadow(DomainSpec.wiegerinck_omega_k(1)), MultiIndex(0, 0))
-
-
-def test_tail_piece_moment_against_power_rule():
-    # single tail: 4 pi^2 / (2 g2 + 2) * integral_e^inf r^(2g1+1) (r log r)^(-2g2-2) dr
-    region = RadialRegion(pieces=(TailPiece(r1_lo=math.e),))
-    for k in (0, 1, 4):
-        got = region_moment(region, MultiIndex(k, k))
-        want = math.log(4 * PI2) - math.log(2 * k + 2) - math.log(2 * k + 1)
-        assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_tail_piece_with_exponential_decay_uses_truncated_quadrature():
-    # fiber r^(-2) (log r)^(-1): for gamma = (0,0) the outer integrand is
-    # r^(-3) (log r)^(-2), i.e. exp(-2t) t^(-2) dt after t = log r.
-    region = RadialRegion(pieces=(TailPiece(r1_lo=math.e, r_pow=-2.0, log_pow=-1.0),))
-    got = region_moment(region, MultiIndex(0, 0))
-
-    def log_f(t):
-        t = np.asarray(t, dtype=float)
-        return -2.0 * t - 2.0 * np.log(t)
-
-    reference = math.log(4 * PI2) - math.log(2.0) + log_integrate(log_f, 1.0, 40.0)
-    assert got == pytest.approx(reference, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +280,6 @@ def test_membership_examples():
 def test_membership_on_generic_regions():
     bounded = DomainSpec.region_domain(radial_shadow(DomainSpec.polydisc(1.0)))
     assert in_basis(bounded, MultiIndex(40, 40))
-    unbounded = DomainSpec.region_domain(RadialRegion(pieces=(TailPiece(r1_lo=math.e),)))
-    assert in_basis(unbounded, MultiIndex(0, 0))
-    assert in_basis(unbounded, MultiIndex(0, 5))
-    assert not in_basis(unbounded, MultiIndex(1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,7 @@ def _mp_peak(profile, x, y, lo, hi):
 
 
 def test_peak_locator_matches_mpmath():
-    # The locator behind the quadrature mesh and certificate.critical_point:
+    # The locator behind the quadrature mesh:
     # r* against mpmath (or the -log(1-r^2) closed form), the mesh scale
     # against the mpmath finite-difference curvature of the log-integrand,
     # and every batch row bitwise equal to the batch of one.
@@ -556,13 +532,12 @@ def test_one_quadrature_per_shell_and_none_on_closed_forms(monkeypatch):
     assert calls == []
 
 
-def test_moment_memo_holds_one_array_per_shell(monkeypatch):
+def test_moment_memo_holds_one_array_per_shell():
     # dbar reads shells 0..41 at n-max 40; each is one memo entry, whatever
     # the number of its monomials or of the series that read it.
-    from reinhardt import cli, hankel, moments
+    from reinhardt import cli, moments
 
     clear_moment_caches()
-    monkeypatch.setattr(hankel, "_SHELL_SUMS", {})
     assert cli.main(["dbar", "--domain", "polydisc:2", "--n-max", "40", "--out", os.devnull]) == 0
     spec = DomainSpec.polydisc(2.0)
     assert sorted(moments._MOMENT_MEMO) == sorted(
