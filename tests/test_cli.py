@@ -70,10 +70,11 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # With rel_tol 1e-12, a budget of one subdivision fails on shell 0, whose
     # lone moment gamma = (0, 0) is the radial integral M(1, 2); a budget of
-    # three gets through shells 0..5 and fails on shell 6 at its fifth
-    # moment, gamma = (4, 2): M(9, 6).
+    # three gets through shells 0..5 and fails on shell 6 at gamma = (4, 2):
+    # M(9, 6).  The message names the failing moment, not its row in a
+    # quadrature batch.
     profile = profile_family("inv_one_minus_pow", {"p": 1})
-    for budget, which, (x, y) in ((1, "", (1.0, 2.0)), (3, " (integrand 4 of 7)", (9.0, 6.0))):
+    for budget, (x, y) in ((1, (1.0, 2.0)), (3, (9.0, 6.0))):
         config = {
             "task": "moments",
             "domain": "profile:inv_one_minus_pow:p=1",
@@ -84,7 +85,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         path.write_text(json.dumps(config))
         assert main(["report", "--config", str(path)]) == 2
         message = capsys.readouterr().err
-        assert f"more than {budget} subdivisions{which} (" in message
+        assert message.startswith(
+            f"numerical failure: integral of r^{x:g} exp(-{y:g} phi(r)) over [0, 1]: "
+            f"quadrature needed more than {budget} subdivisions ("
+        )
         settings = QuadratureSettings(**config["tol"])
         with pytest.raises(NumericalFailureError) as failure:
             log_radial_moment(profile, x, y, settings)
@@ -106,6 +110,10 @@ _BAD_INPUTS = {
     "dbar-sum-overflow": ["dbar", "--domain", "polydisc:1e154", "--n-max", "16"],
     "ratio-underflow": ["salpha", "--domain", "polydisc:1e-300", "--alpha", "0,1", "--n-max", "16"],
     "ratio-subnormal": ["salpha", "--domain", "polydisc:1e-160", "--alpha", "0,1", "--n-max", "16"],
+    # An n_step past n_max left the ladder empty, and the summary raised an
+    # IndexError.
+    "n-step-past-n-max": ["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "2", "--n-step", "3"],
+    "wiegerinck-n-step-past-n-max": {"task": "wiegerinck", "n_max": 1, "n_step": 2},
     # Quadrature settings reached QuadratureSettings unchecked: text raised a
     # TypeError, and a fractional or boolean budget was accepted.
     "tol-rel-tol-text": {**_MOMENTS, "tol": {"rel_tol": "abc"}},
@@ -219,22 +227,40 @@ def test_numerical_failure_is_a_one_line_error(argv, monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("task", [["moments"], ["salpha", "--alpha", "1,0"]])
-def test_steep_profile_failure_names_the_curvature_overflow(task, capsys):
-    # At p = 1e200 the peak of r exp(-2 phi(r)) sits near r = 3.5e-201 and
-    # log M is about -925, but y phi''(r*) overflows, so the mesh has no
-    # Laplace scale; the message names that, not an underflow.
-    argv = task + ["--domain", "profile:inv_one_minus_pow:p=1e200", "--n-max", "1"]
+def _mp_steep_log_moment(p, x, y):
+    """log M(x, y) of inv_one_minus_pow at large p, in mpmath, with r = u/p:
+    past u = 8 the integrand is below e^-5000.  Pieces graded from 1e-6
+    resolve the peak near u = x/y when y is large."""
+    mpmath = pytest.importorskip("mpmath")
+    p = mpmath.mpf(p)
+
+    def f(u):
+        return mpmath.exp(x * mpmath.log(u / p) - y * mpmath.exp(-p * mpmath.log1p(-u / p)))
+
+    with mpmath.workdps(30):
+        pieces = [0] + [mpmath.mpf(10) ** (k / 8) for k in range(-48, -8)] \
+            + mpmath.linspace(0.1, 8, 159) + [60]
+        return float(mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre")) - mpmath.log(p))
+
+
+@pytest.mark.parametrize("p", ["5e152", "1e200", "1.7e308"])
+def test_steep_profile_past_the_curvature_overflow_matches_mpmath(p, capsys):
+    # From p = 5e152 on, y phi''(r*) overflows at the peak r* near 1/p for
+    # some y up to 202, and above p = 1.3e154 phi''(r*) itself does; the
+    # Laplace scale is then taken in log space.  moments runs to order 100
+    # with exit 0, and rows at both ends of the shells match mpmath.
+    argv = ["moments", "--domain", f"profile:inv_one_minus_pow:p={p}", "--n-max", "100"]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(argv) == 2
+        assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "numerical failure: integral of r^1 exp(-2 phi(r)) over [0, 1]: y phi''(r*) overflows "
-        "at the integrand peak r* = 3.51734e-201, so the quadrature mesh has no Laplace scale "
-        "to find it\n"
-    )
+    assert captured.err.count("\n") == 1
+    rows = {(int(row["g1"]), int(row["g2"])): float(row["log_c_sq"])
+            for row in csv.DictReader(io.StringIO(captured.out))}
+    assert len(rows) == 5151
+    for g1, g2 in [(0, 0), (1, 0), (0, 100), (100, 0), (20, 80)]:
+        want = math.log(2 * math.pi**2 / (g2 + 1)) + _mp_steep_log_moment(p, 2 * g1 + 1, 2 * g2 + 2)
+        assert rows[g1, g2] == pytest.approx(want, rel=1e-11, abs=1e-9), (g1, g2)
 
 
 @pytest.mark.parametrize("p", ["1e6", "1e50"])
@@ -246,20 +272,8 @@ def test_steep_profile_moments_match_mpmath(p, capsys):
     # same wrong moments for every p above about 1e16.  With the analytic
     # peak and phi = exp(-p log1p(-r)) both runs exit 0 with one summary
     # line, and the moments match mpmath.
-    mpmath = pytest.importorskip("mpmath")
     domain = f"profile:inv_one_minus_pow:p={p}"
     steep = profile_family("inv_one_minus_pow", {"p": float(p)})
-    p = mpmath.mpf(p)
-
-    def oracle(x, y):
-        # log M(x, y) with r = u/p; past u = 8 the integrand is below e^-5000.
-        def f(u):
-            return mpmath.exp(x * mpmath.log(u / p) - y * mpmath.exp(-p * mpmath.log1p(-u / p)))
-
-        with mpmath.workdps(30):
-            pieces = mpmath.linspace(0, 8, 81) + [60]
-            return float(mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre")) - mpmath.log(p))
-
     assert main(["salpha", "--domain", domain, "--alpha", "1,0", "--n-max", "8"]) == 0
     assert capsys.readouterr().err.count("\n") == 1
     assert main(["moments", "--domain", domain, "--n-max", "1"]) == 0
@@ -271,7 +285,7 @@ def test_steep_profile_moments_match_mpmath(p, capsys):
         g1, g2 = int(row["g1"]), int(row["g2"])
         x, y = 2 * g1 + 1, 2 * g2 + 2
         log_m = log_radial_moment(steep, float(x), float(y))
-        assert abs(log_m - oracle(x, y)) <= 1e-10
+        assert abs(log_m - _mp_steep_log_moment(p, x, y)) <= 1e-10
         assert float(row["log_c_sq"]) == pytest.approx(
             math.log(2 * math.pi**2 / (g2 + 1)) + log_m, rel=1e-11)
 
@@ -675,12 +689,22 @@ def test_benchmark_tracer_bindings_resolve():
     )
 
 
+def _certify_p1(alpha):
+    return ["certify", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", alpha,
+            "--n-max", "200", "--format", "json"]
+
+
+# The exact argv of the benchmark's workloads (perfbench/run.py WORKLOADS):
+# every certify alpha, and both ends of the polydisc radii.
 @pytest.mark.parametrize("check, argv", [
-    ("check_dbar_polydisc", ["dbar", "--domain", "polydisc:2", "--n-max", "40", "--format", "json"]),
-    ("check_moments_ball", ["moments", "--domain", "ball", "--n-max", "12", "--format", "csv"]),
-    ("check_certify", ["certify", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "1,1",
-                       "--n-max", "200", "--format", "json"]),
-], ids=["dbar-polydisc", "moments-ball", "certify-p1"])
+    ("check_dbar_polydisc", ["dbar", "--domain", "polydisc:0.5", "--n-max", "400", "--format", "json"]),
+    ("check_dbar_polydisc", ["dbar", "--domain", "polydisc:3", "--n-max", "400", "--format", "json"]),
+    ("check_moments_ball", ["moments", "--domain", "ball", "--n-max", "100", "--format", "csv"]),
+    ("check_certify", _certify_p1("1,1")),
+    ("check_certify", _certify_p1("2,0")),
+    ("check_certify", _certify_p1("0,2")),
+], ids=["dbar-polydisc", "dbar-polydisc-3", "moments-ball", "certify-p1", "certify-p1-2,0",
+        "certify-p1-0,2"])
 def test_benchmark_oracles_accept_the_reports(check, argv, capsys):
     # The benchmark counts a report these oracles reject as a failed operation.
     assert main(argv) == 0

@@ -165,27 +165,27 @@ def test_shell_arrays_match_the_hs_term_oracle(name):
 
 
 def test_series_pass_looks_up_each_moment_once(monkeypatch):
-    # Shells 0..41 hold 903 gammas, read as 42 shell arrays: one read each,
-    # through the names hankel calls, though every shell serves three shell
-    # sums; one per-gamma lookup per shell, at its first gamma.
-    shells, lookups = [], []
-    shell_of, lookup = hankel.log_c_shell, hankel.log_c_gamma_sq
+    # Shells 0..41 hold 903 gammas, read as 42 shell arrays from one moments
+    # request, though every shell serves three shell sums; one per-gamma
+    # lookup per shell, at its first gamma.
+    requests, lookups = [], []
+    shells_of, lookup = hankel.log_c_shells, hankel.log_c_gamma_sq
 
-    def counting_shell(*args, **kwargs):
-        shells.append(args[1])
-        return shell_of(*args, **kwargs)
+    def counting_shells(*args, **kwargs):
+        requests.append(list(args[1]))
+        return shells_of(*args, **kwargs)
 
     def counting_lookup(*args, **kwargs):
         lookups.append(args[1])
         return lookup(*args, **kwargs)
 
     clear_moment_caches()
-    monkeypatch.setattr(hankel, "log_c_shell", counting_shell)
+    monkeypatch.setattr(hankel, "log_c_shells", counting_shells)
     monkeypatch.setattr(hankel, "log_c_gamma_sq", counting_lookup)
     partials = s_alpha_partials(DomainSpec.polydisc(2.0), MultiIndex(1, 0), sample_ladder(40))
     assert [n for n, _ in partials] == list(sample_ladder(40))
-    assert sorted(shells) == list(range(42))
-    assert lookups == [MultiIndex(0, n) for n in shells]
+    assert requests == [list(range(42))]
+    assert lookups == [MultiIndex(0, n) for n in range(42)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reinhardt.domains import BoxPiece, DomainSpec, MultiIndex, RadialRegion, radial_shadow
+from reinhardt.domains import BoxPiece, DomainSpec, FiberPiece, MultiIndex, RadialRegion, radial_shadow
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
     DIVERGENT,
     clear_moment_caches,
     log_c_gamma_sq,
-    log_c_shell,
+    log_c_shells,
     log_profile_interval_moment,
     log_radial_moment,
 )
@@ -355,12 +355,18 @@ def _mp_peak(profile, x, y, lo, hi):
         return float(mpmath.findroot(g, (bottom, top), solver="anderson"))
 
 
+def _presplit(profile, xs, ys, lo, hi):
+    """The initial panel cuts of the profile quadrature, one row per (x, y)."""
+    from reinhardt import moments
+
+    return moments._mesh(*moments._peak_scales(profile, xs, ys, lo, hi))
+
+
 def test_peak_locator_matches_mpmath():
     # The locator behind the quadrature mesh:
     # r* against mpmath (or the -log(1-r^2) closed form), the mesh scale
     # against the mpmath finite-difference curvature of the log-integrand,
     # and every batch row bitwise equal to the batch of one.
-    from reinhardt.moments import _auto_presplit
     from reinhardt.profiles import peak_radius
 
     mpmath = pytest.importorskip("mpmath")
@@ -371,13 +377,13 @@ def test_peak_locator_matches_mpmath():
     for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 2.5})):
         for lo, hi in ((0.0, 1.0), (0.2, 0.7)):
             peaks = peak_radius(profile, gx, gy, lo, hi)
-            rows = _auto_presplit(profile, gx, gy, lo, hi)
+            rows = _presplit(profile, gx, gy, lo, hi)
             for x, y, peak, row in zip(gx, gy, peaks, rows):
                 case = (profile, x, y, lo, hi)
                 expected = _mp_peak(profile, x, y, lo, hi)
                 assert peak == pytest.approx(expected, rel=1e-12, abs=1e-300), case
                 assert peak_radius(profile, x, y, lo, hi).tobytes() == peak.tobytes(), case
-                assert _auto_presplit(profile, np.array([x]), np.array([y]), lo, hi)[0].tobytes() \
+                assert _presplit(profile, np.array([x]), np.array([y]), lo, hi)[0].tobytes() \
                     == row.tobytes(), case
                 # At r* = 0 with x > 0, or r* = 1 with y phi unbounded, the
                 # curvature is infinite and the scale 0: every cut sits on r*.
@@ -400,21 +406,21 @@ def test_presplit_scans_no_grid_and_cuts_panels(monkeypatch):
     # itself never evaluates phi.
     import dataclasses
 
-    from reinhardt import moments, quadrature
+    from reinhardt import quadrature
 
     panels = []
     evaluate = quadrature._eval_panels
     monkeypatch.setattr(quadrature, "_eval_panels", lambda log_f, los, *rest:
                         panels.append(los.size) or evaluate(log_f, los, *rest))
     clear_moment_caches()
-    log_c_shell(DomainSpec.profile_domain(INV_POW), 100)
+    log_c_shells(DomainSpec.profile_domain(INV_POW), (100,))
     assert 0 < sum(panels) <= 0.8 * 2524
 
     points = []
     counted = dataclasses.replace(INV_POW, phi=lambda r:
                                   points.append(np.size(r)) or INV_POW.phi(r))
     ks = np.arange(101.0)
-    moments._auto_presplit(counted, 2.0 * ks + 1.0, 2.0 * (100.0 - ks) + 2.0, 0.0, 1.0)
+    _presplit(counted, 2.0 * ks + 1.0, 2.0 * (100.0 - ks) + 2.0, 0.0, 1.0)
     assert points == []
 
 
@@ -426,9 +432,25 @@ def test_all_node_underflow_is_a_numerical_failure():
         log_profile_interval_moment(steep, 1.0, 2.0, 0.5, 0.9)
 
 
+def test_a_failing_fiber_moment_is_named_not_its_batch_row():
+    # The shell |gamma| = 1 of a fiber r2 < 1/r1 is integrated in one batch.
+    # Its moment (0, 1), row 0, integrates r1 * r1^-4 / 4, which is not
+    # integrable at r1 = 0, and the quadrature meets +inf there.  Asking for
+    # (1, 0) computes the shell, and the error names (0, 1), not
+    # "integrand 0 of 2".
+    spec = DomainSpec.region_domain(RadialRegion((FiberPiece(0.0, 1.0, log_hi=lambda r: -np.log(r)),)))
+    with pytest.raises(InvalidInputError) as failure:
+        log_c_gamma_sq(spec, MultiIndex(1, 0))
+    assert str(failure.value) == (
+        "fiber integral of z^(0,1): log-integrand produced NaN or +inf inside the integration interval"
+    )
+
+
 def _mp_steep_log_moment(p, x, y):
     """log M(x, y) for inv_one_minus_pow at large p, in mpmath: with
-    r = u/p the integrand is u-scaled, and past u = 8 it is below e^-5000."""
+    r = u/p the integrand is u-scaled, and past u = 8 it is below e^-5000.
+    The pieces are graded from u = 1e-6, so the peak near u = x/y is
+    resolved at large y too (0.1-wide pieces are 0.02 off at (1, 200))."""
     mpmath = pytest.importorskip("mpmath")
     p = mpmath.mpf(p)
 
@@ -436,27 +458,24 @@ def _mp_steep_log_moment(p, x, y):
         return mpmath.exp(x * mpmath.log(u / p) - y * mpmath.exp(-p * mpmath.log1p(-u / p)))
 
     with mpmath.workdps(30):
-        pieces = mpmath.linspace(0, 8, 81) + [60]
+        pieces = [0] + [mpmath.mpf(10) ** (k / 8) for k in range(-48, -8)] \
+            + mpmath.linspace(0.1, 8, 159) + [60]
         return float(mpmath.log(mpmath.quad(f, pieces, method="gauss-legendre")) - mpmath.log(p))
 
 
 @pytest.mark.parametrize("p", [1e5, 1e10, 1e20, 1e50, 1e100, 1e150, 1e200, 1.7e308])
 def test_steep_profile_moment_matches_mpmath_or_fails(p):
-    # The peak sits near r = 1/p.  Up to p = 1e150 the moments must match
-    # mpmath, also at rel_tol = 1e-12: phi carries about 1 + log(phi) ulps
-    # of error, not p ulps, so |K-G| can fall below that tolerance instead
-    # of bisecting to the subdivision budget on rounding noise.  Where
-    # y phi''(r*) overflows (p > 1.3e154) the mesh has no scale, and the
-    # moment must fail loudly rather than read a wrong value.
+    # The peak sits near r = 1/p.  The moments must match mpmath, also at
+    # rel_tol = 1e-12: phi carries about 1 + log(phi) ulps of error, not p
+    # ulps, so |K-G| can fall below that tolerance instead of bisecting to
+    # the subdivision budget on rounding noise.  Where the curvature
+    # y phi''(r*) overflows (p > 1.3e154 at y = 2, lower p at y = 200) the
+    # Laplace scale comes from log phi''.
     steep = profile_family("inv_one_minus_pow", {"p": p})
-    for x, y in [(1.0, 2.0), (3.0, 2.0), (19.0, 2.0), (5.0, 7.0)]:
+    for x, y in [(1.0, 2.0), (3.0, 2.0), (19.0, 2.0), (5.0, 7.0), (1.0, 200.0)]:
+        want = _mp_steep_log_moment(p, x, y)
         for settings in (DEFAULT_SETTINGS, QuadratureSettings(rel_tol=1e-12)):
-            if p <= 1e150:
-                want = _mp_steep_log_moment(p, x, y)
-                assert abs(log_radial_moment(steep, x, y, settings) - want) <= 1e-10
-            else:
-                with pytest.raises(NumericalFailureError):
-                    log_radial_moment(steep, x, y, settings)
+            assert abs(log_radial_moment(steep, x, y, settings) - want) <= 1e-10, (x, y)
 
 
 def _shell_reference(spec, gamma):
@@ -484,7 +503,7 @@ def _shell_reference(spec, gamma):
 def test_shell_batch_equals_per_integrand_quadrature(spec):
     clear_moment_caches()
     for n in range(61):
-        shell = log_c_shell(spec, n)
+        shell = log_c_shells(spec, (n,))[0]
         for k in range(n + 1):
             assert shell[k] == pytest.approx(
                 _shell_reference(spec, MultiIndex(k, n - k)), abs=1e-13
@@ -505,10 +524,92 @@ def _lone_moment(spec, g1, g2):
 def test_shell_member_is_bit_identical_to_lone_moment():
     for spec in (DomainSpec.profile_domain(INV_POW), DomainSpec.ball()):
         clear_moment_caches()
-        shell = log_c_shell(spec, 40).tolist()
+        shell = log_c_shells(spec, (40,))[0].tolist()
         clear_moment_caches()
         assert shell == [_lone_moment(spec, k, 40 - k) for k in range(41)]
         assert shell == [log_c_gamma_sq(spec, MultiIndex(k, 40 - k)) for k in range(41)]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5])
+def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
+    # A walk over shells 0..60 integrates 1,891 moments in packs of at most
+    # 61 rows that cut across shells; each value equals its lone
+    # log_radial_moment bit for bit.  So does every pack over the
+    # certificate window [a/2, (1+b)/2].
+    from reinhardt import moments
+    from reinhardt.certificate import find_window
+
+    profile = profile_family("inv_one_minus_pow", {"p": p})
+    spec = DomainSpec.profile_domain(profile)
+    packs = []
+    integrate = moments.log_integrate
+    monkeypatch.setattr(moments, "log_integrate", lambda log_f, a, *rest, **kw:
+                        packs.append(np.size(a)) or integrate(log_f, a, *rest, **kw))
+    clear_moment_caches()
+    shells = log_c_shells(spec, range(61))
+    assert len(packs) == 31 and max(packs) == 61
+    gammas = [(k, n - k) for n in range(61) for k in range(n + 1)]
+    xs = [2.0 * g1 + 1.0 for g1, _ in gammas]
+    ys = [2.0 * g2 + 2.0 for _, g2 in gammas]
+    window = find_window(profile)
+    inner = (window.inner_lo, window.inner_hi)
+    packed = moments._interval_moments(profile, xs, ys, *inner, DEFAULT_SETTINGS, pack=61)
+    clear_moment_caches()
+    lone = [log_radial_moment(profile, x, y) for x, y in zip(xs, ys)]
+    assert np.concatenate(shells).tolist() == [
+        moments._LOG_2PI2 - math.log(g2 + 1.0) + m for (_, g2), m in zip(gammas, lone)
+    ]
+    assert packed == [log_profile_interval_moment(profile, x, y, *inner) for x, y in zip(xs, ys)]
+
+
+def test_fused_integrand_is_bit_identical_to_the_masked_formula():
+    # The log-integrand of a batch whose exponents are all positive skips
+    # the masks; its bits equal the masked formula's, also at r = 0
+    # (log r = -inf) and r = 1 (phi = inf).  A batch with a zero exponent
+    # keeps the masks, which drop that term where it is infinite.
+    from reinhardt import moments
+
+    r = np.array([[0.0, 1e-300, 0.25, 0.5, 1.0 - 1e-16, 1.0]] * 3)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_r = np.log(r)
+    for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 1e200})):
+        with np.errstate(divide="ignore", over="ignore"):
+            phi_r = profile.phi(r)
+        for xs, ys in (([1.0, 3.0, 401.0], [2.0, 402.0, 6.0]),
+                       ([0.0, 3.0, 1.0], [2.0, 0.0, 0.0])):
+            xs, ys = np.array(xs), np.array(ys)
+            owner = np.arange(3)[:, None]
+            got = moments._profile_log_integrand(profile, xs, ys)(r, owner)
+            want = moments._profile_log_values(xs[owner], ys[owner], log_r, phi_r)
+            assert got.tobytes() == want.tobytes(), (profile, xs, ys)
+    masked = moments._profile_log_integrand(INV_POW, np.array([0.0]), np.array([0.0]))
+    assert masked(r[:1], np.zeros((1, 1), dtype=int)).tolist() == [[0.0] * 6]
+
+
+def test_certify_walk_locates_its_peaks_in_one_call(monkeypatch):
+    # certify p=1 to N = 200 walks shells 0..202 (20,706 moments): one
+    # peak_radius call for the whole walk, and one log_integrate call per
+    # pack of at most 203 rows, plus one per ladder point's window masses.
+    from reinhardt import cli, moments
+
+    peaks, integrals, walk = [], [], []
+    locate, integrate, partials = moments.peak_radius, moments.log_integrate, cli.s_alpha_partials
+    monkeypatch.setattr(moments, "peak_radius", lambda *a: peaks.append(np.size(a[1])) or locate(*a))
+    monkeypatch.setattr(moments, "log_integrate", lambda *a, **k: integrals.append(1) or integrate(*a, **k))
+
+    def counted_partials(*args):
+        before = len(peaks)
+        result = partials(*args)
+        walk.extend(peaks[before:])
+        return result
+
+    monkeypatch.setattr(cli, "s_alpha_partials", counted_partials)
+    clear_moment_caches()
+    argv = ["certify", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "2,0",
+            "--n-max", "200", "--out", os.devnull]
+    assert cli.main(argv) == 0
+    assert walk == [20706]
+    assert len(integrals) <= 140
 
 
 def test_one_quadrature_per_shell_and_none_on_closed_forms(monkeypatch):
@@ -518,9 +619,9 @@ def test_one_quadrature_per_shell_and_none_on_closed_forms(monkeypatch):
     integrate = moments.log_integrate
     monkeypatch.setattr(moments, "log_integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
     clear_moment_caches()
-    log_c_shell(DomainSpec.profile_domain(INV_POW), 30)
-    log_c_shell(DomainSpec.ball(), 30)
-    log_c_shell(DomainSpec.ball(), 30)
+    log_c_shells(DomainSpec.profile_domain(INV_POW), (30,))
+    log_c_shells(DomainSpec.ball(), (30,))
+    log_c_shells(DomainSpec.ball(), (30,))
     assert len(calls) == 2
 
     calls.clear()
@@ -550,24 +651,25 @@ def test_moment_memo_holds_one_array_per_shell():
 
 def test_shell_arrays_are_read_only():
     for spec in (DomainSpec.polydisc(2.0), DomainSpec.ball(), DomainSpec.wiegerinck_omega0()):
-        shell = log_c_shell(spec, 4)
+        shell, = log_c_shells(spec, (4,))
         with pytest.raises(ValueError):
             shell[0] = 0.0
         with pytest.raises(ValueError):
             shell[:1] += 1.0
-    assert log_c_shell(DomainSpec.polydisc(2.0), 4) is log_c_shell(DomainSpec.polydisc(2.0), 4.0)
+    first, again = log_c_shells(DomainSpec.polydisc(2.0), (4, 4.0))
+    assert first is again is log_c_shells(DomainSpec.polydisc(2.0), (4,))[0]
     with pytest.raises(InvalidInputError):
-        log_c_shell(DomainSpec.ball(), -1)
+        log_c_shells(DomainSpec.ball(), (2, -1))
     with pytest.raises(InvalidInputError):
-        log_c_shell(DomainSpec.ball(), 1.5)
+        log_c_shells(DomainSpec.ball(), (1.5,))
 
 
 def test_diagonal_shells_hold_one_point_or_none():
     omega0, omegak = DomainSpec.wiegerinck_omega0(), DomainSpec.wiegerinck_omega_k(2)
-    assert [log_c_shell(omega0, n).size for n in range(7)] == [1, 0, 1, 0, 1, 0, 1]
-    assert [log_c_shell(omegak, n).size for n in range(9)] == [1, 0, 1, 0, 1, 0, 0, 0, 0]
+    assert [shell.size for shell in log_c_shells(omega0, range(7))] == [1, 0, 1, 0, 1, 0, 1]
+    assert [shell.size for shell in log_c_shells(omegak, range(9))] == [1, 0, 1, 0, 1, 0, 0, 0, 0]
     for spec in (omega0, omegak):
-        assert log_c_shell(spec, 4)[0] == log_c_gamma_sq(spec, MultiIndex(2, 2))
+        assert log_c_shells(spec, (4,))[0][0] == log_c_gamma_sq(spec, MultiIndex(2, 2))
         for gamma in (MultiIndex(1, 0), MultiIndex(3, 1), MultiIndex(0, 4), MultiIndex(2, 1)):
             assert log_c_gamma_sq(spec, gamma) == DIVERGENT
     assert log_c_gamma_sq(omegak, MultiIndex(3, 3)) == DIVERGENT
