@@ -58,7 +58,8 @@ def check_subharmonic(profile: RadialProfile) -> SubharmonicityCheck:
     half = _SUBHARMONIC_GRID // 2
     uniform = np.linspace(_GRID_EPS, 1.0 - _GRID_EPS, half)
     geometric = np.geomspace(_GRID_EPS, 1.0 - _GRID_EPS, _SUBHARMONIC_GRID - half)
-    grid = np.unique(np.concatenate([uniform, geometric]))
+    grid = np.sort(np.concatenate([uniform, geometric]))  # np.unique imports numpy.ma
+    grid = grid[np.append(True, grid[1:] != grid[:-1])]
     with np.errstate(over="ignore"):
         laplacian = np.asarray(profile.d2phi(grid), dtype=float) \
             + np.asarray(profile.dphi(grid), dtype=float) / grid

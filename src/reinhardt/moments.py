@@ -23,8 +23,9 @@ On a profile domain the missing shells' radial integrals take one pass of
 the analytic peak locator, which also gives each integrand's Laplace
 scale and so its initial mesh (no grid scan), and are then integrated in
 packs of consecutive rows, one log_integrate call per pack, each no larger
-than the largest shell of the request.  A FiberPiece shadow integrates
-one shell per log_integrate call.  The profile path also memoizes each
+than the largest shell of the request, whose log-integrand writes its
+values over the radii it is given.  A FiberPiece shadow integrates one
+shell per log_integrate call.  The profile path also memoizes each
 M(x, y), which the certificate's window masses divide by.  Each moment is
 refined with the same panels and per-panel arithmetic as when it is
 integrated alone, so neither the packing nor the cache changes a value.
@@ -200,14 +201,19 @@ def _profile_log_integrand(profile, xs, ys):
     """log_f(r, owner) of r^x exp(-y phi(r)) for a batch.  When every
     exponent is positive, as on the basis lattice (x = 2 g1 + 1,
     y = 2 g2 + 2), no term needs masking, and the plain expression gives
-    the same bits as _profile_log_values without its temporaries."""
+    the same bits as _profile_log_values without its temporaries, written
+    over r and over phi(r) unless phi returns r itself or a scalar."""
     phi = profile.phi
     positive = bool((xs > 0.0).all() and (ys > 0.0).all())
 
     def log_f(r, owner):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if positive:
-                return xs[owner] * np.log(r) - ys[owner] * phi(r)
+                t = np.asarray(phi(r), dtype=float)
+                t = np.multiply(t, ys[owner], out=t if t is not r and t.shape == r.shape else None)
+                np.log(r, out=r)
+                r *= xs[owner]
+                return np.subtract(r, t, out=r)
             return _profile_log_values(xs[owner], ys[owner], np.log(r), phi(r))
 
     return log_f

@@ -79,7 +79,7 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
         _reject_params(name, params)
         return RadialProfile(
             name="neg_log_one_minus_r2",
-            phi=lambda r: -np.log1p(-np.square(np.asarray(r, dtype=float))),
+            phi=_neg_log_one_minus_r2,
             dphi=lambda r: 2.0 * r / (1.0 - np.square(r)),
             d2phi=lambda r: (2.0 + 2.0 * np.square(r)) / np.square(1.0 - np.square(r)),
             log_d2phi=lambda r: (math.log(2.0) + np.log1p(np.square(r))
@@ -93,11 +93,13 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
         p = float(p)
 
         def power(r, k):
-            # (1-r)^-(p+k) as exp(-(p+k) log1p(-r)): a relative error of
-            # about 1 + log((1-r)^-(p+k)) ulps, below 710 wherever it is
-            # finite.  np.power(1 - r, -p) rounds 1 - r first, which costs
-            # p ulps and reads phi = 1 for every r below 1.1e-16.
-            return np.exp(-(p + k) * np.log1p(-np.asarray(r, dtype=float)))
+            # (1-r)^-(p+k) as exp(-(p+k) log1p(-r)), in one buffer, never in r:
+            # a relative error of about 1 + log((1-r)^-(p+k)) ulps, below 710
+            # wherever it is finite.  np.power(1 - r, -p) rounds 1 - r first,
+            # which costs p ulps and reads phi = 1 for every r below 1.1e-16.
+            t = np.negative(r, out=np.empty(np.shape(r)), dtype=float)
+            np.multiply(np.log1p(t, out=t), -(p + k), out=t)
+            return np.exp(t, out=t)[()]
 
         return RadialProfile(
             name="inv_one_minus_pow",
@@ -179,6 +181,12 @@ def _logit_midpoint(a, b):
     with np.errstate(divide="ignore"):
         ta, tb = (np.clip(np.log(e) - np.log1p(-e), -708.0, 37.0) for e in (a, b))
     return np.minimum(np.maximum(1.0 / (1.0 + np.exp(-0.5 * (ta + tb))), a), b)
+
+
+def _neg_log_one_minus_r2(r):
+    t = np.square(r, out=np.empty(np.shape(r)), dtype=float)  # -log1p(-r^2) in one buffer
+    np.negative(t, out=t)
+    return np.negative(np.log1p(t, out=t), out=t)[()]
 
 
 def _reject_params(name, params):

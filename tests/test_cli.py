@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -710,3 +711,18 @@ def test_benchmark_oracles_accept_the_reports(check, argv, capsys):
     assert main(argv) == 0
     report = capsys.readouterr().out
     assert getattr(_perfbench_module("checks"), check)(argv, report) == []
+
+
+def test_certify_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma (about 13 ms) the first time it runs; the
+    # certificate's grid is deduplicated without it.
+    import subprocess
+    import sys
+
+    code = ("import sys; from reinhardt.cli import main; "
+            "main(['certify', '--domain', 'profile:inv_one_minus_pow:p=1', '--alpha', '1,1', "
+            "'--n-max', '20']); print('numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.splitlines()[-1] == "False"

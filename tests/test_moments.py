@@ -15,7 +15,7 @@ from reinhardt.moments import (
     log_profile_interval_moment,
     log_radial_moment,
 )
-from reinhardt.profiles import profile_family
+from reinhardt.profiles import RadialProfile, profile_family
 from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 
 PI2 = math.pi**2
@@ -579,11 +579,52 @@ def test_fused_integrand_is_bit_identical_to_the_masked_formula():
                        ([0.0, 3.0, 1.0], [2.0, 0.0, 0.0])):
             xs, ys = np.array(xs), np.array(ys)
             owner = np.arange(3)[:, None]
-            got = moments._profile_log_integrand(profile, xs, ys)(r, owner)
+            # The positive-exponent path writes its values over r.
+            got = moments._profile_log_integrand(profile, xs, ys)(r.copy(), owner)
             want = moments._profile_log_values(xs[owner], ys[owner], log_r, phi_r)
             assert got.tobytes() == want.tobytes(), (profile, xs, ys)
     masked = moments._profile_log_integrand(INV_POW, np.array([0.0]), np.array([0.0]))
-    assert masked(r[:1], np.zeros((1, 1), dtype=int)).tolist() == [[0.0] * 6]
+    assert masked(r[:1].copy(), np.zeros((1, 1), dtype=int)).tolist() == [[0.0] * 6]
+
+
+def test_a_profile_phi_may_return_r_itself_or_a_scalar():
+    # The profile integrand scales phi(r) in place only when phi returns a
+    # new array the shape of r; phi(r) = r and a constant phi keep their moments.
+    def profile(name, phi):
+        return RadialProfile(name=name, phi=phi, dphi=lambda r: 1.0 + 0.0 * np.asarray(r),
+                             d2phi=lambda r: 0.0 * np.asarray(r))
+
+    xs, ys = [1.0, 5.0], [2.0, 4.0]
+    linear = log_radial_moment(profile("r", lambda r: r), xs, ys)
+    assert linear == log_radial_moment(profile("r_copy", lambda r: r + 0.0), xs, ys)
+    constant = log_radial_moment(profile("half", lambda r: 0.5), xs, ys)
+    assert constant == log_radial_moment(profile("half_array", lambda r: np.full(np.shape(r), 0.5)), xs, ys)
+    assert constant == pytest.approx([-0.5 * y - math.log(x + 1.0) for x, y in zip(xs, ys)], abs=1e-13)
+
+
+def test_panel_kernel_holds_at_most_three_and_a_half_node_arrays():
+    # One _eval_panels call on the initial pack of shell 200 (p = 1): the
+    # node table is built in place and the log-integrand, shift, exp and
+    # Kronrod weights reuse it, so the call's tracemalloc peak stays near
+    # three arrays of its nodes (4.4 when each step allocated its own).
+    import tracemalloc
+
+    from reinhardt import moments, quadrature
+
+    g1 = np.arange(201.0)
+    xs, ys = 2.0 * g1 + 1.0, 2.0 * (200.0 - g1) + 2.0
+    cuts = moments._mesh(*moments._peak_scales(INV_POW, xs, ys, 0.0, 1.0))
+    los, his, owner = quadrature._initial_panels(np.zeros(201), np.ones(201), cuts)
+    log_f = moments._profile_log_integrand(INV_POW, xs, ys)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        quadrature._eval_panels(log_f, los, his, owner)
+        tracemalloc.start()
+        try:
+            quadrature._eval_panels(log_f, los, his, owner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 3.5 * los.size * quadrature._XGK.size * 8
 
 
 def test_certify_walk_locates_its_peaks_in_one_call(monkeypatch):

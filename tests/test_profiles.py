@@ -103,3 +103,32 @@ def test_profiles_are_finite_on_their_domain(profile):
     for r in (1e-9, 0.5, 1.0 - 1e-9):
         assert math.isfinite(float(profile.dphi(r)))
         assert math.isfinite(float(profile.d2phi(r)))
+
+
+EDGES = [0.0, 1e-300, 0.25, 1.0 - 1e-16, 1.0]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 1e5])
+def test_inv_pow_is_bitwise_the_log1p_form(p):
+    # phi, phi' and phi'' are p-scaled (1-r)^-(p+k) = exp(-(p+k) log1p(-r)),
+    # bit for bit; they give np.float64 for a float and leave r untouched.
+    prof = profile_family("inv_one_minus_pow", {"p": p})
+    r = np.array(EDGES)
+    for k, f, scale in ((0.0, prof.phi, None), (1.0, prof.dphi, p), (2.0, prof.d2phi, p * (p + 1.0))):
+        with np.errstate(divide="ignore", over="ignore"):
+            want = np.exp(-(p + k) * np.log1p(-r))
+            want = want if scale is None else scale * want
+            got = f(r)
+            assert all(type(f(v)) is np.float64 and f(v) == w for v, w in zip(EDGES, want))
+        assert got.tobytes() == want.tobytes()
+        assert r.tolist() == EDGES
+
+
+def test_neg_log_phi_is_bitwise_the_log1p_form():
+    prof = profile_family("neg_log_one_minus_r2")
+    r = np.array(EDGES)
+    with np.errstate(divide="ignore"):
+        want = -np.log1p(-np.square(r))
+        assert prof.phi(r).tobytes() == want.tobytes()
+        assert all(type(prof.phi(v)) is np.float64 and prof.phi(v) == w for v, w in zip(EDGES, want))
+    assert r.tolist() == EDGES

@@ -134,3 +134,42 @@ def test_batch_failure_carries_the_failing_integrand():
 
     with pytest.raises(InvalidInputError, match="integrand 1 of 2"):
         log_integrate(nan_second, np.zeros(2), np.ones(2))
+
+
+def test_a_log_f_may_write_its_values_over_r():
+    # log_f may overwrite the radii it is given and return them; the
+    # integrals are then bitwise those of a log_f returning a new array.
+    xs, ys = np.array([1.0, 7.0, 201.0]), np.array([1.0, 3.0, 400.0])
+
+    def fresh(r, owner):
+        return xs[owner] * np.log(r) + ys[owner] * np.log1p(-r * r)
+
+    def in_place(r, owner):
+        t = np.log1p(-r * r) * ys[owner]
+        r = np.log(r, out=r)
+        r *= xs[owner]
+        r += t
+        return r
+
+    batch = log_integrate(fresh, np.zeros(3), np.ones(3))
+    assert log_integrate(in_place, np.zeros(3), np.ones(3)).tobytes() == batch.tobytes()
+    zero = np.zeros(1, dtype=int)
+    scalar = log_integrate(lambda r: in_place(r, zero), 0.0, 1.0)
+    assert scalar == log_integrate(lambda r: fresh(r, zero), 0.0, 1.0) == batch[0]
+
+
+def test_log_integrate_never_writes_into_an_array_log_f_keeps():
+    # A log_f that returns an array it holds on to, as a cache would, finds
+    # it unchanged after the call.
+    kept = []
+
+    def keeping(r, owner=0):
+        values = 201.0 * np.log(r) + (owner + 400.0) * np.log1p(-r)
+        kept.append((values, values.copy()))
+        return values
+
+    got = log_integrate(keeping, 0.0, 1.0)
+    batch = log_integrate(keeping, np.zeros(2), np.ones(2))
+    assert len(kept) > 2
+    assert all(values.tobytes() == copy.tobytes() for values, copy in kept)
+    assert got == batch[0] == pytest.approx(log_beta(202.0, 401.0), rel=1e-12)
