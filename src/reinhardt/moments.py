@@ -198,11 +198,10 @@ def _profile_log_values(x, y, log_r, phi_r):
 
 
 def _profile_log_integrand(profile, xs, ys):
-    """log_f(r, owner) of r^x exp(-y phi(r)) for a batch.  When every
-    exponent is positive, as on the basis lattice (x = 2 g1 + 1,
-    y = 2 g2 + 2), no term needs masking, and the plain expression gives
-    the same bits as _profile_log_values without its temporaries, written
-    over r and over phi(r) unless phi returns r itself or a scalar."""
+    """log_f(r, owner) of r^x exp(-y phi(r)) for a batch.  With every exponent
+    positive, as on the lattice (x = 2 g1 + 1, y = 2 g2 + 2), no term needs
+    masking: the plain expression gives _profile_log_values' bits, written over
+    r and over phi(r) when that is a writeable r-shaped array apart from r."""
     phi = profile.phi
     positive = bool((xs > 0.0).all() and (ys > 0.0).all())
 
@@ -210,7 +209,8 @@ def _profile_log_integrand(profile, xs, ys):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             if positive:
                 t = np.asarray(phi(r), dtype=float)
-                t = np.multiply(t, ys[owner], out=t if t is not r and t.shape == r.shape else None)
+                own = t.shape == r.shape and t.flags.writeable and not np.may_share_memory(t, r)
+                t = np.multiply(t, ys[owner], out=t if own else None)
                 np.log(r, out=r)
                 r *= xs[owner]
                 return np.subtract(r, t, out=r)

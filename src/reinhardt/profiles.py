@@ -31,7 +31,8 @@ class RadialProfile:
     """A C^2 radial weight with analytic derivatives.
 
     Identity for caching purposes is (name, params), so distinct profiles
-    must carry distinct names.
+    must carry distinct names.  An array phi returns may be written over,
+    so phi must not keep it.
     """
 
     name: str

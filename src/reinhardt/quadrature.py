@@ -17,7 +17,7 @@ integrand, and per-integrand totals are segment reductions over the
 table.  Each integrand keeps its own stop rule, split rule and
 subdivision budget, and leaves the table once it has converged.  A
 single integrand is the batch of one.  The integrand may write its values
-over the radii it is given and return them; the rule then works in place.
+over the radii it is given; the rule then reuses that array in place.
 """
 
 from __future__ import annotations
@@ -82,21 +82,20 @@ def _eval_panels(log_f, los, his, owner):
     half = 0.5 * (his - los)
     r = np.multiply(half[:, None], _XGK)
     r += (0.5 * (his + los))[:, None]
-    lf = log_f(r, owner[:, None])
-    own = lf is r
-    lf = np.asarray(lf, dtype=float).reshape(los.size, _XGK.size)
+    lf = np.asarray(log_f(r, owner[:, None]), dtype=float).reshape(los.size, _XGK.size)
     shift = lf.max(axis=1)
     empty = shift == LOG_ZERO
     bad = ~np.isfinite(shift) & ~empty
     safe_shift = np.where(empty | bad, 0.0, shift)
-    w = np.subtract(lf, safe_shift[:, None], out=lf if own else None)
-    np.exp(w, out=w)
+    w = np.exp(np.subtract(lf, safe_shift[:, None], out=r), out=r)
     # Row sums, not a matrix product: a panel's value then does not
     # depend on how many other panels share the call.
     g = (w[:, 1::2] * _WG).sum(axis=1)
     w *= _WGK
     k = w.sum(axis=1)
-    rule = np.stack([k, np.abs(k - g)], axis=1)
+    rule = np.empty((los.size, 2))
+    rule[:, 0] = k
+    rule[:, 1] = np.abs(k - g)
     out = np.log(np.maximum(rule, 1e-300)) + (safe_shift + np.log(half))[:, None]
     out[empty] = LOG_ZERO
     out[bad, 0] = np.nan
@@ -141,8 +140,8 @@ def log_integrate(
     subdivision budget is exhausted first.
 
     ``log_f`` must work elementwise on an array of radii of any shape.
-    It may overwrite that array with its values and return it; any other
-    array it returns is only read, so log_f may keep it.
+    It may write over that array, which the rule reuses afterwards; any
+    other array log_f returns is only read, so log_f may keep it.
 
     Batch form: when ``a`` and ``b`` are 1-D arrays of m bounds, the call
     integrates m integrands at once and returns an array of m logs.

@@ -589,7 +589,8 @@ def test_fused_integrand_is_bit_identical_to_the_masked_formula():
 
 def test_a_profile_phi_may_return_r_itself_or_a_scalar():
     # The profile integrand scales phi(r) in place only when phi returns a
-    # new array the shape of r; phi(r) = r and a constant phi keep their moments.
+    # writeable array the shape of r that shares no memory with r; phi(r) = r,
+    # a view of r, a scalar and a read-only broadcast keep their moments.
     def profile(name, phi):
         return RadialProfile(name=name, phi=phi, dphi=lambda r: 1.0 + 0.0 * np.asarray(r),
                              d2phi=lambda r: 0.0 * np.asarray(r))
@@ -597,8 +598,12 @@ def test_a_profile_phi_may_return_r_itself_or_a_scalar():
     xs, ys = [1.0, 5.0], [2.0, 4.0]
     linear = log_radial_moment(profile("r", lambda r: r), xs, ys)
     assert linear == log_radial_moment(profile("r_copy", lambda r: r + 0.0), xs, ys)
+    assert linear == log_radial_moment(profile("r_view", lambda r: r[...]), xs, ys)
+    assert linear == log_radial_moment(profile("r_view2", lambda r: r.view()), xs, ys)
     constant = log_radial_moment(profile("half", lambda r: 0.5), xs, ys)
     assert constant == log_radial_moment(profile("half_array", lambda r: np.full(np.shape(r), 0.5)), xs, ys)
+    assert constant == log_radial_moment(
+        profile("half_broadcast", lambda r: np.broadcast_to(0.5, np.shape(r))), xs, ys)
     assert constant == pytest.approx([-0.5 * y - math.log(x + 1.0) for x, y in zip(xs, ys)], abs=1e-13)
 
 
