@@ -12,15 +12,7 @@ from .certificate import (
     index_window,
     lambda_alpha,
 )
-from .domains import (
-    BasisLattice,
-    BoxPiece,
-    DomainSpec,
-    FiberPiece,
-    MultiIndex,
-    RadialRegion,
-    radial_shadow,
-)
+from .domains import BasisLattice, DomainSpec, MultiIndex
 from .errors import InvalidInputError, NumericalFailureError
 from .hankel import (
     Classification,

@@ -1,22 +1,18 @@
-"""Domain descriptions, basis lattices and radial shadows.
+"""Domain descriptions and basis lattices.
 
-Every domain here is a complete Reinhardt domain in C^2, determined by
-its radial shadow: the image in the (r1, r2) quarter-plane.  Volume
-integrals of |z^gamma|^2 reduce to 4*pi^2 times a double integral of
-r1^(2*g1+1) * r2^(2*g2+1) over the shadow.  Every shadow built here is
-bounded, so every monomial has a finite norm.  The Wiegerinck domains
-have unbounded shadows, which are not built: their diagonal moments are
-a closed form (wiegerinck.omega0_log_ck_sq), and a monomial off the
-diagonal is not square-integrable.
+Every domain here is a built-in complete Reinhardt domain in C^2: a
+profile domain {|z2| < exp(-phi(|z1|))}, the polydisc, the ball, or a
+Wiegerinck domain; there are no user-defined regions.  How each one's
+monomial norms are computed is up to the moments layer (the polydisc's
+and the ball's radial shadows are private to it).  The basis lattice says
+which monomials are square-integrable: the full quadrant on the bounded
+domains, the diagonal (up to k on omega_k) on the Wiegerinck domains.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from .errors import InvalidInputError
 from .profiles import RadialProfile, profile_family
@@ -105,64 +101,10 @@ class BasisLattice:
 
 
 # --------------------------------------------------------------------------
-# Region pieces: bounded pieces over an r1-interval.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoxPiece:
-    """An axis-aligned rectangle [r1_lo, r1_hi] x [r2_lo, r2_hi]."""
-
-    r1_lo: float
-    r1_hi: float
-    r2_lo: float
-    r2_hi: float
-
-    def __post_init__(self):
-        if not (0 <= self.r1_lo < self.r1_hi and 0 <= self.r2_lo < self.r2_hi):
-            raise InvalidInputError(f"degenerate box {self}")
-
-
-@dataclass(frozen=True, eq=False)
-class FiberPiece:
-    """A bounded piece r1 in [r1_lo, r1_hi], r2 in [0, hi(r1)].
-
-    The fiber height is supplied as a vectorized log-height callable so the
-    moment engine can integrate without leaving the log domain.
-    """
-
-    r1_lo: float
-    r1_hi: float
-    log_hi: Callable
-
-
-@dataclass(frozen=True, eq=False)
-class RadialRegion:
-    """A bounded union of pieces in the (r1, r2) quarter-plane, whose
-    r1-intervals have disjoint interiors."""
-
-    pieces: tuple
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise InvalidInputError("a region needs at least one piece")
-        for piece in self.pieces:
-            if not isinstance(piece, (BoxPiece, FiberPiece)):
-                raise InvalidInputError(
-                    f"a region piece is a BoxPiece or a FiberPiece, not {piece!r}"
-                )
-        spans = sorted((p.r1_lo, p.r1_hi) for p in self.pieces)
-        for (alo, ahi), (blo, bhi) in zip(spans, spans[1:]):
-            if blo < ahi - 1e-15:
-                raise InvalidInputError("piece r1-intervals overlap")
-
-
-# --------------------------------------------------------------------------
 # Domain specifications.
 # --------------------------------------------------------------------------
 
 PROFILE = "profile"
-REGION = "region"
 POLYDISC = "polydisc"
 BALL = "ball"
 OMEGA0 = "omega0"
@@ -182,15 +124,10 @@ class DomainSpec:
     profile: RadialProfile | None = None
     radius2: float | None = None
     k: int | None = None
-    region: RadialRegion | None = None
 
     @classmethod
     def profile_domain(cls, profile: RadialProfile) -> "DomainSpec":
         return cls(PROFILE, profile=profile)
-
-    @classmethod
-    def region_domain(cls, region: RadialRegion) -> "DomainSpec":
-        return cls(REGION, region=region)
 
     @classmethod
     def polydisc(cls, radius2: float = 1.0) -> "DomainSpec":
@@ -229,29 +166,6 @@ class DomainSpec:
         if self.kind == OMEGA_K:
             return f"omega_k(k={self.k})"
         return self.kind
-
-
-def radial_shadow(spec: DomainSpec) -> RadialRegion:
-    """The region in the (r1, r2) quarter-plane whose rotation recovers the domain."""
-    if spec.kind == PROFILE:
-        phi = spec.profile.phi
-        return RadialRegion(pieces=(
-            FiberPiece(0.0, 1.0, log_hi=lambda r: -phi(r)),
-        ))
-    if spec.kind == REGION:
-        return spec.region
-    if spec.kind == POLYDISC:
-        return RadialRegion(pieces=(BoxPiece(0.0, 1.0, 0.0, spec.radius2),))
-    if spec.kind == BALL:
-        return RadialRegion(pieces=(
-            FiberPiece(0.0, 1.0, log_hi=lambda r: 0.5 * np.log1p(-np.square(r))),
-        ))
-    if spec.kind in (OMEGA0, OMEGA_K):
-        raise InvalidInputError(
-            f"the {spec.kind} shadow is unbounded and is not built: its moments "
-            "are the Omega_0 closed form (wiegerinck.omega0_log_ck_sq)"
-        )
-    raise InvalidInputError(f"unknown domain kind {spec.kind!r}")
 
 
 def builtin_domain(kind: str, params) -> DomainSpec:

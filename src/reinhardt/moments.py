@@ -8,13 +8,13 @@ and the squared monomial norms c_gamma^2, which reduce to M via
 
     c_gamma^2 = 2 pi^2 / (g2 + 1) * M(2 g1 + 1, 2 g2 + 2)
 
-on profile domains and to piecewise shadow integrals otherwise.  Closed
-forms are used where a family admits one, and on the Wiegerinck domains,
-whose unbounded shadows are never integrated; everything else goes
-through the adaptive log-domain quadrature over a bounded shadow, so
-every moment on the basis lattice is finite.  Every result is a plain
-float log; a monomial off the basis lattice is not square-integrable
-and has the log of an infinite norm, DIVERGENT = inf.
+on profile domains.  The polydisc and the ball integrate over their
+shadows, private to this module: the polydisc's box in closed form, the
+ball's fiber r2 < sqrt(1 - r1^2) by quadrature.  The Wiegerinck domains
+use their diagonal closed form.  Every moment on the basis lattice is
+finite, and every result is a plain float log; a monomial off the basis
+lattice is not square-integrable and has the log of an infinite norm,
+DIVERGENT = inf.
 
 Moments are memoized a shell |gamma| = n at a time, as one read-only
 array per (domain, n, settings).  A series walk requests all of its shells
@@ -24,8 +24,8 @@ the analytic peak locator, which also gives each integrand's Laplace
 scale and so its initial mesh (no grid scan), and are then integrated in
 packs of consecutive rows, one log_integrate call per pack, each no larger
 than the largest shell of the request, whose log-integrand writes its
-values over the radii it is given.  A FiberPiece shadow integrates one
-shell per log_integrate call.  The profile path also memoizes each
+values over the radii it is given.  The ball's fiber integrates one shell
+per log_integrate call.  The profile path also memoizes each quadrature
 M(x, y), which the certificate's window masses divide by.  Each moment is
 refined with the same panels and per-panel arithmetic as when it is
 integrated alone, so neither the packing nor the cache changes a value.
@@ -34,18 +34,12 @@ integrated alone, so neither the packing nor the cache changes a value.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .domains import (
-    BoxPiece,
-    DomainSpec,
-    FiberPiece,
-    MultiIndex,
-    RadialRegion,
-    radial_shadow,
-)
+from .domains import DomainSpec, MultiIndex
 from .errors import InvalidInputError, NumericalFailureError
 from .logdomain import LOG_ZERO, log_sub_exp, log_sum_exp
 from .profiles import RadialProfile, peak_radius
@@ -67,8 +61,6 @@ _MESH_OFFSETS = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-
 # computed alone or in a batch.
 _RADIAL_MEMO: dict = {}
 _MOMENT_MEMO: dict = {}
-# One shadow per domain: building it costs more than a closed-form moment.
-_shadow = lru_cache(maxsize=None)(radial_shadow)
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -127,26 +119,25 @@ def log_profile_interval_moment(
 
 
 def _interval_moments(profile, xs, ys, lo, hi, settings, pack=None) -> list:
-    """log integral_lo^hi r^x exp(-y phi(r)) dr for each (x, y), memoized.
+    """log integral_lo^hi r^x exp(-y phi(r)) dr for each (x, y).
 
     Closed forms answer the full interval on the zero and -log(1-r^2)
-    families; every other missing value is integrated by
-    _integrated_moments, in packs of at most ``pack`` rows (default: one
-    pack).
+    families, with no memo; every other value is memoized, and the missing
+    ones are integrated by _integrated_moments, in packs of at most
+    ``pack`` rows (default: one pack).
     """
+    if lo == 0.0 and hi == 1.0:
+        if profile.name == "zero":
+            return [-math.log(x + 1.0) for x in xs]
+        if profile.name == "neg_log_one_minus_r2":
+            return [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0) for x, y in zip(xs, ys)]
     memo = _RADIAL_MEMO.setdefault((profile, lo, hi, settings), {})
     keys = list(zip(xs, ys))
     missing = [key for key in keys if key not in memo]
     if missing:
         mx, my = zip(*missing)
-        full = lo == 0.0 and hi == 1.0
-        if full and profile.name == "zero":
-            logs = [-math.log(x + 1.0) for x in mx]
-        elif full and profile.name == "neg_log_one_minus_r2":
-            logs = [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0) for x, y in zip(mx, my)]
-        else:
-            logs = _integrated_moments(profile, np.array(mx, dtype=float), np.array(my, dtype=float),
-                                       lo, hi, settings, pack or len(missing))
+        logs = _integrated_moments(profile, np.array(mx, dtype=float), np.array(my, dtype=float),
+                                   lo, hi, settings, pack or len(missing))
         memo.update(zip(missing, logs))
     return [memo[key] for key in keys]
 
@@ -257,30 +248,59 @@ def _mesh(peaks, scales) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Shadow-region moments: c_gamma^2 = 4 pi^2 * double integral over the
-# shadow of r1^(2g1+1) r2^(2g2+1).
+# Shadow moments of the polydisc and the ball: c_gamma^2 = 4 pi^2 * double
+# integral over the shadow, the domain's image in the (r1, r2) quarter-plane,
+# of r1^(2g1+1) r2^(2g2+1).
 # --------------------------------------------------------------------------
 
 
-def _region_log_moments(region: RadialRegion, gammas, settings) -> list:
-    """log c_gamma^2 over a bounded shadow region for each (g1, g2) pair.
+@dataclass(frozen=True)
+class _Box:
+    """The rectangle [r1_lo, r1_hi] x [r2_lo, r2_hi]."""
 
-    Every FiberPiece integrates all pairs in one batched log_integrate call.
+    r1_lo: float
+    r1_hi: float
+    r2_lo: float
+    r2_hi: float
+
+
+@dataclass(frozen=True, eq=False)
+class _Fiber:
+    """r1 in [r1_lo, r1_hi], r2 in [0, exp(log_hi(r1))]."""
+
+    r1_lo: float
+    r1_hi: float
+    log_hi: Callable
+
+
+def _shadow(spec: DomainSpec) -> tuple:
+    """The pieces of the polydisc's or the ball's shadow."""
+    if spec.kind == "polydisc":
+        return (_Box(0.0, 1.0, 0.0, spec.radius2),)
+    if spec.kind == "ball":
+        return (_Fiber(0.0, 1.0, log_hi=lambda r: 0.5 * np.log1p(-np.square(r))),)
+    raise InvalidInputError(f"unknown domain kind {spec.kind!r}")
+
+
+def _region_log_moments(pieces: tuple, gammas, settings) -> list:
+    """log c_gamma^2 over a shadow's pieces for each (g1, g2) pair.
+
+    Every _Fiber integrates all pairs in one batched log_integrate call.
     """
     fibers = [
-        iter(_fiber_log_moments(piece, gammas, settings)) if isinstance(piece, FiberPiece) else None
-        for piece in region.pieces
+        iter(_fiber_log_moments(piece, gammas, settings)) if isinstance(piece, _Fiber) else None
+        for piece in pieces
     ]
     return [
         _LOG_4PI2 + log_sum_exp([
             _box_log_moment(piece, gamma) if fiber is None else next(fiber)
-            for piece, fiber in zip(region.pieces, fibers)
+            for piece, fiber in zip(pieces, fibers)
         ])
         for gamma in gammas
     ]
 
 
-def _box_log_moment(piece: BoxPiece, gamma) -> float:
+def _box_log_moment(piece: _Box, gamma) -> float:
     return _axis_log_moment(piece.r1_lo, piece.r1_hi, 2 * gamma[0] + 1) + \
         _axis_log_moment(piece.r2_lo, piece.r2_hi, 2 * gamma[1] + 1)
 
@@ -293,7 +313,7 @@ def _axis_log_moment(lo: float, hi: float, power: int) -> float:
     return log_sub_exp(top, bottom) - math.log(p1)
 
 
-def _fiber_log_moments(piece: FiberPiece, gammas, settings) -> list:
+def _fiber_log_moments(piece: _Fiber, gammas, settings) -> list:
     """log of the fiber integrals of r1^(2g1+1) r2^(2g2+1), one batched call."""
     if not gammas:
         return []
@@ -371,7 +391,8 @@ def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
         return ([_LOG_2PI2 - math.log(n - g1 + 1.0) + next(radial) for g1 in shell(n)] for n in orders)
     if spec.kind in ("omega0", "omega_k"):
         return ([omega0_log_ck_sq(g1) for g1 in shell(n)] for n in orders)
-    return (_region_log_moments(_shadow(spec), [(g1, n - g1) for g1 in shell(n)], settings)
+    pieces = _shadow(spec)
+    return (_region_log_moments(pieces, [(g1, n - g1) for g1 in shell(n)], settings)
             for n in orders)
 
 
@@ -379,4 +400,3 @@ def clear_moment_caches():
     """Drop memoized moments (useful in long test sessions)."""
     _RADIAL_MEMO.clear()
     _MOMENT_MEMO.clear()
-    _shadow.cache_clear()

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from reinhardt.domains import (
-    BasisLattice,
-    BoxPiece,
-    DomainSpec,
-    MultiIndex,
-    RadialRegion,
-    radial_shadow,
-)
+from reinhardt import moments
+from reinhardt.domains import BasisLattice, DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.profiles import profile_family
 
@@ -72,48 +66,31 @@ def test_domain_constructors_validate():
         DomainSpec.wiegerinck_omega_k(0)
 
 
+# The polydisc's and the ball's shadows are private to the moments layer.
+
+
 def test_polydisc_shadow_is_a_box():
-    region = radial_shadow(DomainSpec.polydisc(1.0))
-    assert len(region.pieces) == 1
-    piece = region.pieces[0]
-    assert isinstance(piece, BoxPiece)
-    assert (piece.r1_lo, piece.r1_hi, piece.r2_lo, piece.r2_hi) == (0.0, 1.0, 0.0, 1.0)
+    piece, = moments._shadow(DomainSpec.polydisc(2.0))
+    assert piece == moments._Box(0.0, 1.0, 0.0, 2.0)
 
 
 def test_ball_fiber_is_pythagorean():
-    region = radial_shadow(DomainSpec.ball())
-    piece, = region.pieces
+    piece, = moments._shadow(DomainSpec.ball())
     assert (piece.r1_lo, piece.r1_hi) == (0.0, 1.0)
     assert math.exp(float(piece.log_hi(np.array(0.6)))) == pytest.approx(0.8, rel=1e-15)
 
 
-def test_profile_fiber_height_is_exp_minus_phi():
-    profile = profile_family("neg_log_one_minus_r2")
-    region = radial_shadow(DomainSpec.profile_domain(profile))
-    piece = region.pieces[0]
-    for r in (0.1, 0.5, 0.9):
-        assert float(piece.log_hi(r)) == -float(profile.phi(r))
-
-
-def test_omega0_shadow_is_not_built():
+def test_omega0_shadow_is_not_built(monkeypatch):
     # The shadow is unbounded; the moments are the closed form.
-    with pytest.raises(InvalidInputError, match="closed form"):
-        radial_shadow(DomainSpec.wiegerinck_omega0())
+    def no_shadow(spec):
+        raise AssertionError(f"shadow of {spec.describe()} built")
 
-
-def test_region_rejects_overlapping_pieces():
-    with pytest.raises(InvalidInputError):
-        RadialRegion(pieces=(
-            BoxPiece(0.0, 1.0, 0.0, 1.0),
-            BoxPiece(0.5, 2.0, 0.0, 1.0),
-        ))
-
-
-def test_region_rejects_what_is_not_a_piece():
-    with pytest.raises(InvalidInputError, match="BoxPiece or a FiberPiece"):
-        RadialRegion(pieces=(BoxPiece(0.0, 1.0, 0.0, 1.0), (1.0, 2.0)))
-    with pytest.raises(InvalidInputError, match="at least one piece"):
-        RadialRegion(pieces=())
+    monkeypatch.setattr(moments, "_shadow", no_shadow)
+    moments.clear_moment_caches()
+    for spec in (DomainSpec.wiegerinck_omega0(), DomainSpec.wiegerinck_omega_k(2)):
+        assert all(math.isfinite(v) for shell in moments.log_c_shells(spec, range(9)) for v in shell)
+    with pytest.raises(AssertionError, match="shadow of ball built"):
+        moments.log_c_shells(DomainSpec.ball(), (0,))
 
 
 def test_describe_strings():

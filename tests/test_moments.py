@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reinhardt.domains import BoxPiece, DomainSpec, FiberPiece, MultiIndex, RadialRegion, radial_shadow
+from reinhardt import moments
+from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
     DIVERGENT,
@@ -33,11 +34,6 @@ def log_factorial_ratio(*, num, den):
     for d in den:
         value /= math.factorial(d)
     return math.log(value.numerator) - math.log(value.denominator)
-
-
-def region_moment(region, gamma):
-    """log c_gamma^2 over a shadow region, through the domain it defines."""
-    return log_c_gamma_sq(DomainSpec.region_domain(region), gamma)
 
 
 def in_basis(spec, gamma):
@@ -124,35 +120,29 @@ def test_interval_moment_zero_profile():
 
 
 # ---------------------------------------------------------------------------
-# Region moments.
+# Shadow moments of the polydisc and the ball.
 # ---------------------------------------------------------------------------
 
 
 def test_region_moment_polydisc_volume():
-    region = radial_shadow(DomainSpec.polydisc(1.0))
-    got = region_moment(region, MultiIndex(0, 0))
+    got = log_c_gamma_sq(DomainSpec.polydisc(1.0), MultiIndex(0, 0))
     assert got == pytest.approx(math.log(PI2), abs=1e-14)
 
 
 def test_region_moment_ball_example():
-    region = radial_shadow(DomainSpec.ball())
-    got = region_moment(region, MultiIndex(2, 1))
+    got = log_c_gamma_sq(DomainSpec.ball(), MultiIndex(2, 1))
     assert got == pytest.approx(math.log(PI2 / 60.0), abs=1e-10)
 
 
 def test_region_moment_of_a_polydisc_split_into_two_boxes():
     # [0, 0.5] x [0, R] and [0.5, 1] x [0, R] sum to the polydisc moment
-    # pi^2 R^(2 g2 + 2) / ((g1 + 1)(g2 + 1)) through log_sum_exp.
+    # pi^2 R^(2 g2 + 2) / ((g1 + 1)(g2 + 1)) through the log_sum_exp fold
+    # over a shadow's pieces, with the r1_lo > 0 axis integral.
     radius = 1.5
-    region = RadialRegion(pieces=(BoxPiece(0.0, 0.5, 0.0, radius), BoxPiece(0.5, 1.0, 0.0, radius)))
+    pieces = (moments._Box(0.0, 0.5, 0.0, radius), moments._Box(0.5, 1.0, 0.0, radius))
     for gamma in (MultiIndex(0, 0), MultiIndex(3, 2), MultiIndex(0, 17), MultiIndex(25, 4)):
-        assert abs(region_moment(region, gamma) - polydisc_oracle(radius, gamma)) <= 1e-13
-
-
-def test_region_moment_rejects_strip_without_tail_description():
-    # the omega_k strip has no tail description, so its shadow is never built
-    with pytest.raises(InvalidInputError, match="closed form"):
-        region_moment(radial_shadow(DomainSpec.wiegerinck_omega_k(1)), MultiIndex(0, 0))
+        got, = moments._region_log_moments(pieces, [tuple(gamma)], DEFAULT_SETTINGS)
+        assert abs(got - polydisc_oracle(radius, gamma)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +212,17 @@ def test_beta_profile_oracle_up_to_order_20():
             assert got == pytest.approx(beta_profile_oracle(gamma), abs=1e-8)
 
 
-def test_profile_route_agrees_with_shadow_route():
-    # same moment through the radial formula and through the region engine
-    for profile in (NEG_LOG, INV_POW):
-        spec = DomainSpec.profile_domain(profile)
-        region = radial_shadow(spec)
-        for gamma in (MultiIndex(0, 0), MultiIndex(3, 2), MultiIndex(10, 1)):
-            direct = log_c_gamma_sq(spec, gamma)
-            via_region = region_moment(region, gamma)
-            assert via_region == pytest.approx(direct, abs=1e-8)
+def test_inv_one_minus_pow_matches_mpmath():
+    # c_gamma^2 = 2 pi^2/(g2+1) * integral_0^1 r^(2g1+1) exp(-(2g2+2)/(1-r)) dr
+    # at p = 1, integrated by mpmath: an oracle independent of the engine.
+    mpmath = pytest.importorskip("mpmath")
+    spec = DomainSpec.profile_domain(INV_POW)
+    for g1, g2 in [(0, 0), (3, 2), (10, 1)]:
+        x, y = 2 * g1 + 1, 2 * g2 + 2
+        with mpmath.workdps(30):
+            m = mpmath.quad(lambda r: r**x * mpmath.exp(-y / (1 - r)), mpmath.linspace(0, 1, 9))
+            want = float(mpmath.log(2 * mpmath.pi**2 / (g2 + 1) * m))
+        assert abs(log_c_gamma_sq(spec, MultiIndex(g1, g2)) - want) <= 1e-12, (g1, g2)
 
 
 def test_monotone_in_g2_for_nonnegative_profiles():
@@ -278,8 +270,7 @@ def test_membership_examples():
 
 
 def test_membership_on_generic_regions():
-    bounded = DomainSpec.region_domain(radial_shadow(DomainSpec.polydisc(1.0)))
-    assert in_basis(bounded, MultiIndex(40, 40))
+    assert in_basis(DomainSpec.polydisc(1.0), MultiIndex(40, 40))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +348,6 @@ def _mp_peak(profile, x, y, lo, hi):
 
 def _presplit(profile, xs, ys, lo, hi):
     """The initial panel cuts of the profile quadrature, one row per (x, y)."""
-    from reinhardt import moments
 
     return moments._mesh(*moments._peak_scales(profile, xs, ys, lo, hi))
 
@@ -433,16 +423,16 @@ def test_all_node_underflow_is_a_numerical_failure():
 
 
 def test_a_failing_fiber_moment_is_named_not_its_batch_row():
-    # The shell |gamma| = 1 of a fiber r2 < 1/r1 is integrated in one batch.
-    # Its moment (0, 1), row 0, integrates r1 * r1^-4 / 4, which is not
-    # integrable at r1 = 0, and the quadrature meets +inf there.  Asking for
-    # (1, 0) computes the shell, and the error names (0, 1), not
-    # "integrand 0 of 2".
-    spec = DomainSpec.region_domain(RadialRegion((FiberPiece(0.0, 1.0, log_hi=lambda r: -np.log(r)),)))
-    with pytest.raises(InvalidInputError) as failure:
-        log_c_gamma_sq(spec, MultiIndex(1, 0))
+    # The ball's shell |gamma| = 40 is integrated in one batch.  With one
+    # subdivision allowed at rel_tol 1e-14, its moment (0, 40), row 0, does
+    # not converge.  Asking for (1, 39) computes the shell, and the error
+    # names (0, 40), not "integrand 0 of 41".
+    clear_moment_caches()
+    settings = QuadratureSettings(rel_tol=1e-14, max_subdivisions=1)
+    with pytest.raises(NumericalFailureError) as failure:
+        log_c_gamma_sq(DomainSpec.ball(), MultiIndex(1, 39), settings)
     assert str(failure.value) == (
-        "fiber integral of z^(0,1): log-integrand produced NaN or +inf inside the integration interval"
+        "fiber integral of z^(0,40): quadrature needed more than 1 subdivisions"
     )
 
 
@@ -512,13 +502,33 @@ def test_shell_batch_equals_per_integrand_quadrature(spec):
 
 def _lone_moment(spec, g1, g2):
     """log c_gamma^2 integrated on its own, as a batch of one."""
-    from reinhardt import moments
-
     if spec.kind == "profile":
         radial = log_radial_moment(spec.profile, 2.0 * g1 + 1.0, 2.0 * g2 + 2.0)
         return moments._LOG_2PI2 - math.log(g2 + 1.0) + radial
-    region = moments._shadow(spec)
-    return moments._region_log_moments(region, [(g1, g2)], DEFAULT_SETTINGS)[0]
+    return moments._region_log_moments(moments._shadow(spec), [(g1, g2)], DEFAULT_SETTINGS)[0]
+
+
+def test_closed_form_walks_skip_the_radial_memo():
+    # A dbar walk on the zero and -log(1-r^2) profiles reads the closed
+    # forms of M(x, y) on [0, 1]; they are kept in the shell arrays only, so
+    # no [0, 1] entry appears in the per-(x, y) memo.
+    from reinhardt.hankel import dbar_canonical_report
+
+    closed = {
+        ZERO: lambda x, y: -math.log(x + 1.0),
+        NEG_LOG: lambda x, y: math.log(0.5) + (math.lgamma(0.5 * (x + 1.0)) + math.lgamma(y + 1.0)
+                                               - math.lgamma(0.5 * (x + 1.0) + y + 1.0)),
+    }
+    clear_moment_caches()
+    for profile, radial in closed.items():
+        spec = DomainSpec.profile_domain(profile)
+        dbar_canonical_report(spec, 60)
+        for n, shell in enumerate(log_c_shells(spec, range(62))):
+            assert shell.tolist() == [
+                moments._LOG_2PI2 - math.log(n - g1 + 1.0) + radial(2.0 * g1 + 1.0, 2.0 * (n - g1) + 2.0)
+                for g1 in range(n + 1)
+            ]
+    assert [key for key in moments._RADIAL_MEMO if key[1:3] == (0.0, 1.0)] == []
 
 
 def test_shell_member_is_bit_identical_to_lone_moment():
@@ -536,7 +546,6 @@ def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     # 61 rows that cut across shells; each value equals its lone
     # log_radial_moment bit for bit.  So does every pack over the
     # certificate window [a/2, (1+b)/2].
-    from reinhardt import moments
     from reinhardt.certificate import find_window
 
     profile = profile_family("inv_one_minus_pow", {"p": p})
@@ -567,7 +576,6 @@ def test_fused_integrand_is_bit_identical_to_the_masked_formula():
     # the masks; its bits equal the masked formula's, also at r = 0
     # (log r = -inf) and r = 1 (phi = inf).  A batch with a zero exponent
     # keeps the masks, which drop that term where it is infinite.
-    from reinhardt import moments
 
     r = np.array([[0.0, 1e-300, 0.25, 0.5, 1.0 - 1e-16, 1.0]] * 3)
     with np.errstate(divide="ignore", over="ignore"):
