@@ -23,7 +23,6 @@ from .hankel import (
     classify_growth,
     dbar_canonical_report,
     hs_term,
-    s_alpha_partial,
     s_alpha_partials,
     sample_ladder,
     shell_bound,

@@ -17,7 +17,7 @@ and an unknown or repeated domain parameter, is invalid input.
 Reports are written as CSV or JSON with fixed field order, 12
 significant digits and LF line endings, so identical configurations
 produce byte-identical files.  Exit codes: 0 success, 1 invalid input,
-2 numerical failure.
+2 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .hankel import (
     sample_ladder,
     shell_bound,
 )
-from .moments import log_c_gamma_sq, log_c_shells
+from .moments import check_fits, log_c_gamma_sq, log_c_shells
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 from .wiegerinck import S11_LIMIT, omegak_report, s11_tail_bound
 
@@ -210,6 +210,7 @@ _KEYS = {
 def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
     if n_max < 0:
         raise InvalidInputError(f"n_max must be >= 0, got {n_max}")
+    check_fits((n_max + 1) * (n_max + 2) // 2, f"a table to order {n_max}")
     rows = []
     # One request computes every shell.  Off-lattice monomials are divergent;
     # each nonempty shell is also read at its first lattice point through
@@ -493,6 +494,9 @@ def main(argv=None) -> int:
             if value is not None
         )
         print(f"numerical failure: {exc}" + (f" ({details})" if details else ""), file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; a smaller n_max may fit", file=sys.stderr)
         return 2
 
 

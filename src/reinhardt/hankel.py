@@ -39,7 +39,7 @@ import numpy as np
 
 from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
 from .errors import InvalidInputError
-from .moments import log_c_gamma_sq, log_c_shells
+from .moments import check_fits, log_c_gamma_sq, log_c_shells
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
 _SMALLEST_NORMAL = sys.float_info.min
@@ -242,7 +242,10 @@ def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> li
     requested together.  Terms whose gamma+alpha leaves the lattice are
     omitted, and shell n has no gamma-alpha terms below n = step."""
     step, offset = _neighbours(spec, alpha)
-    logs, sums = _shell_logs(spec, range(n_max + step + 1), settings), []
+    top = n_max + step
+    check_fits((top + 1) * (top + 2) // 2 if spec.lattice.kind == FULL_QUADRANT else top + 1,
+               f"the walk to shell {top}")
+    logs, sums = _shell_logs(spec, range(top + 1), settings), []
     for n in range(n_max + 1):
         mid = logs[n]
         up = logs[n + step][offset:offset + mid.size]
@@ -254,23 +257,10 @@ def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> li
     return sums
 
 
-def s_alpha_partial(
-    spec: DomainSpec,
-    alpha: MultiIndex,
-    n: int,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """S_alpha truncated to the simplex |gamma| <= n (diagonal index <= n).
-
-    On finite-dimensional lattices, summands whose gamma+alpha leaves
-    the lattice are omitted (the operator is only considered on the
-    subspace where it is bounded).
-    """
-    return s_alpha_partials(spec, alpha, (n,), settings)[0][1]
-
-
 def s_alpha_partials(spec, alpha, ns, settings=DEFAULT_SETTINGS):
-    """(n, S_alpha(n)) along a ladder of truncation indices, in one pass."""
+    """(n, S_alpha(n)) along a ladder of truncation indices, in one pass:
+    S_alpha truncated to the simplex |gamma| <= n (diagonal index <= n),
+    omitting the summands whose gamma+alpha leaves the lattice."""
     _check_alpha(spec, alpha, nonzero=True)
     ns = tuple(ns)
     for n in ns:

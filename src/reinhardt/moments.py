@@ -34,6 +34,7 @@ integrated alone, so neither the packing nor the cache changes a value.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -347,6 +348,19 @@ def log_c_gamma_sq(
     if gamma.g1 not in g1s:
         return DIVERGENT
     return float(log_c_shells(spec, (gamma.order,), settings)[0][g1s.index(gamma.g1)])
+
+
+def check_fits(count: int, what: str):
+    """Reject a request of ``count`` moments whose float64 values alone would
+    not fit in the machine's physical memory, before anything is built."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return  # the machine does not say; a MemoryError is reported instead
+    if 8 * count > memory:
+        raise InvalidInputError(
+            f"{what} holds {count} moments, more than fit in the "
+            f"{memory / 2**30:.3g} GiB of physical memory at 8 bytes each")
 
 
 def log_c_shells(

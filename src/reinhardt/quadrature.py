@@ -16,8 +16,15 @@ refinement round evaluates every new panel with one call of the
 integrand, and per-integrand totals are segment reductions over the
 table.  Each integrand keeps its own stop rule, split rule and
 subdivision budget, and leaves the table once it has converged.  A
-single integrand is the batch of one.  The integrand may write its values
-over the radii it is given; the rule then reuses that array in place.
+single integrand is the batch of one.
+
+The nodes of a round are laid out node-major: a (15, panels) array with
+one contiguous row per Kronrod node, so the integrand, the shift and the
+weighted sums each run as long vector operations across all panels.  The
+sums add the rows in the order numpy's pairwise sum adds a contiguous row
+of 7 or 15 values, so every panel's value is bitwise what a panel-major
+table gives.  The integrand may write its values over the radii it is
+given; the rule then reuses that array in place.
 """
 
 from __future__ import annotations
@@ -76,23 +83,32 @@ def _eval_panels(log_f, los, his, owner):
     """Rule pair on a table of panels; returns one row (log value, log
     error estimate) per panel.
 
+    The node table is node-major: row j holds Kronrod node j of every
+    panel, column i is panel i, so each step is one long vector operation
+    across the panels.  The weighted sums add the rows in a fixed order, the
+    one numpy's pairwise sum uses on a contiguous row of 7 or 15 values: the
+    Gauss rule in sequence, the Kronrod rule as ((w0+w1)+(w2+w3)) +
+    ((w4+w5)+(w6+w7)) and then w8, ..., w14 one at a time.  A panel's value
+    is therefore bitwise that of the panel-major table, and does not depend
+    on how many other panels share the call.
+
     A panel whose nodes all sit at log 0 contributes nothing; +inf or
     NaN values surface later as a NaN total, which the driver rejects.
     """
     half = 0.5 * (his - los)
-    r = np.multiply(half[:, None], _XGK)
-    r += (0.5 * (his + los))[:, None]
-    lf = np.asarray(log_f(r, owner[:, None]), dtype=float).reshape(los.size, _XGK.size)
-    shift = lf.max(axis=1)
+    r = np.multiply(_XGK[:, None], half)
+    r += 0.5 * (his + los)
+    lf = np.asarray(log_f(r, owner[None, :]), dtype=float).reshape(_XGK.size, los.size)
+    shift = lf.max(axis=0)
     empty = shift == LOG_ZERO
     bad = ~np.isfinite(shift) & ~empty
     safe_shift = np.where(empty | bad, 0.0, shift)
-    w = np.exp(np.subtract(lf, safe_shift[:, None], out=r), out=r)
-    # Row sums, not a matrix product: a panel's value then does not
-    # depend on how many other panels share the call.
-    g = (w[:, 1::2] * _WG).sum(axis=1)
-    w *= _WGK
-    k = w.sum(axis=1)
+    w = np.exp(np.subtract(lf, safe_shift, out=r), out=r)
+    g = (w[1::2] * _WG[:, None]).sum(axis=0)
+    w *= _WGK[:, None]
+    k = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+    for row in w[8:]:
+        k += row
     rule = np.empty((los.size, 2))
     rule[:, 0] = k
     rule[:, 1] = np.abs(k - g)
@@ -145,9 +161,11 @@ def log_integrate(
 
     Batch form: when ``a`` and ``b`` are 1-D arrays of m bounds, the call
     integrates m integrands at once and returns an array of m logs.
-    ``log_f(r, owner)`` then receives a 2-D array of radii, one row per
-    panel, and a column holding the index of the integrand that owns
-    each row (it broadcasts against ``r``); ``presplit`` is empty or a
+    ``log_f(r, owner)`` then receives a (15, P) array of radii, one row
+    per Kronrod node and one column per panel, and a (1, P) row holding
+    the index of the integrand that owns each column (it broadcasts
+    against ``r``, so ``xs[owner]`` is a row of per-panel exponents);
+    a scalar integrand gets the same radii.  ``presplit`` is empty or a
     2-D array with one row of cuts per integrand (NaN entries are
     ignored, so rows of different lengths can be padded).  An integrand
     that fails raises the error a call on it alone would raise, with its

@@ -730,3 +730,40 @@ def test_certify_does_not_import_numpy_ma():
                                 filter(None, [src, os.environ.get("PYTHONPATH")]))},
                             check=True)
     assert result.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--domain", "polydisc", "--n-max", "100000000"],
+    ["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "100000000000000000000"],
+], ids=["moments-polydisc", "salpha-ball"])
+def test_an_n_max_beyond_memory_is_a_one_line_error(argv):
+    # A walk whose moments cannot fit in physical memory is rejected before
+    # anything is built.  The child caps its own address space at 2 GB, so a
+    # regression fails here instead of filling the machine's memory.
+    import subprocess
+    import sys
+
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from reinhardt.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                            timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                              "PYTHONPATH": os.pathsep.join(
+                                                  filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    assert result.returncode == 1, result.stderr[-500:]
+    assert result.stdout == ""
+    line, = result.stderr.splitlines()
+    assert line.startswith("error: ") and "physical memory" in line
+
+
+def test_a_memory_error_is_a_one_line_exit_2(monkeypatch, capsys):
+    import reinhardt.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "s_alpha_partials", exhausted)
+    assert main(["salpha", "--domain", "polydisc", "--alpha", "1,0", "--n-max", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: out of memory; a smaller n_max may fit"]

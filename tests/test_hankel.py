@@ -16,7 +16,6 @@ from reinhardt.hankel import (
     classify_growth,
     dbar_canonical_report,
     hs_term,
-    s_alpha_partial,
     s_alpha_partials,
     sample_ladder,
     shell_bound,
@@ -59,19 +58,19 @@ def test_hs_term_lattice_validation():
 
 
 def test_partial_sum_polydisc_spot_value():
-    assert s_alpha_partial(POLYDISC, MultiIndex(1, 0), 2) == pytest.approx(23.0 / 12.0, abs=1e-12)
+    assert s_alpha_partials(POLYDISC, MultiIndex(1, 0), (2,))[0][1] == pytest.approx(23.0 / 12.0, abs=1e-12)
 
 
 def test_partial_sum_rejects_zero_alpha_and_bad_n():
     with pytest.raises(InvalidInputError):
-        s_alpha_partial(POLYDISC, MultiIndex(0, 0), 5)
+        s_alpha_partials(POLYDISC, MultiIndex(0, 0), (5,))
     with pytest.raises(InvalidInputError):
-        s_alpha_partial(POLYDISC, MultiIndex(1, 0), 0)
+        s_alpha_partials(POLYDISC, MultiIndex(1, 0), (0,))
 
 
 def test_diagonal_partial_sum_telescopes_to_one_ratio():
     for m in (1, 4, 9):
-        got = s_alpha_partial(OMEGA0, MultiIndex(1, 1), m)
+        got = s_alpha_partials(OMEGA0, MultiIndex(1, 1), (m,))[0][1]
         assert got == pytest.approx(omega0_ratio(m), rel=1e-12)
 
 
@@ -98,7 +97,7 @@ def test_telescoping_band_identity(spec, alpha):
             band += math.exp(
                 log_c_gamma_sq(spec, gamma.add(alpha)) - log_c_gamma_sq(spec, gamma)
             )
-    partial = s_alpha_partial(spec, alpha, m)
+    partial = s_alpha_partials(spec, alpha, (m,))[0][1]
     assert partial == pytest.approx(band, rel=1e-8)
 
 
@@ -141,7 +140,7 @@ def _oracle_shell(spec, n, alpha):
 
 @pytest.mark.parametrize("name", list(ORACLE_DOMAINS))
 def test_shell_arrays_match_the_hs_term_oracle(name):
-    # s_alpha_partial and shell_bound come from per-shell log-moment
+    # s_alpha_partials and shell_bound come from per-shell log-moment
     # arrays; hs_term is the term-by-term reference.  On omega_k:3 the
     # shells run past k and include terms whose gamma+alpha leaves the
     # lattice, which both sides omit.
@@ -152,7 +151,7 @@ def test_shell_arrays_match_the_hs_term_oracle(name):
         for n in range(1, 7):
             want = math.fsum(hs_term(spec, g, alpha) for m in range(n + 1)
                              for g in _oracle_shell(spec, m, alpha))
-            assert math.isclose(s_alpha_partial(spec, alpha, n), want,
+            assert math.isclose(s_alpha_partials(spec, alpha, (n,))[0][1], want,
                                 rel_tol=4 * sys.float_info.epsilon), (alpha, n)
             bound = math.fsum(
                 math.exp(log_c_gamma_sq(spec, g.add(alpha)) - log_c_gamma_sq(spec, g))
@@ -247,14 +246,14 @@ def test_constant_symbol_has_zero_norm():
 
 def test_hs_norm_symbol_off_lattice_rejected():
     with pytest.raises(InvalidInputError, match="not in the Bergman space"):
-        s_alpha_partial(OMEGA0, MultiIndex(1, 0), 10)
+        s_alpha_partials(OMEGA0, MultiIndex(1, 0), (10,))
 
 
 def test_hs_norm_z1z2_on_omega0_approaches_c11_sq_times_e4():
     # z1 z2 is c_11 times the basis vector of index (1,1), so the squared
     # norm of its Hankel operator is c_11^2 S_(1,1), and S_(1,1) tends to e^4.
     m = 1000
-    s11 = s_alpha_partial(OMEGA0, MultiIndex(1, 1), m)
+    s11 = s_alpha_partials(OMEGA0, MultiIndex(1, 1), (m,))[0][1]
     assert abs(s11 - math.exp(4.0)) <= 3.0 * math.exp(4.0) / m
 
 

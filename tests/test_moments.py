@@ -577,7 +577,8 @@ def test_fused_integrand_is_bit_identical_to_the_masked_formula():
     # (log r = -inf) and r = 1 (phi = inf).  A batch with a zero exponent
     # keeps the masks, which drop that term where it is infinite.
 
-    r = np.array([[0.0, 1e-300, 0.25, 0.5, 1.0 - 1e-16, 1.0]] * 3)
+    # Node-major, as _eval_panels passes it: one column and one owner per panel.
+    r = np.array([[0.0, 1e-300, 0.25, 0.5, 1.0 - 1e-16, 1.0]] * 3).T.copy()
     with np.errstate(divide="ignore", over="ignore"):
         log_r = np.log(r)
     for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 1e200})):
@@ -586,13 +587,13 @@ def test_fused_integrand_is_bit_identical_to_the_masked_formula():
         for xs, ys in (([1.0, 3.0, 401.0], [2.0, 402.0, 6.0]),
                        ([0.0, 3.0, 1.0], [2.0, 0.0, 0.0])):
             xs, ys = np.array(xs), np.array(ys)
-            owner = np.arange(3)[:, None]
+            owner = np.arange(3)[None, :]
             # The positive-exponent path writes its values over r.
             got = moments._profile_log_integrand(profile, xs, ys)(r.copy(), owner)
             want = moments._profile_log_values(xs[owner], ys[owner], log_r, phi_r)
             assert got.tobytes() == want.tobytes(), (profile, xs, ys)
     masked = moments._profile_log_integrand(INV_POW, np.array([0.0]), np.array([0.0]))
-    assert masked(r[:1].copy(), np.zeros((1, 1), dtype=int)).tolist() == [[0.0] * 6]
+    assert masked(r[:, :1].copy(), np.zeros((1, 1), dtype=int)).tolist() == [[0.0]] * 6
 
 
 def test_a_profile_phi_may_return_r_itself_or_a_scalar():

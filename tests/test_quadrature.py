@@ -173,3 +173,98 @@ def test_log_integrate_never_writes_into_an_array_log_f_keeps():
     assert len(kept) > 2
     assert all(values.tobytes() == copy.tobytes() for values, copy in kept)
     assert got == batch[0] == pytest.approx(log_beta(202.0, 401.0), rel=1e-12)
+
+
+def _panel_major_eval_panels(log_f, los, his, owner):
+    # The panel-major kernel the node-major one replaced, kept as its
+    # oracle: one 15-wide row of nodes per panel, numpy's own row sums.
+    from reinhardt.logdomain import LOG_ZERO
+    from reinhardt.quadrature import _WG, _WGK, _XGK
+
+    half = 0.5 * (his - los)
+    r = np.multiply(half[:, None], _XGK)
+    r += (0.5 * (his + los))[:, None]
+    lf = np.asarray(log_f(r, owner[:, None]), dtype=float).reshape(los.size, _XGK.size)
+    shift = lf.max(axis=1)
+    empty = shift == LOG_ZERO
+    bad = ~np.isfinite(shift) & ~empty
+    safe_shift = np.where(empty | bad, 0.0, shift)
+    w = np.exp(np.subtract(lf, safe_shift[:, None], out=r), out=r)
+    g = (w[:, 1::2] * _WG).sum(axis=1)
+    w *= _WGK
+    k = w.sum(axis=1)
+    rule = np.empty((los.size, 2))
+    rule[:, 0] = k
+    rule[:, 1] = np.abs(k - g)
+    out = np.log(np.maximum(rule, 1e-300)) + (safe_shift + np.log(half))[:, None]
+    out[empty] = LOG_ZERO
+    out[bad, 0] = np.nan
+    return out
+
+
+def _assert_kernels_agree(log_f, los, his, owner):
+    from reinhardt.quadrature import _eval_panels
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        want = _panel_major_eval_panels(log_f, los, his, owner)
+        got = _eval_panels(log_f, los, his, owner)
+    assert got.shape == want.shape == (los.size, 2)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_certify_pack():
+    # The initial pack of shell 200 on inv_one_minus_pow p = 1, as a
+    # certify walk integrates it: 201 integrands, about 2,500 panels.
+    from reinhardt import moments, quadrature
+    from reinhardt.profiles import profile_family
+
+    profile = profile_family("inv_one_minus_pow", {"p": 1.0})
+    g1 = np.arange(201.0)
+    xs, ys = 2.0 * g1 + 1.0, 2.0 * (200.0 - g1) + 2.0
+    cuts = moments._mesh(*moments._peak_scales(profile, xs, ys, 0.0, 1.0))
+    los, his, owner = quadrature._initial_panels(np.zeros(201), np.ones(201), cuts)
+    assert los.size > 2000
+    _assert_kernels_agree(moments._profile_log_integrand(profile, xs, ys), los, his, owner)
+
+
+def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_ball_fiber_batch(monkeypatch):
+    # The ball's fiber log-integrand of shell 40, on its own panel and on
+    # seven random cuts per integrand.
+    from reinhardt import moments, quadrature
+    from reinhardt.domains import DomainSpec
+
+    batches = []
+    integrate = moments.log_integrate
+    monkeypatch.setattr(moments, "log_integrate",
+                        lambda log_f, a, b, *args, **kw: batches.append((log_f, a, b))
+                        or integrate(log_f, a, b, *args, **kw))
+    moments.clear_moment_caches()
+    moments.log_c_shells(DomainSpec.ball(), (40,))
+    (log_f, a, b), = batches
+    cuts = np.random.default_rng(16).uniform(0.0, 1.0, (a.size, 7))
+    for presplit in (np.empty((a.size, 0)), cuts):
+        los, his, owner = quadrature._initial_panels(a, b, presplit)
+        _assert_kernels_agree(log_f, los, his, owner)
+
+
+def test_node_major_kernel_is_bitwise_the_panel_major_one_on_empty_and_nan_panels():
+    # Integrand 0 is log 0 everywhere, integrand 1 is NaN at one node of
+    # its second panel, integrand 2 overflows to +inf there, integrand 3
+    # is plain; each has three panels.
+    from reinhardt import quadrature
+
+    def log_f(r, owner):
+        out = 40.0 * np.log(r) + 3.0 * owner
+        out = np.where(owner == 0, -np.inf, out)
+        odd = (r > 0.45) & (r < 0.5)
+        out = np.where((owner == 1) & odd, np.nan, out)
+        return np.where((owner == 2) & odd, np.inf, out)
+
+    cuts = np.tile([0.3, 0.6], (4, 1))
+    los, his, owner = quadrature._initial_panels(np.zeros(4), np.ones(4), cuts)
+    _assert_kernels_agree(log_f, los, his, owner)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rules = quadrature._eval_panels(log_f, los, his, owner)
+    assert (rules[:3] == -np.inf).all()
+    assert np.isnan(rules[4, 0]) and np.isnan(rules[7, 0])
+    assert np.isfinite(rules[9:]).all()

@@ -5,7 +5,7 @@ import pytest
 
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
-from reinhardt.hankel import hs_term, s_alpha_partial, s_alpha_partials
+from reinhardt.hankel import hs_term, s_alpha_partials
 from reinhardt.wiegerinck import S11_LIMIT, omega0_log_ck_sq, omegak_report, s11_tail_bound
 
 E4 = math.exp(4.0)
@@ -69,7 +69,7 @@ def test_index_validation():
     with pytest.raises(InvalidInputError):
         omega0_log_ck_sq(-1)
     with pytest.raises(InvalidInputError):
-        s_alpha_partial(OMEGA0, S11, 0)
+        s_alpha_partials(OMEGA0, S11, (0,))
 
 
 def test_term_at_k_1_against_exact_closed_forms():
@@ -97,9 +97,9 @@ def test_telescoping_sum_matches_single_ratio():
 
 
 def test_partial_sums_and_tail_bound():
-    assert s_alpha_partial(OMEGA0, S11, 1) == pytest.approx(ratio_fraction_oracle(1), rel=1e-12)
+    assert s_alpha_partials(OMEGA0, S11, (1,))[0][1] == pytest.approx(ratio_fraction_oracle(1), rel=1e-12)
     for m in (100, 1000):
-        assert abs(s_alpha_partial(OMEGA0, S11, m) - E4) <= s11_tail_bound(m)
+        assert abs(s_alpha_partials(OMEGA0, S11, (m,))[0][1] - E4) <= s11_tail_bound(m)
         assert S11_LIMIT == E4
         assert s11_tail_bound(m) == pytest.approx(3.0 * E4 / m, rel=1e-12)
 
