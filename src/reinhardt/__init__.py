@@ -29,7 +29,6 @@ from .hankel import (
 )
 from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
 from .moments import (
-    DIVERGENT,
     log_c_gamma_sq,
     log_profile_interval_moment,
     log_radial_moment,

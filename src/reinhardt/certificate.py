@@ -20,7 +20,8 @@ profile domain:
 
 certificate_ladder does steps 1, 2 and the weight of step 4 once, then
 checks the masses of each shell's window with one batched density_mass
-call.  Their moments live in the moments memo; this module keeps no cache.
+call, which integrates the window moments and their denominators M(x, y)
+afresh; neither this module nor the moments layer caches them.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ the arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell
 is one point, and alpha = (a, a) is a shells away).  hs_term, one summand
 on its own, is the reference the tests hold the shell sums to.  Every
 moment on the basis lattice is finite, and the series reads no other
-(moments.DIVERGENT marks only monomials off the lattice), so no term is
-infinite; a ratio beyond double range is rejected.
+(moments.log_c_gamma_sq rejects a monomial off the lattice), so no term
+is infinite; a ratio beyond double range is rejected.
 
 This one evaluator serves every series of the package: the salpha and
 certify ladders, both coordinates of the dbar report, and S_(1,1) on the

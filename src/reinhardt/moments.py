@@ -13,22 +13,23 @@ shadows, private to this module: the polydisc's box in closed form, the
 ball's fiber r2 < sqrt(1 - r1^2) by quadrature.  The Wiegerinck domains
 use their diagonal closed form.  Every moment on the basis lattice is
 finite, and every result is a plain float log; a monomial off the basis
-lattice is not square-integrable and has the log of an infinite norm,
-DIVERGENT = inf.
+lattice is not square-integrable, and asking for its moment is an error.
 
 Moments are memoized a shell |gamma| = n at a time, as one read-only
-array per (domain, n, settings).  A series walk requests all of its shells
-at once (log_c_shells), and log_c_gamma_sq reads one entry of its shell.
-On a profile domain the missing shells' radial integrals take one pass of
-the analytic peak locator, which also gives each integrand's Laplace
-scale and so its initial mesh (no grid scan), and are then integrated in
-packs of consecutive rows, one log_integrate call per pack, each no larger
-than the largest shell of the request, whose log-integrand writes its
-values over the radii it is given.  The ball's fiber integrates one shell
-per log_integrate call.  The profile path also memoizes each quadrature
-M(x, y), which the certificate's window masses divide by.  Each moment is
-refined with the same panels and per-panel arithmetic as when it is
-integrated alone, so neither the packing nor the cache changes a value.
+array per (domain, n, settings); that is the only memo.  A series walk
+requests all of its shells at once (log_c_shells), and log_c_gamma_sq
+reads one entry of its shell.  On a profile domain the missing shells'
+radial integrals take one pass of the analytic peak locator, which also
+gives each integrand's Laplace scale and so its initial mesh (no grid
+scan), and are then integrated in packs of consecutive rows, one
+log_integrate call per pack, each no larger than the largest shell of the
+request, whose log-integrand writes its values over the radii it is
+given.  The ball's fiber integrates one shell per log_integrate call.
+Radial integrals outside a shell, such as the certificate's window
+masses and their denominators, are computed afresh at each call.  Each
+moment is refined with the same panels and per-panel arithmetic as when
+it is integrated alone, so neither the packing nor the memo changes a
+value.
 """
 
 from __future__ import annotations
@@ -50,17 +51,17 @@ from .wiegerinck import omega0_log_ck_sq
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 _LOG_2PI2 = math.log(2.0 * math.pi**2)
 
-# log c_gamma^2 of a monomial off the basis lattice: it is not square-integrable.
-DIVERGENT = math.inf
-
 # Multiples of the Laplace scale at which _mesh cuts a profile integrand.
 _MESH_OFFSETS = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
 
-# Memoized log moments: radial integrals, one dict keyed by (x, y) per
-# (profile, lo, hi, settings) interval, and one read-only log c_gamma^2 array
-# per (domain, n, settings) shell.  Values never depend on whether they were
-# computed alone or in a batch.
-_RADIAL_MEMO: dict = {}
+# Peak bytes a series walk holds per moment on its costlier path, the profile
+# quadrature: 85-99 measured by ru_maxrss between salpha --n-max 200, 400 and
+# 800 on inv_one_minus_pow p=1 (8-10 on the polydisc's closed form).
+_BYTES_PER_MOMENT = 128
+
+# Memoized log moments: one read-only log c_gamma^2 array per (domain, n,
+# settings) shell.  Values never depend on whether they were computed alone
+# or in a batch.
 _MOMENT_MEMO: dict = {}
 
 
@@ -97,58 +98,39 @@ def log_profile_interval_moment(
     hi: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ):
-    """log of integral_lo^hi r^x exp(-y phi(r)) dr.
+    """log of integral_lo^hi r^x exp(-y phi(r)) dr, for exponents x, y > 0.
 
     Batch form: when x and y are equal-length 1-D sequences, the call
-    returns a list with one log per pair, and the pairs missing from the
-    memo are integrated in one batched log_integrate call.  Each value
-    equals the one a scalar call gives.
+    returns a list with one log per pair, integrated in one batched
+    log_integrate call.  Each value equals the one a scalar call gives.
     """
     xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if xs.ndim > 1 or xs.shape != ys.shape:
         raise InvalidInputError("moment exponents must be scalars or equal-length 1-D sequences")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise InvalidInputError(f"moment exponents must be finite, got x={x}, y={y}")
-    if (xs < 0).any() or (ys < 0).any():
-        raise InvalidInputError(f"moment exponents must be >= 0, got x={x}, y={y}")
+    if (xs <= 0).any() or (ys <= 0).any():
+        raise InvalidInputError(f"moment exponents must be > 0, got x={x}, y={y}")
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
-    logs = _interval_moments(
-        profile, np.atleast_1d(xs).tolist(), np.atleast_1d(ys).tolist(), float(lo), float(hi), settings
-    )
+    logs = _interval_moments(profile, np.atleast_1d(xs), np.atleast_1d(ys), float(lo), float(hi), settings)
     return logs if xs.ndim else logs[0]
 
 
 def _interval_moments(profile, xs, ys, lo, hi, settings, pack=None) -> list:
-    """log integral_lo^hi r^x exp(-y phi(r)) dr for each (x, y).
-
-    Closed forms answer the full interval on the zero and -log(1-r^2)
-    families, with no memo; every other value is memoized, and the missing
-    ones are integrated by _integrated_moments, in packs of at most
-    ``pack`` rows (default: one pack).
-    """
+    """log integral_lo^hi r^x exp(-y phi(r)) dr for each row of the float
+    arrays xs and ys: the closed form on [0, 1] for the zero and -log(1-r^2)
+    families, else one peak and scale pass over every row, then one
+    log_integrate call per pack of at most ``pack`` consecutive rows
+    (default: one pack; a row's value does not depend on its pack)."""
     if lo == 0.0 and hi == 1.0:
         if profile.name == "zero":
-            return [-math.log(x + 1.0) for x in xs]
+            return [-math.log(x + 1.0) for x in map(float, xs)]
         if profile.name == "neg_log_one_minus_r2":
-            return [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0) for x, y in zip(xs, ys)]
-    memo = _RADIAL_MEMO.setdefault((profile, lo, hi, settings), {})
-    keys = list(zip(xs, ys))
-    missing = [key for key in keys if key not in memo]
-    if missing:
-        mx, my = zip(*missing)
-        logs = _integrated_moments(profile, np.array(mx, dtype=float), np.array(my, dtype=float),
-                                   lo, hi, settings, pack or len(missing))
-        memo.update(zip(missing, logs))
-    return [memo[key] for key in keys]
-
-
-def _integrated_moments(profile, xs, ys, lo, hi, settings, pack) -> list:
-    """log integral_lo^hi r^x exp(-y phi(r)) dr: one peak and scale pass over
-    every row, then one log_integrate call per pack of at most ``pack``
-    consecutive rows (a row's value does not depend on its pack)."""
+            return [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0)
+                    for x, y in zip(map(float, xs), map(float, ys))]
     peaks, scales = _peak_scales(profile, xs, ys, lo, hi)
-    logs = []
+    logs, pack = [], pack or max(xs.size, 1)
     for start in range(0, xs.size, pack):
         rows = slice(start, start + pack)
         x, y = xs[rows], ys[rows]
@@ -180,33 +162,20 @@ def _integrate(log_f, size, lo, hi, settings, subject, presplit=()) -> list:
     return logs
 
 
-def _profile_log_values(x, y, log_r, phi_r):
-    """x log r - y phi(r), broadcast; a zero exponent drops its term even
-    where log r or phi(r) is infinite."""
-    out = np.multiply(x, log_r, out=np.zeros(np.broadcast_shapes(x.shape, log_r.shape)),
-                      where=x != 0.0)
-    with np.errstate(invalid="ignore"):
-        return np.subtract(out, y * phi_r, out=out, where=y != 0.0)
-
-
 def _profile_log_integrand(profile, xs, ys):
-    """log_f(r, owner) of r^x exp(-y phi(r)) for a batch.  With every exponent
-    positive, as on the lattice (x = 2 g1 + 1, y = 2 g2 + 2), no term needs
-    masking: the plain expression gives _profile_log_values' bits, written over
-    r and over phi(r) when that is a writeable r-shaped array apart from r."""
+    """log_f(r, owner) of r^x exp(-y phi(r)) for a batch of positive
+    exponents, x log r - y phi(r), written over r and over phi(r) when that
+    is a writeable r-shaped array apart from r."""
     phi = profile.phi
-    positive = bool((xs > 0.0).all() and (ys > 0.0).all())
 
     def log_f(r, owner):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if positive:
-                t = np.asarray(phi(r), dtype=float)
-                own = t.shape == r.shape and t.flags.writeable and not np.may_share_memory(t, r)
-                t = np.multiply(t, ys[owner], out=t if own else None)
-                np.log(r, out=r)
-                r *= xs[owner]
-                return np.subtract(r, t, out=r)
-            return _profile_log_values(xs[owner], ys[owner], np.log(r), phi(r))
+            t = np.asarray(phi(r), dtype=float)
+            own = t.shape == r.shape and t.flags.writeable and not np.may_share_memory(t, r)
+            t = np.multiply(t, ys[owner], out=t if own else None)
+            np.log(r, out=r)
+            r *= xs[owner]
+            return np.subtract(r, t, out=r)
 
     return log_f
 
@@ -215,25 +184,24 @@ def _peak_scales(profile, xs, ys, lo, hi):
     """The peak r* of each r^x exp(-y phi(r)) on [lo, hi], the root of
     x = y r phi'(r) (profiles.peak_radius, one call for every row), and the
     Laplace scale s = 1/sqrt(x/r*^2 + y phi''(r*)) of the Gaussian that
-    matches the log-integrand's curvature there.  Where that curvature
-    overflows (inv_one_minus_pow from about p = 5e152, phi''(r*) ~ p^2),
-    s = exp(-1/2 logaddexp(log x - 2 log r*, log y + log phi''(r*))).  Each
-    row depends only on its own (x, y, lo, hi), as does its mesh.
+    matches the log-integrand's curvature there, for positive exponents.
+    Where that curvature overflows (inv_one_minus_pow from about p = 5e152,
+    phi''(r*) ~ p^2), s = exp(-1/2 logaddexp(log x - 2 log r*,
+    log y + log phi''(r*))).  Each row depends only on its own
+    (x, y, lo, hi), as does its mesh.
     """
     peaks = peak_radius(profile, xs, ys, lo, hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # -x/r^2 - y phi''(r), the log-integrand's second derivative, drops
-        # a zero exponent's term as the log-integrand does.
-        curvature = -_profile_log_values(xs, ys, -1.0 / np.square(peaks),
-                                         np.asarray(profile.d2phi(peaks), dtype=float))
+        # -x/r^2 - y phi''(r), the log-integrand's second derivative
+        d2phi = np.asarray(profile.d2phi(peaks), dtype=float)
+        curvature = -(xs * (-1.0 / np.square(peaks)) - ys * d2phi)
         scales = 1.0 / np.sqrt(curvature)
         huge = np.isinf(curvature)
         if huge.any():
             r, x, y = peaks[huge], xs[huge], ys[huge]
             log_d2phi = profile.log_d2phi(r) if profile.log_d2phi else np.log(profile.d2phi(r))
-            scales[huge] = np.exp(-0.5 * np.logaddexp(
-                np.where(x != 0.0, np.log(x) - 2.0 * np.log(r), -np.inf),
-                np.where(y != 0.0, np.log(y) + log_d2phi, -np.inf)))
+            scales[huge] = np.exp(-0.5 * np.logaddexp(np.log(x) - 2.0 * np.log(r),
+                                                      np.log(y) + log_d2phi))
     return peaks, scales
 
 
@@ -342,25 +310,26 @@ def log_c_gamma_sq(
     gamma: MultiIndex,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
-    """log c_gamma^2 for the domain, or DIVERGENT when gamma is off-basis:
-    the entry of gamma in the array of its shell (log_c_shells)."""
+    """log c_gamma^2 for the domain: the entry of gamma in the array of its
+    shell (log_c_shells).  A gamma off the basis lattice is rejected."""
     g1s = spec.lattice.shell(gamma.order)
     if gamma.g1 not in g1s:
-        return DIVERGENT
+        raise InvalidInputError(f"gamma {gamma} is not in the basis lattice of {spec.describe()}")
     return float(log_c_shells(spec, (gamma.order,), settings)[0][g1s.index(gamma.g1)])
 
 
 def check_fits(count: int, what: str):
-    """Reject a request of ``count`` moments whose float64 values alone would
-    not fit in the machine's physical memory, before anything is built."""
+    """Reject a request of ``count`` moments that would not fit in the
+    machine's physical memory at _BYTES_PER_MOMENT each, before anything is
+    built."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the machine does not say; a MemoryError is reported instead
-    if 8 * count > memory:
+    if _BYTES_PER_MOMENT * count > memory:
         raise InvalidInputError(
-            f"{what} holds {count} moments, more than fit in the "
-            f"{memory / 2**30:.3g} GiB of physical memory at 8 bytes each")
+            f"{what} holds {count} moments, more than fit in the {memory / 2**30:.3g} GiB "
+            f"of physical memory at {_BYTES_PER_MOMENT} bytes each")
 
 
 def log_c_shells(
@@ -384,10 +353,11 @@ def log_c_shells(
             raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
     orders = [int(n) for n in orders]
     missing = [n for n in orders if (spec, n, settings) not in _MOMENT_MEMO]
-    for n, logs in zip(missing, _log_c_gamma_sq_shells(spec, missing, settings)):
-        logs = np.array(logs, dtype=float)
-        logs.flags.writeable = False
-        _MOMENT_MEMO[(spec, n, settings)] = logs
+    if missing:
+        for n, logs in zip(missing, _log_c_gamma_sq_shells(spec, missing, settings)):
+            logs = np.array(logs, dtype=float)
+            logs.flags.writeable = False
+            _MOMENT_MEMO[(spec, n, settings)] = logs
     return [_MOMENT_MEMO[(spec, n, settings)] for n in orders]
 
 
@@ -398,9 +368,9 @@ def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
     if spec.kind == "profile":
         radial = iter(_interval_moments(
             spec.profile,
-            [2.0 * g1 + 1.0 for n in orders for g1 in shell(n)],
-            [2.0 * (n - g1) + 2.0 for n in orders for g1 in shell(n)],
-            0.0, 1.0, settings, pack=max((len(shell(n)) for n in orders), default=0),
+            np.fromiter((2.0 * g1 + 1.0 for n in orders for g1 in shell(n)), dtype=float),
+            np.fromiter((2.0 * (n - g1) + 2.0 for n in orders for g1 in shell(n)), dtype=float),
+            0.0, 1.0, settings, pack=max(len(shell(n)) for n in orders),
         ))
         return ([_LOG_2PI2 - math.log(n - g1 + 1.0) + next(radial) for g1 in shell(n)] for n in orders)
     if spec.kind in ("omega0", "omega_k"):
@@ -412,5 +382,4 @@ def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
 
 def clear_moment_caches():
     """Drop memoized moments (useful in long test sessions)."""
-    _RADIAL_MEMO.clear()
     _MOMENT_MEMO.clear()

@@ -115,7 +115,8 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
 
 
 def peak_radius(profile: RadialProfile, x, y, lo: float, hi: float) -> np.ndarray:
-    """The peak of r^x exp(-y phi(r)) on [lo, hi] for each (x, y) of a batch.
+    """The peak of r^x exp(-y phi(r)) on [lo, hi] for each (x, y) of a batch
+    of positive exponents.
 
     Inside (lo, hi) the peak is the root of g(r) = x - y r phi'(r), which
     decreases where r phi'(r) increases (a subharmonic phi).  A row with
@@ -132,8 +133,7 @@ def peak_radius(profile: RadialProfile, x, y, lo: float, hi: float) -> np.ndarra
     xs, ys = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     xs, ys = xs.ravel(), ys.ravel()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        g_lo, g_hi = (np.where(ys != 0.0, xs - ys * (end * profile.dphi(end)), xs)
-                      for end in (float(lo), float(hi)))
+        g_lo, g_hi = (xs - ys * (end * profile.dphi(end)) for end in (float(lo), float(hi)))
         peaks = np.where(g_lo > 0.0, float(hi), float(lo))
         inside = np.nonzero((g_lo > 0.0) & (g_hi < 0.0))[0]
         del g_lo, g_hi

@@ -120,7 +120,7 @@ def test_root_bracketing_inside_window():
 
 def test_density_mass_normalization_and_zero_profile():
     assert density_mass(NEG_LOG, 3.0, 5.0, (0.0, 1.0)) == 1.0
-    assert density_mass(ZERO, 1.0, 0.0, (0.0, 0.5)) == pytest.approx(0.25, abs=1e-12)
+    assert density_mass(ZERO, 1.0, 2.0, (0.0, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_density_mass_window_inequality_sample():
@@ -236,8 +236,10 @@ def test_certificate_counts_are_nearly_affine():
 
 
 def test_certificate_ladder_checks_the_profile_once(monkeypatch):
-    # The profile checks run once per ladder, and each rung integrates the
-    # masses of its whole window in at most one batched quadrature call.
+    # The profile checks run once per ladder, and each rung integrates its
+    # whole window in two batched quadrature calls: the masses on
+    # [a/2, (1+b)/2] and their denominators M(x, y) on [0, 1], which no
+    # memo keeps, so a walk run first saves none of them.
     alpha, ns = MultiIndex(1, 1), sample_ladder(200)
     s_alpha_partials(DomainSpec.profile_domain(INV_POW), alpha, ns)
     calls = Counter()
@@ -257,7 +259,30 @@ def test_certificate_ladder_checks_the_profile_once(monkeypatch):
     certificate_ladder(INV_POW, alpha, ns)
     assert calls["check_subharmonic"] == 1
     assert calls["lambda_alpha"] == 1
-    assert calls["log_integrate"] <= len(ns)
+    assert calls["log_integrate"] == 2 * len(ns)
+
+
+def test_the_shell_arrays_are_the_only_moment_memo():
+    # After a walk, the moments layer holds one memo, the shell arrays; the
+    # certificate integrates its window moments afresh at every ladder, so
+    # a ladder repeats itself exactly and its masses are bitwise the masses
+    # of a ladder run with cold caches.
+    alpha, ns = MultiIndex(1, 1), (40, 80)
+    moments.clear_moment_caches()
+    s_alpha_partials(DomainSpec.profile_domain(INV_POW), alpha, ns)
+    first = certificate_ladder(INV_POW, alpha, ns)
+    memos = [name for name, value in vars(moments).items()
+             if isinstance(value, dict) and not name.startswith("__")]
+    assert memos == ["_MOMENT_MEMO"] and moments._MOMENT_MEMO
+    assert certificate_ladder(INV_POW, alpha, ns) == first
+    moments.clear_moment_caches()
+    assert moments._MOMENT_MEMO == {}
+    cold = certificate_ladder(INV_POW, alpha, ns)
+
+    def masses(ladder):
+        return [mass.hex() for entry in ladder.entries for _, mass in entry.mass_checks]
+
+    assert masses(cold) == masses(first) and len(masses(cold)) > 0
 
 
 def test_density_mass_batch_matches_scalar_calls():

@@ -756,6 +756,25 @@ def test_an_n_max_beyond_memory_is_a_one_line_error(argv):
     assert line.startswith("error: ") and "physical memory" in line
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["moments", "--domain", "polydisc", "--n-max", "20"], 231),
+    (["salpha", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "1,1", "--n-max", "20"], 276),
+], ids=["moments-polydisc", "salpha-profile"])
+def test_memory_check_counts_what_a_walk_holds(monkeypatch, capsys, argv, count):
+    # Two 4 KiB pages of physical memory hold the float64 values of these
+    # 231 and 276 moments, but not the bytes a walk really holds per moment.
+    from reinhardt import moments
+
+    assert 8 * count <= 2 * 4096 < moments._BYTES_PER_MOMENT * count
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}.__getitem__)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and f"holds {count} moments" in line
+    assert "physical memory" in line
+
+
 def test_a_memory_error_is_a_one_line_exit_2(monkeypatch, capsys):
     import reinhardt.cli as cli
 

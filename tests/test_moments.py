@@ -9,7 +9,6 @@ from reinhardt import moments
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
-    DIVERGENT,
     clear_moment_caches,
     log_c_gamma_sq,
     log_c_shells,
@@ -37,8 +36,8 @@ def log_factorial_ratio(*, num, den):
 
 
 def in_basis(spec, gamma):
-    """Whether z^gamma is square-integrable, hence a basis monomial."""
-    return log_c_gamma_sq(spec, gamma) != DIVERGENT
+    """Whether z^gamma is a basis monomial, whose moment is then finite."""
+    return spec.lattice.contains(gamma) and math.isfinite(log_c_gamma_sq(spec, gamma))
 
 
 def polydisc_oracle(radius, gamma):
@@ -90,7 +89,7 @@ def test_inv_pow_profile_against_tight_tolerance_run():
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
-@pytest.mark.parametrize("x, y", [(1, 802), (3, 1002), (201, 2), (0, 2), (11, 40),
+@pytest.mark.parametrize("x, y", [(1, 802), (3, 1002), (201, 2), (11, 40),
                                   (51, 152), (101, 2)])
 def test_inv_pow_p1_against_exact_exponential_integrals(x, y):
     # phi = 1/(1-r); with t = 1/(1-r), M(x, y) = sum_j (-1)^j C(x, j) E_(j+2)(y)
@@ -113,9 +112,25 @@ def test_moment_input_validation():
         log_profile_interval_moment(ZERO, 1.0, 1.0, 0.5, 0.2)
 
 
+def test_zero_exponents_are_rejected():
+    # The lattice sends x = 2 g1 + 1 >= 1 and y = 2 g2 + 2 >= 2, as does the
+    # certificate, so a zero exponent is invalid input on every family, in
+    # scalar and batch form.
+    from reinhardt.certificate import density_mass
+
+    for profile in (ZERO, NEG_LOG, INV_POW):
+        for x, y in ((0.0, 2.0), (1.0, 0.0), ([1.0, 0.0], [2.0, 2.0])):
+            with pytest.raises(InvalidInputError, match="must be > 0"):
+                log_radial_moment(profile, x, y)
+            with pytest.raises(InvalidInputError, match="must be > 0"):
+                log_profile_interval_moment(profile, x, y, 0.0, 0.5)
+            with pytest.raises(InvalidInputError, match="must be > 0"):
+                density_mass(profile, x, y, (0.0, 0.5))
+
+
 def test_interval_moment_zero_profile():
     # integral_0^0.5 r dr = 1/8
-    got = log_profile_interval_moment(ZERO, 1.0, 0.0, 0.0, 0.5)
+    got = log_profile_interval_moment(ZERO, 1.0, 2.0, 0.0, 0.5)
     assert got == pytest.approx(math.log(0.125), abs=1e-12)
 
 
@@ -169,9 +184,11 @@ def test_c_gamma_sq_omega0_volume():
 def test_c_gamma_sq_divergence_matches_lattice():
     omega0 = DomainSpec.wiegerinck_omega0()
     omegak = DomainSpec.wiegerinck_omega_k(2)
-    assert log_c_gamma_sq(omega0, MultiIndex(2, 1)) == DIVERGENT
+    with pytest.raises(InvalidInputError, match=r"gamma \(2,1\) is not in the basis lattice of omega0"):
+        log_c_gamma_sq(omega0, MultiIndex(2, 1))
     assert math.isfinite(log_c_gamma_sq(omega0, MultiIndex(2, 2)))
-    assert log_c_gamma_sq(omegak, MultiIndex(3, 3)) == DIVERGENT
+    with pytest.raises(InvalidInputError, match="not in the basis lattice"):
+        log_c_gamma_sq(omegak, MultiIndex(3, 3))
     assert math.isfinite(log_c_gamma_sq(omegak, MultiIndex(2, 2)))
 
 
@@ -310,7 +327,7 @@ def scan_presplit(profile, x, y, lo, hi, settings):
 
 
 def _mp_log_integrand(profile, x, y):
-    """x log r - y phi(r) in mpmath, a zero exponent dropping its term."""
+    """x log r - y phi(r) in mpmath."""
     mpmath = pytest.importorskip("mpmath")
     p = dict(profile.params).get("p")
     phi = {
@@ -318,7 +335,7 @@ def _mp_log_integrand(profile, x, y):
         "neg_log_one_minus_r2": lambda r: -mpmath.log1p(-r * r),
         "inv_one_minus_pow": lambda r: (1 - r) ** -mpmath.mpf(p),
     }[profile.name]
-    return lambda r: (x * mpmath.log(r) if x else 0) - (y * phi(r) if y else 0)
+    return lambda r: x * mpmath.log(r) - y * phi(r)
 
 
 def _mp_peak(profile, x, y, lo, hi):
@@ -326,8 +343,8 @@ def _mp_peak(profile, x, y, lo, hi):
     x - y r phi'(r) when it changes sign there, else the nearer endpoint."""
     mpmath = pytest.importorskip("mpmath")
     p = dict(profile.params).get("p")
-    if y == 0 or profile.name == "zero":
-        return hi if x > 0 else lo
+    if profile.name == "zero":
+        return hi
     if profile.name == "neg_log_one_minus_r2":
         # x = 2 y r^2 / (1 - r^2)
         return min(max(math.sqrt(x / (x + 2.0 * y)), lo), hi)
@@ -361,8 +378,8 @@ def test_peak_locator_matches_mpmath():
 
     mpmath = pytest.importorskip("mpmath")
     offsets = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
-    xs = np.array([0.0, 1.0, 3.0, 11.0, 101.0, 401.0])
-    ys = np.array([0.0, 2.0, 6.0, 50.0, 402.0, 1000.0])
+    xs = np.array([1.0, 3.0, 11.0, 101.0, 401.0])
+    ys = np.array([2.0, 6.0, 50.0, 402.0, 1000.0])
     gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
     for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 2.5})):
         for lo, hi in ((0.0, 1.0), (0.2, 0.7)):
@@ -375,10 +392,10 @@ def test_peak_locator_matches_mpmath():
                 assert peak_radius(profile, x, y, lo, hi).tobytes() == peak.tobytes(), case
                 assert _presplit(profile, np.array([x]), np.array([y]), lo, hi)[0].tobytes() \
                     == row.tobytes(), case
-                # At r* = 0 with x > 0, or r* = 1 with y phi unbounded, the
-                # curvature is infinite and the scale 0: every cut sits on r*.
+                # At r* = 0, or r* = 1 with phi unbounded, the curvature is
+                # infinite and the scale 0: every cut sits on r*.
                 unbounded = profile.name != "zero"
-                scale = 0.0 if (peak == 0.0 and x) or (peak == 1.0 and y and unbounded) else None
+                scale = 0.0 if peak == 0.0 or (peak == 1.0 and unbounded) else None
                 if scale is None:
                     with mpmath.workdps(40):
                         log_f = _mp_log_integrand(profile, x, y)
@@ -510,8 +527,7 @@ def _lone_moment(spec, g1, g2):
 
 def test_closed_form_walks_skip_the_radial_memo():
     # A dbar walk on the zero and -log(1-r^2) profiles reads the closed
-    # forms of M(x, y) on [0, 1]; they are kept in the shell arrays only, so
-    # no [0, 1] entry appears in the per-(x, y) memo.
+    # forms of M(x, y) on [0, 1], bit for bit, into its shell arrays.
     from reinhardt.hankel import dbar_canonical_report
 
     closed = {
@@ -528,7 +544,6 @@ def test_closed_form_walks_skip_the_radial_memo():
                 moments._LOG_2PI2 - math.log(n - g1 + 1.0) + radial(2.0 * g1 + 1.0, 2.0 * (n - g1) + 2.0)
                 for g1 in range(n + 1)
             ]
-    assert [key for key in moments._RADIAL_MEMO if key[1:3] == (0.0, 1.0)] == []
 
 
 def test_shell_member_is_bit_identical_to_lone_moment():
@@ -558,8 +573,8 @@ def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     shells = log_c_shells(spec, range(61))
     assert len(packs) == 31 and max(packs) == 61
     gammas = [(k, n - k) for n in range(61) for k in range(n + 1)]
-    xs = [2.0 * g1 + 1.0 for g1, _ in gammas]
-    ys = [2.0 * g2 + 2.0 for _, g2 in gammas]
+    xs = np.array([2.0 * g1 + 1.0 for g1, _ in gammas])
+    ys = np.array([2.0 * g2 + 2.0 for _, g2 in gammas])
     window = find_window(profile)
     inner = (window.inner_lo, window.inner_hi)
     packed = moments._interval_moments(profile, xs, ys, *inner, DEFAULT_SETTINGS, pack=61)
@@ -571,29 +586,34 @@ def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     assert packed == [log_profile_interval_moment(profile, x, y, *inner) for x, y in zip(xs, ys)]
 
 
+def _masked_log_values(x, y, log_r, phi_r):
+    """x log r - y phi(r), broadcast, each term masked on a zero exponent so
+    that no zero factor meets an infinite log r or phi(r): the reference
+    for the fused in-place profile log-integrand."""
+    out = np.multiply(x, log_r, out=np.zeros(np.broadcast_shapes(x.shape, log_r.shape)),
+                      where=x != 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.subtract(out, y * phi_r, out=out, where=y != 0.0)
+
+
 def test_fused_integrand_is_bit_identical_to_the_masked_formula():
-    # The log-integrand of a batch whose exponents are all positive skips
-    # the masks; its bits equal the masked formula's, also at r = 0
-    # (log r = -inf) and r = 1 (phi = inf).  A batch with a zero exponent
-    # keeps the masks, which drop that term where it is infinite.
+    # The profile log-integrand of positive exponents computes in place,
+    # with no masks; its bits equal the masked formula's, also at r = 0
+    # (log r = -inf) and r = 1 (phi = inf).
 
     # Node-major, as _eval_panels passes it: one column and one owner per panel.
     r = np.array([[0.0, 1e-300, 0.25, 0.5, 1.0 - 1e-16, 1.0]] * 3).T.copy()
     with np.errstate(divide="ignore", over="ignore"):
         log_r = np.log(r)
+    xs, ys = np.array([1.0, 3.0, 401.0]), np.array([2.0, 402.0, 6.0])
+    owner = np.arange(3)[None, :]
     for profile in (ZERO, NEG_LOG, INV_POW, profile_family("inv_one_minus_pow", {"p": 1e200})):
         with np.errstate(divide="ignore", over="ignore"):
             phi_r = profile.phi(r)
-        for xs, ys in (([1.0, 3.0, 401.0], [2.0, 402.0, 6.0]),
-                       ([0.0, 3.0, 1.0], [2.0, 0.0, 0.0])):
-            xs, ys = np.array(xs), np.array(ys)
-            owner = np.arange(3)[None, :]
-            # The positive-exponent path writes its values over r.
-            got = moments._profile_log_integrand(profile, xs, ys)(r.copy(), owner)
-            want = moments._profile_log_values(xs[owner], ys[owner], log_r, phi_r)
-            assert got.tobytes() == want.tobytes(), (profile, xs, ys)
-    masked = moments._profile_log_integrand(INV_POW, np.array([0.0]), np.array([0.0]))
-    assert masked(r[:, :1].copy(), np.zeros((1, 1), dtype=int)).tolist() == [[0.0]] * 6
+        # The integrand writes its values over r.
+        got = moments._profile_log_integrand(profile, xs, ys)(r.copy(), owner)
+        want = _masked_log_values(xs[owner], ys[owner], log_r, phi_r)
+        assert got.tobytes() == want.tobytes(), profile
 
 
 def test_a_profile_phi_may_return_r_itself_or_a_scalar():
@@ -644,7 +664,8 @@ def test_panel_kernel_holds_at_most_three_and_a_half_node_arrays():
 def test_certify_walk_locates_its_peaks_in_one_call(monkeypatch):
     # certify p=1 to N = 200 walks shells 0..202 (20,706 moments): one
     # peak_radius call for the whole walk, and one log_integrate call per
-    # pack of at most 203 rows, plus one per ladder point's window masses.
+    # pack of at most 203 rows, plus two per ladder point: its window
+    # masses and their denominators.
     from reinhardt import cli, moments
 
     peaks, integrals, walk = [], [], []
@@ -726,5 +747,7 @@ def test_diagonal_shells_hold_one_point_or_none():
     for spec in (omega0, omegak):
         assert log_c_shells(spec, (4,))[0][0] == log_c_gamma_sq(spec, MultiIndex(2, 2))
         for gamma in (MultiIndex(1, 0), MultiIndex(3, 1), MultiIndex(0, 4), MultiIndex(2, 1)):
-            assert log_c_gamma_sq(spec, gamma) == DIVERGENT
-    assert log_c_gamma_sq(omegak, MultiIndex(3, 3)) == DIVERGENT
+            with pytest.raises(InvalidInputError):
+                log_c_gamma_sq(spec, gamma)
+    with pytest.raises(InvalidInputError):
+        log_c_gamma_sq(omegak, MultiIndex(3, 3))
