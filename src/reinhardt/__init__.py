@@ -22,12 +22,10 @@ from .hankel import (
     Inconclusive,
     classify_growth,
     dbar_canonical_report,
-    hs_term,
     s_alpha_partials,
     sample_ladder,
     shell_bound,
 )
-from .logdomain import LOG_ZERO, log_add_exp, log_sub_exp, log_sum_exp
 from .moments import (
     log_c_gamma_sq,
     log_profile_interval_moment,

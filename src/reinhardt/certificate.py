@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import MultiIndex
-from .errors import InvalidInputError, NumericalFailureError
+from .errors import InvalidInputError, NumericalFailureError, check_index
 from .moments import log_profile_interval_moment, log_radial_moment
 from .profiles import RadialProfile
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
@@ -154,9 +154,7 @@ def index_window(window: Window, n: int) -> list:
     the integers in (0, n) strictly between (2A/(2A+2)) n + (2A-1)/(2A+2)
     and (2B/(2B+2)) n + (2B-1)/(2B+2), so that A < (2k+1)/(2n-2k+2) < B.
     """
-    if n != int(n) or n < 1:
-        raise InvalidInputError(f"shell index must be a positive integer, got {n!r}")
-    n = int(n)
+    n = check_index(n, "shell index must be a positive integer, got {!r}", 1)
     lo = (2.0 * window.A / (2.0 * window.A + 2.0)) * n + (2.0 * window.A - 1.0) / (2.0 * window.A + 2.0)
     hi = (2.0 * window.B / (2.0 * window.B + 2.0)) * n + (2.0 * window.B - 1.0) / (2.0 * window.B + 2.0)
     lo, hi = max(lo, 0.0), min(hi, float(n))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_index
 from .profiles import RadialProfile, profile_family
 
 
@@ -26,29 +26,16 @@ class MultiIndex:
     g2: int
 
     def __post_init__(self):
-        if self.g1 != int(self.g1) or self.g2 != int(self.g2):
-            raise InvalidInputError(f"multi-index components must be integers: {self}")
-        if self.g1 < 0 or self.g2 < 0:
+        g1, g2 = (check_index(g, "multi-index components must be integers: {index}", index=self)
+                  for g in (self.g1, self.g2))
+        if g1 < 0 or g2 < 0:
             raise InvalidInputError(f"multi-index components must be >= 0: {self}")
-        object.__setattr__(self, "g1", int(self.g1))
-        object.__setattr__(self, "g2", int(self.g2))
+        object.__setattr__(self, "g1", g1)
+        object.__setattr__(self, "g2", g2)
 
     @property
     def order(self) -> int:
         return self.g1 + self.g2
-
-    def add(self, other: "MultiIndex") -> "MultiIndex":
-        return MultiIndex(self.g1 + other.g1, self.g2 + other.g2)
-
-    def sub(self, other: "MultiIndex") -> "MultiIndex | None":
-        """Componentwise difference, or None if it leaves the quadrant."""
-        g1, g2 = self.g1 - other.g1, self.g2 - other.g2
-        if g1 < 0 or g2 < 0:
-            return None
-        return MultiIndex(g1, g2)
-
-    def __iter__(self):
-        return iter((self.g1, self.g2))
 
     def __repr__(self):
         return f"({self.g1},{self.g2})"
@@ -145,9 +132,7 @@ class DomainSpec:
 
     @classmethod
     def wiegerinck_omega_k(cls, k: int) -> "DomainSpec":
-        if k != int(k) or k < 1:
-            raise InvalidInputError("the truncated Wiegerinck domain needs integer k >= 1")
-        return cls(OMEGA_K, k=int(k))
+        return cls(OMEGA_K, k=check_index(k, "the truncated Wiegerinck domain needs integer k >= 1", 1))
 
     @property
     def lattice(self) -> BasisLattice:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the index check, shared across the package."""
+
+import math
 
 
 class InvalidInputError(ValueError):
@@ -16,3 +18,16 @@ class NumericalFailureError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.achieved_error = achieved_error
+
+
+def check_index(value, message: str, minimum=-math.inf, maximum=math.inf, **fields) -> int:
+    """int(value) for an integral number in [minimum, maximum].  Anything
+    else, a fraction, NaN, inf, a non-number or a value out of range,
+    raises InvalidInputError(message.format(value, **fields))."""
+    try:
+        whole = value == int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not (whole and minimum <= value <= maximum):
+        raise InvalidInputError(message.format(value, **fields))
+    return int(value)

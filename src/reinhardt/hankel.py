@@ -17,8 +17,8 @@ One pass over the shells requests every shell's memoized log c_gamma^2
 array at once (moments.log_c_shells), so the moments layer can batch the
 quadrature of the whole walk; a shell's terms are exps of differences with
 the arrays of its neighbours n -+ |alpha| (on a diagonal lattice a shell
-is one point, and alpha = (a, a) is a shells away).  hs_term, one summand
-on its own, is the reference the tests hold the shell sums to.  Every
+is one point, and alpha = (a, a) is a shells away).  The tests hold the
+shell sums to a term-by-term reference in tests/oracles.py.  Every
 moment on the basis lattice is finite, and the series reads no other
 (moments.log_c_gamma_sq rejects a monomial off the lattice), so no term
 is infinite; a ratio beyond double range is rejected.
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_index
 from .moments import check_fits, log_c_gamma_sq, log_c_shells
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
@@ -179,40 +179,11 @@ def _sum(values) -> float:
         raise InvalidInputError("series sum overflows double precision on this domain") from None
 
 
-def _check_alpha(spec: DomainSpec, alpha: MultiIndex, nonzero: bool):
+def _check_alpha(spec: DomainSpec, alpha: MultiIndex):
     if not spec.lattice.contains(alpha):
         raise InvalidInputError(f"symbol index {alpha} is not in the Bergman space of {spec.describe()}")
-    if nonzero and alpha.order == 0:
-        raise InvalidInputError("symbol index alpha must be nonzero")
-
-
-def hs_term(
-    spec: DomainSpec,
-    gamma: MultiIndex,
-    alpha: MultiIndex,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """One summand of S_alpha, via log-moment differences.
-
-    Nonnegative up to quadrature noise; exactly 0 at alpha = 0.
-    """
-    _check_alpha(spec, alpha, nonzero=False)
-    if not spec.lattice.contains(gamma):
-        raise InvalidInputError(f"gamma {gamma} is not in the basis lattice")
     if alpha.order == 0:
-        return 0.0
-    up = gamma.add(alpha)
-    if not spec.lattice.contains(up):
-        raise InvalidInputError(
-            f"gamma+alpha {up} leaves the basis lattice; the operator is "
-            "unbounded on this basis vector"
-        )
-    log_mid = log_c_gamma_sq(spec, gamma, settings)
-    term = _ratios(log_c_gamma_sq(spec, up, settings), log_mid)
-    down = gamma.sub(alpha)
-    if down is not None and spec.lattice.contains(down):
-        term -= _ratios(log_mid, log_c_gamma_sq(spec, down, settings))
-    return float(term[0])
+        raise InvalidInputError("symbol index alpha must be nonzero")
 
 
 def _shell_logs(spec: DomainSpec, ns, settings) -> list:
@@ -261,11 +232,10 @@ def s_alpha_partials(spec, alpha, ns, settings=DEFAULT_SETTINGS):
     """(n, S_alpha(n)) along a ladder of truncation indices, in one pass:
     S_alpha truncated to the simplex |gamma| <= n (diagonal index <= n),
     omitting the summands whose gamma+alpha leaves the lattice."""
-    _check_alpha(spec, alpha, nonzero=True)
+    _check_alpha(spec, alpha)
     ns = tuple(ns)
     for n in ns:
-        if n != int(n) or n < 1:
-            raise InvalidInputError(f"truncation index must be a positive integer, got {n!r}")
+        check_index(n, "truncation index must be a positive integer, got {!r}", 1)
     if not ns:
         return ()
     sums = _shell_sums(spec, alpha, int(max(ns)), settings)
@@ -279,11 +249,10 @@ def shell_bound(
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> float:
     """The single-shell lower bound: sum over |gamma| = n of c_(gamma+alpha)^2/c_gamma^2."""
-    _check_alpha(spec, alpha, nonzero=True)
-    if n != int(n) or n < 0:
-        raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
+    _check_alpha(spec, alpha)
+    n = check_index(n, "shell index must be a nonnegative integer, got {!r}", 0)
     step, offset = _neighbours(spec, alpha)
-    mid, up = _shell_logs(spec, (int(n), int(n) + step), settings)
+    mid, up = _shell_logs(spec, (n, n + step), settings)
     up = up[offset:offset + mid.size]
     return _sum(_ratios(up, mid[:up.size]).tolist())
 
@@ -351,12 +320,9 @@ def dbar_canonical_report(
 def sample_ladder(n_max: int, n_step: int | None = None):
     """Truncation indices n_step, 2*n_step, ..., <= n_max, at least one; the
     default step gives as many as classify_growth needs, where n_max allows."""
-    if n_max != int(n_max) or n_max < 1:
-        raise InvalidInputError(f"n_max must be a positive integer, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = check_index(n_max, "n_max must be a positive integer, got {!r}", 1)
     if n_step is None:
         n_step = max(1, n_max // _MIN_SAMPLES)
-    if n_step != int(n_step) or not 1 <= n_step <= n_max:
-        raise InvalidInputError(f"n_step must be an integer in [1, n_max], got {n_step!r}")
-    return tuple(range(int(n_step), n_max + 1, int(n_step)))
+    n_step = check_index(n_step, "n_step must be an integer in [1, n_max], got {!r}", 1, n_max)
+    return tuple(range(n_step, n_max + 1, n_step))
 

@@ -42,8 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import DomainSpec, MultiIndex
-from .errors import InvalidInputError, NumericalFailureError
-from .logdomain import LOG_ZERO, log_sub_exp, log_sum_exp
+from .errors import InvalidInputError, NumericalFailureError, check_index
 from .profiles import RadialProfile, peak_radius
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import omega0_log_ck_sq
@@ -156,9 +155,9 @@ def _integrate(log_f, size, lo, hi, settings, subject, presplit=()) -> list:
         reason = str(exc).removesuffix(f" (integrand {exc.row} of {size})")
         exc.args = (f"{subject(exc.row)}: {reason}",)
         raise
-    if LOG_ZERO in logs:
+    if -math.inf in logs:
         raise NumericalFailureError(
-            f"{subject(logs.index(LOG_ZERO))} underflows to 0 at every quadrature node")
+            f"{subject(logs.index(-math.inf))} underflows to 0 at every quadrature node")
     return logs
 
 
@@ -261,12 +260,23 @@ def _region_log_moments(pieces: tuple, gammas, settings) -> list:
         for piece in pieces
     ]
     return [
-        _LOG_4PI2 + log_sum_exp([
+        _LOG_4PI2 + _log_sum_exp([
             _box_log_moment(piece, gamma) if fiber is None else next(fiber)
             for piece, fiber in zip(pieces, fibers)
         ])
         for gamma in gammas
     ]
+
+
+def _log_sum_exp(logs) -> float:
+    """log(sum(exp(l) for l in logs)); empty input gives -inf."""
+    logs = list(logs)
+    if not logs:
+        return -math.inf
+    m = max(logs)
+    if math.isinf(m):
+        return m
+    return m + math.log(math.fsum(math.exp(l - m) for l in logs))
 
 
 def _box_log_moment(piece: _Box, gamma) -> float:
@@ -278,8 +288,9 @@ def _axis_log_moment(lo: float, hi: float, power: int) -> float:
     # integral_lo^hi r^power dr, in log form
     p1 = power + 1.0
     top = p1 * math.log(hi)
-    bottom = p1 * math.log(lo) if lo > 0.0 else LOG_ZERO
-    return log_sub_exp(top, bottom) - math.log(p1)
+    if lo > 0.0:
+        top += math.log(-math.expm1(p1 * math.log(lo) - top))
+    return top - math.log(p1)
 
 
 def _fiber_log_moments(piece: _Fiber, gammas, settings) -> list:
@@ -347,11 +358,7 @@ def log_c_shells(
     (for the truncated family only the shared Omega_0 region is counted);
     everything else integrates its bounded shadow a shell at a time.
     """
-    orders = list(orders)
-    for n in orders:
-        if n != int(n) or n < 0:
-            raise InvalidInputError(f"shell index must be a nonnegative integer, got {n!r}")
-    orders = [int(n) for n in orders]
+    orders = [check_index(n, "shell index must be a nonnegative integer, got {!r}", 0) for n in orders]
     missing = [n for n in orders if (spec, n, settings) not in _MOMENT_MEMO]
     if missing:
         for n, logs in zip(missing, _log_c_gamma_sq_shells(spec, missing, settings)):

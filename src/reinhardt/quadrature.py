@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalFailureError
-from .logdomain import LOG_ZERO
 
 # 15-point Kronrod nodes on [-1, 1] in ascending order; the embedded
 # 7-point Gauss rule uses the odd-indexed nodes.
@@ -100,7 +99,7 @@ def _eval_panels(log_f, los, his, owner):
     r += 0.5 * (his + los)
     lf = np.asarray(log_f(r, owner[None, :]), dtype=float).reshape(_XGK.size, los.size)
     shift = lf.max(axis=0)
-    empty = shift == LOG_ZERO
+    empty = shift == -np.inf
     bad = ~np.isfinite(shift) & ~empty
     safe_shift = np.where(empty | bad, 0.0, shift)
     w = np.exp(np.subtract(lf, safe_shift, out=r), out=r)
@@ -113,7 +112,7 @@ def _eval_panels(log_f, los, his, owner):
     rule[:, 0] = k
     rule[:, 1] = np.abs(k - g)
     out = np.log(np.maximum(rule, 1e-300)) + (safe_shift + np.log(half))[:, None]
-    out[empty] = LOG_ZERO
+    out[empty] = -np.inf
     out[bad, 0] = np.nan
     return out
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
-from .logdomain import log_add_exp
+from .errors import check_index
 
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
 
@@ -29,11 +28,14 @@ S11_LIMIT = math.exp(4.0)
 
 
 def omega0_log_ck_sq(k: int) -> float:
-    """log c_(k,k)^2 on Omega_0, evaluated entirely in the log domain."""
-    k = _check_index(k, minimum=0)
+    """log c_(k,k)^2 on Omega_0, evaluated entirely in the log domain.  The
+    exponential part exceeds the rational one at every k (2.61 > 0 at k = 0,
+    and after that the first grows while the second falls), so it is the
+    shift of the log-add."""
+    k = check_index(k, "index must be an integer >= 0, got {!r}", 0)
     rational = math.log(2.0) - math.log(2 * k + 1) - math.log(2 * k + 2)
     exponential = (4.0 * k + 4.0) - 2.0 * math.log(2 * k + 2)
-    return _LOG_4PI2 + log_add_exp(rational, exponential)
+    return _LOG_4PI2 + (exponential + math.log1p(math.exp(rational - exponential)))
 
 
 def s11_tail_bound(m: int) -> float:
@@ -60,7 +62,7 @@ def omegak_report(k: int) -> OmegaKReport:
     k - j + 1 summands are structurally nonzero.  No moment values are
     computed; the connecting strip of the domain is not integrated.
     """
-    k = _check_index(k, minimum=1)
+    k = check_index(k, "index must be an integer >= 1, got {!r}", 1)
     return OmegaKReport(
         k=k,
         dimension=k + 1,
@@ -73,8 +75,3 @@ def omegak_report(k: int) -> OmegaKReport:
         ),
     )
 
-
-def _check_index(k, minimum: int) -> int:
-    if k != int(k) or k < minimum:
-        raise InvalidInputError(f"index must be an integer >= {minimum}, got {k!r}")
-    return int(k)

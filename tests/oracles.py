@@ -1,0 +1,57 @@
+"""Reference computations the tests hold the library to.
+
+hs_term is one summand of S_alpha, computed on its own from three
+memoized moments; the series evaluator sums whole shells at once, and the
+tests compare the two term by term.  index_sum and index_difference are
+the multi-index arithmetic that hs_term and the tests need.
+"""
+
+from __future__ import annotations
+
+from reinhardt.domains import DomainSpec, MultiIndex
+from reinhardt.errors import InvalidInputError
+from reinhardt.hankel import _ratios
+from reinhardt.moments import log_c_gamma_sq
+from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings
+
+
+def index_sum(gamma: MultiIndex, alpha: MultiIndex) -> MultiIndex:
+    return MultiIndex(gamma.g1 + alpha.g1, gamma.g2 + alpha.g2)
+
+
+def index_difference(gamma: MultiIndex, alpha: MultiIndex) -> MultiIndex | None:
+    """gamma - alpha componentwise, or None if it leaves the quadrant."""
+    g1, g2 = gamma.g1 - alpha.g1, gamma.g2 - alpha.g2
+    if g1 < 0 or g2 < 0:
+        return None
+    return MultiIndex(g1, g2)
+
+
+def hs_term(
+    spec: DomainSpec,
+    gamma: MultiIndex,
+    alpha: MultiIndex,
+    settings: QuadratureSettings = DEFAULT_SETTINGS,
+) -> float:
+    """One summand of S_alpha, via log-moment differences.
+
+    Nonnegative up to quadrature noise; exactly 0 at alpha = 0.
+    """
+    if not spec.lattice.contains(alpha):
+        raise InvalidInputError(f"symbol index {alpha} is not in the Bergman space of {spec.describe()}")
+    if not spec.lattice.contains(gamma):
+        raise InvalidInputError(f"gamma {gamma} is not in the basis lattice")
+    if alpha.order == 0:
+        return 0.0
+    up = index_sum(gamma, alpha)
+    if not spec.lattice.contains(up):
+        raise InvalidInputError(
+            f"gamma+alpha {up} leaves the basis lattice; the operator is "
+            "unbounded on this basis vector"
+        )
+    log_mid = log_c_gamma_sq(spec, gamma, settings)
+    term = _ratios(log_c_gamma_sq(spec, up, settings), log_mid)
+    down = index_difference(gamma, alpha)
+    if down is not None and spec.lattice.contains(down):
+        term -= _ratios(log_mid, log_c_gamma_sq(spec, down, settings))
+    return float(term[0])

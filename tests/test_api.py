@@ -1,16 +1,20 @@
 import inspect
+import math
+
+import pytest
 
 import reinhardt
+from reinhardt.errors import InvalidInputError
 
 PUBLIC = {
     "BasisLattice", "Certificate", "CertificateEntry", "Classification", "Convergent",
     "DEFAULT_SETTINGS", "DbarReport", "DivergentLinear", "DomainSpec",
-    "Inconclusive", "InvalidInputError", "LOG_ZERO", "MultiIndex", "NumericalFailureError",
+    "Inconclusive", "InvalidInputError", "MultiIndex", "NumericalFailureError",
     "OmegaKReport", "QuadratureSettings", "RadialProfile", "SubharmonicityCheck", "Window",
     "certificate_ladder", "check_subharmonic", "classify_growth", "dbar_canonical_report",
-    "density_mass", "find_window", "hs_term", "index_window", "lambda_alpha", "log_add_exp",
+    "density_mass", "find_window", "index_window", "lambda_alpha",
     "log_c_gamma_sq", "log_integrate", "log_profile_interval_moment", "log_radial_moment",
-    "log_sub_exp", "log_sum_exp", "omega0_log_ck_sq", "omegak_report", "profile_family",
+    "omega0_log_ck_sq", "omegak_report", "profile_family",
     "s_alpha_partials", "sample_ladder", "shell_bound",
 }
 
@@ -22,4 +26,31 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 36
+
+
+_POLYDISC = reinhardt.DomainSpec.polydisc(1.0)
+_ALPHA = reinhardt.MultiIndex(1, 0)
+_WINDOW = reinhardt.Window(a=0.2, b=0.5, A=0.1, B=1.0)
+
+# Every entry point that takes an index, called with the index x.
+INDEX_ENTRY_POINTS = {
+    "log_c_shells": lambda x: reinhardt.moments.log_c_shells(_POLYDISC, (x,)),
+    "s_alpha_partials": lambda x: reinhardt.s_alpha_partials(_POLYDISC, _ALPHA, (x,)),
+    "shell_bound": lambda x: reinhardt.shell_bound(_POLYDISC, _ALPHA, x),
+    "sample_ladder n_max": lambda x: reinhardt.sample_ladder(x),
+    "sample_ladder n_step": lambda x: reinhardt.sample_ladder(8, x),
+    "index_window": lambda x: reinhardt.index_window(_WINDOW, x),
+    "MultiIndex": lambda x: reinhardt.MultiIndex(x, 0),
+    "wiegerinck_omega_k": lambda x: reinhardt.DomainSpec.wiegerinck_omega_k(x),
+    "omega0_log_ck_sq": lambda x: reinhardt.omega0_log_ck_sq(x),
+    "omegak_report": lambda x: reinhardt.omegak_report(x),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, -1])
+@pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
+def test_a_bad_index_is_invalid_input(entry, value):
+    # NaN and inf once escaped as ValueError and OverflowError from int().
+    with pytest.raises(InvalidInputError):
+        INDEX_ENTRY_POINTS[entry](value)

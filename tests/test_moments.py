@@ -151,13 +151,19 @@ def test_region_moment_ball_example():
 
 def test_region_moment_of_a_polydisc_split_into_two_boxes():
     # [0, 0.5] x [0, R] and [0.5, 1] x [0, R] sum to the polydisc moment
-    # pi^2 R^(2 g2 + 2) / ((g1 + 1)(g2 + 1)) through the log_sum_exp fold
+    # pi^2 R^(2 g2 + 2) / ((g1 + 1)(g2 + 1)) through the one-term fold
     # over a shadow's pieces, with the r1_lo > 0 axis integral.
     radius = 1.5
     pieces = (moments._Box(0.0, 0.5, 0.0, radius), moments._Box(0.5, 1.0, 0.0, radius))
     for gamma in (MultiIndex(0, 0), MultiIndex(3, 2), MultiIndex(0, 17), MultiIndex(25, 4)):
-        got, = moments._region_log_moments(pieces, [tuple(gamma)], DEFAULT_SETTINGS)
+        got, = moments._region_log_moments(pieces, [(gamma.g1, gamma.g2)], DEFAULT_SETTINGS)
         assert abs(got - polydisc_oracle(radius, gamma)) <= 1e-13
+
+
+def test_log_sum_exp_fold_empty_and_shifted():
+    assert moments._log_sum_exp([]) == -math.inf
+    logs = [1000.0, 1000.0 + math.log(2.0), -math.inf]
+    assert moments._log_sum_exp(logs) == pytest.approx(1000.0 + math.log(3.0), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -178,7 +178,6 @@ def test_log_integrate_never_writes_into_an_array_log_f_keeps():
 def _panel_major_eval_panels(log_f, los, his, owner):
     # The panel-major kernel the node-major one replaced, kept as its
     # oracle: one 15-wide row of nodes per panel, numpy's own row sums.
-    from reinhardt.logdomain import LOG_ZERO
     from reinhardt.quadrature import _WG, _WGK, _XGK
 
     half = 0.5 * (his - los)
@@ -186,7 +185,7 @@ def _panel_major_eval_panels(log_f, los, his, owner):
     r += (0.5 * (his + los))[:, None]
     lf = np.asarray(log_f(r, owner[:, None]), dtype=float).reshape(los.size, _XGK.size)
     shift = lf.max(axis=1)
-    empty = shift == LOG_ZERO
+    empty = shift == -np.inf
     bad = ~np.isfinite(shift) & ~empty
     safe_shift = np.where(empty | bad, 0.0, shift)
     w = np.exp(np.subtract(lf, safe_shift[:, None], out=r), out=r)
@@ -197,7 +196,7 @@ def _panel_major_eval_panels(log_f, los, his, owner):
     rule[:, 0] = k
     rule[:, 1] = np.abs(k - g)
     out = np.log(np.maximum(rule, 1e-300)) + (safe_shift + np.log(half))[:, None]
-    out[empty] = LOG_ZERO
+    out[empty] = -np.inf
     out[bad, 0] = np.nan
     return out
 
