@@ -33,10 +33,6 @@ from .moments import (
 )
 from .profiles import RadialProfile, profile_family
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
-from .wiegerinck import (
-    OmegaKReport,
-    omega0_log_ck_sq,
-    omegak_report,
-)
+from .wiegerinck import omega0_log_ck_sq
 
 __version__ = "0.1.0"

@@ -74,18 +74,6 @@ class BasisLattice:
         on = n >= 0 and n % 2 == 0 and (self.k is None or n // 2 <= self.k)
         return range(n // 2, n // 2 + 1) if on else range(0)
 
-    @staticmethod
-    def full() -> "BasisLattice":
-        return BasisLattice(FULL_QUADRANT)
-
-    @staticmethod
-    def diagonal() -> "BasisLattice":
-        return BasisLattice(DIAGONAL)
-
-    @staticmethod
-    def diagonal_truncated(k: int) -> "BasisLattice":
-        return BasisLattice(DIAGONAL_TRUNCATED, k)
-
 
 # --------------------------------------------------------------------------
 # Domain specifications.
@@ -137,10 +125,10 @@ class DomainSpec:
     @property
     def lattice(self) -> BasisLattice:
         if self.kind == OMEGA0:
-            return BasisLattice.diagonal()
+            return BasisLattice(DIAGONAL)
         if self.kind == OMEGA_K:
-            return BasisLattice.diagonal_truncated(self.k)
-        return BasisLattice.full()
+            return BasisLattice(DIAGONAL_TRUNCATED, self.k)
+        return BasisLattice(FULL_QUADRANT)
 
     def describe(self) -> str:
         if self.kind == PROFILE:

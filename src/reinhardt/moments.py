@@ -152,8 +152,7 @@ def _integrate(log_f, size, lo, hi, settings, subject, presplit=()) -> list:
     except (InvalidInputError, NumericalFailureError) as exc:
         if not hasattr(exc, "row"):
             raise
-        reason = str(exc).removesuffix(f" (integrand {exc.row} of {size})")
-        exc.args = (f"{subject(exc.row)}: {reason}",)
+        exc.args = (f"{subject(exc.row)}: {exc}",)
         raise
     if -math.inf in logs:
         raise NumericalFailureError(
@@ -329,18 +328,18 @@ def log_c_gamma_sq(
     return float(log_c_shells(spec, (gamma.order,), settings)[0][g1s.index(gamma.g1)])
 
 
-def check_fits(count: int, what: str):
-    """Reject a request of ``count`` moments that would not fit in the
-    machine's physical memory at _BYTES_PER_MOMENT each, before anything is
-    built."""
+def check_fits(count: int, what: str, unit: str = "moments", each: int = _BYTES_PER_MOMENT):
+    """Reject a request of ``count`` units, by default moments, that would
+    not fit in the machine's physical memory at ``each`` bytes a unit,
+    before anything is built."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return  # the machine does not say; a MemoryError is reported instead
-    if _BYTES_PER_MOMENT * count > memory:
+    if each * count > memory:
         raise InvalidInputError(
-            f"{what} holds {count} moments, more than fit in the {memory / 2**30:.3g} GiB "
-            f"of physical memory at {_BYTES_PER_MOMENT} bytes each")
+            f"{what} holds {count} {unit}, more than fit in the {memory / 2**30:.3g} GiB "
+            f"of physical memory at {each} bytes each")
 
 
 def log_c_shells(

@@ -146,42 +146,41 @@ def log_integrate(
     b,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
     presplit=(),
-):
-    """log of integral of exp(log_f) over [a, b], to settings.rel_tol.
+) -> np.ndarray:
+    """log of the integral of exp(log_f) over [a[i], b[i]], to settings.rel_tol,
+    for each pair of bounds in the 1-D arrays a and b; returns an array of logs.
 
-    ``presplit`` lists interior points at which the initial panels are
-    cut (used to isolate a decayed right tail before bisection starts).
-    Raises NumericalFailureError, carrying the best estimate, if the
-    subdivision budget is exhausted first.
+    ``log_f(r, owner)`` gets a (15, P) array of radii, one row per Kronrod
+    node and one column per panel, and a (1, P) row of the index of the
+    integrand owning each column, so ``xs[owner]`` is a row of per-panel
+    exponents.  It may write its logs over ``r``, which the rule then reuses;
+    any other array it returns is only read, so log_f may keep it.
 
-    ``log_f`` must work elementwise on an array of radii of any shape.
-    It may write over that array, which the rule reuses afterwards; any
-    other array log_f returns is only read, so log_f may keep it.
+    ``presplit`` is empty or a 2-D array with one row of points per
+    integrand at which its initial panels are cut, such as the moments
+    layer's Laplace-scale mesh around each peak; NaN entries and points
+    outside (a[i], b[i]) are ignored, so rows of unequal length can be padded.
 
-    Batch form: when ``a`` and ``b`` are 1-D arrays of m bounds, the call
-    integrates m integrands at once and returns an array of m logs.
-    ``log_f(r, owner)`` then receives a (15, P) array of radii, one row
-    per Kronrod node and one column per panel, and a (1, P) row holding
-    the index of the integrand that owns each column (it broadcasts
-    against ``r``, so ``xs[owner]`` is a row of per-panel exponents);
-    a scalar integrand gets the same radii.  ``presplit`` is empty or a
-    2-D array with one row of cuts per integrand (NaN entries are
-    ignored, so rows of different lengths can be padded).  An integrand
-    that fails raises the error a call on it alone would raise, with its
-    own best estimate and achieved error; the error's ``row`` is the
-    integrand's index in the batch.
+    An integrand that exhausts its subdivision budget, or whose panel
+    collapses to machine precision, raises NumericalFailureError with its
+    own best estimate and achieved error; an empty interval or a NaN or +inf
+    log-integrand raises InvalidInputError.  Either error's ``row`` is the integrand's index.
     """
-    if np.ndim(a) == 0:
-        scalar_f = log_f
-        logs = _integrate_batch(
-            lambda r, owner: scalar_f(r), np.array([a], dtype=float),
-            np.array([b], dtype=float), settings, np.array([list(presplit)], dtype=float),
-        )
-        return float(logs[0])
-    return _integrate_batch(
-        log_f, np.asarray(a, dtype=float), np.asarray(b, dtype=float), settings,
-        np.asarray(presplit, dtype=float),
-    )
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    presplit = np.asarray(presplit, dtype=float)
+    size = a.size
+    if presplit.size == 0:
+        presplit = np.empty((size, 0))
+    if a.shape != (size,) or b.shape != (size,) or presplit.ndim != 2 or len(presplit) != size:
+        raise InvalidInputError("a batch needs one lower bound, upper bound and presplit row per integrand")
+    if size == 0:
+        return np.empty(0)
+    empty = ~(b > a)
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise _of_row(InvalidInputError(f"empty integration interval [{a[i]}, {b[i]}]"), i)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _refine(log_f, *_initial_panels(a, b, presplit), size, settings)
 
 
 def _initial_panels(a, b, cuts):
@@ -202,24 +201,7 @@ def _initial_panels(a, b, cuts):
     return flat[:-1][pair], flat[1:][pair], np.arange(a.size).repeat(n_panels)
 
 
-def _integrate_batch(log_f, a, b, settings, presplit) -> np.ndarray:
-    size = a.size
-    if presplit.size == 0:
-        presplit = np.empty((size, 0))
-    if a.shape != (size,) or b.shape != (size,) or presplit.ndim != 2 or len(presplit) != size:
-        raise InvalidInputError("a batch needs one lower bound, upper bound and presplit row per integrand")
-    if size == 0:
-        return np.empty(0)
-    which = (lambda i: f" (integrand {i} of {size})") if size > 1 else (lambda i: "")
-    empty = ~(b > a)
-    if empty.any():
-        i = int(np.argmax(empty))
-        raise InvalidInputError(f"empty integration interval [{a[i]}, {b[i]}]{which(i)}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _refine(log_f, *_initial_panels(a, b, presplit), size, settings, which)
-
-
-def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
+def _refine(log_f, los, his, owner, size, settings) -> np.ndarray:
     """The adaptive loop over a panel table ordered by owner."""
     rules = _eval_panels(log_f, los, his, owner)
     result = np.empty(size)
@@ -235,8 +217,7 @@ def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
         if nan.any():
             i = int(ids[nan.argmax()])
             raise _of_row(InvalidInputError(
-                "log-integrand produced NaN or +inf inside the integration interval" + which(i)
-            ), i)
+                "log-integrand produced NaN or +inf inside the integration interval"), i)
         done = total_err <= log_goal + total_val
         result[ids[done]] = total_val[done]
         if done.all():
@@ -245,8 +226,8 @@ def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
         if exhausted.any():
             i = int(exhausted.argmax())
             raise _of_row(_failure(
-                f"quadrature needed more than {settings.max_subdivisions} subdivisions"
-                + which(int(ids[i])), total_val[i], total_err[i],
+                f"quadrature needed more than {settings.max_subdivisions} subdivisions",
+                total_val[i], total_err[i],
             ), ids[i])
         # Split every panel holding more than a 1/(2P) share of its
         # integrand's error budget; the worst panel always exceeds it, so
@@ -259,8 +240,7 @@ def _refine(log_f, los, his, owner, size, settings, which) -> np.ndarray:
         if degenerate.any():
             i = int(np.searchsorted(ids, owner[split][degenerate.argmax()]))
             raise _of_row(_failure(
-                "quadrature panel collapsed to machine precision" + which(int(ids[i])),
-                total_val[i], total_err[i],
+                "quadrature panel collapsed to machine precision", total_val[i], total_err[i],
             ), ids[i])
         splits += np.bincount(owner[split], minlength=size)
         # Each split panel is replaced in place by its two halves, so the

@@ -11,13 +11,11 @@ the tails.  The series S_(1,1) itself is summed by the one series
 evaluator, hankel.s_alpha_partials, from these moments: it telescopes to
 the single ratio c_(M+1,M+1)^2 / c_(M,M)^2, which tends to e^4 with
 |S_(1,1)(M) - e^4| <= 3 e^4 / M, and its summands decay like 2 e^4 / k^2.
-The truncated domains Omega_k get a structural report only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import check_index
 
@@ -41,37 +39,3 @@ def omega0_log_ck_sq(k: int) -> float:
 def s11_tail_bound(m: int) -> float:
     """The bound 3 e^4 / M on |S_(1,1)(M) - e^4| on Omega_0."""
     return 3.0 * S11_LIMIT / m
-
-
-@dataclass(frozen=True)
-class OmegaKReport:
-    """Structural description of the truncated domain Omega_k."""
-
-    k: int
-    dimension: int
-    basis_indices: tuple
-    term_counts: tuple
-    statement: str
-
-
-def omegak_report(k: int) -> OmegaKReport:
-    """Finite-dimensionality report for Omega_k (defined for k >= 1).
-
-    The Bergman space is spanned by (z1 z2)^j for j = 0..k, so every
-    diagonal series is a finite sum: for symbol index (j,j) at most
-    k - j + 1 summands are structurally nonzero.  No moment values are
-    computed; the connecting strip of the domain is not integrated.
-    """
-    k = check_index(k, "index must be an integer >= 1, got {!r}", 1)
-    return OmegaKReport(
-        k=k,
-        dimension=k + 1,
-        basis_indices=tuple(range(k + 1)),
-        term_counts=tuple((j, k - j + 1) for j in range(1, k + 1)),
-        statement=(
-            "finite-dimensional Bergman space: Hankel operators with any "
-            "nonconstant symbol from the space are Hilbert-Schmidt on the "
-            "subspace where they are bounded"
-        ),
-    )
-

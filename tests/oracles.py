@@ -4,15 +4,19 @@ hs_term is one summand of S_alpha, computed on its own from three
 memoized moments; the series evaluator sums whole shells at once, and the
 tests compare the two term by term.  index_sum and index_difference are
 the multi-index arithmetic that hs_term and the tests need.
+integrate_one is one integrand log_f(r) given to log_integrate as a
+batch of one.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import _ratios
 from reinhardt.moments import log_c_gamma_sq
-from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 
 
 def index_sum(gamma: MultiIndex, alpha: MultiIndex) -> MultiIndex:
@@ -55,3 +59,11 @@ def hs_term(
     if down is not None and spec.lattice.contains(down):
         term -= _ratios(log_mid, log_c_gamma_sq(spec, down, settings))
     return float(term[0])
+
+
+def integrate_one(log_f, a, b, settings=DEFAULT_SETTINGS, presplit=()) -> float:
+    """log of the integral of exp(log_f(r)) over [a, b], cut at the points
+    of presplit: the batch of one integrand."""
+    logs = log_integrate(lambda r, owner: log_f(r), np.array([a], dtype=float),
+                         np.array([b], dtype=float), settings, np.array([presplit], dtype=float))
+    return float(logs[0])

@@ -735,7 +735,8 @@ def test_certify_does_not_import_numpy_ma():
 @pytest.mark.parametrize("argv", [
     ["moments", "--domain", "polydisc", "--n-max", "100000000"],
     ["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "100000000000000000000"],
-], ids=["moments-polydisc", "salpha-ball"])
+    ["wiegerinck", "--k", "100000000000"],
+], ids=["moments-polydisc", "salpha-ball", "wiegerinck-k"])
 def test_an_n_max_beyond_memory_is_a_one_line_error(argv):
     # A walk whose moments cannot fit in physical memory is rejected before
     # anything is built.  The child caps its own address space at 2 GB, so a
@@ -772,6 +773,21 @@ def test_memory_check_counts_what_a_walk_holds(monkeypatch, capsys, argv, count)
     assert captured.out == ""
     line, = captured.err.splitlines()
     assert line.startswith("error: ") and f"holds {count} moments" in line
+    assert "physical memory" in line
+
+
+def test_memory_check_counts_what_an_omega_k_report_holds(monkeypatch, capsys):
+    # Two 4 KiB pages of physical memory hold the two ints of each of 10
+    # rows, but not the bytes a JSON report really holds per row.
+    import reinhardt.cli as cli
+
+    assert 16 * 10 <= 2 * 4096 < cli._BYTES_PER_OMEGA_K_ROW * 10
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}.__getitem__)
+    assert main(["wiegerinck", "--k", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: ") and "k=10 holds 10 rows" in line
     assert "physical memory" in line
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from reinhardt import moments
-from reinhardt.domains import BasisLattice, DomainSpec, MultiIndex
+from reinhardt.domains import (
+    DIAGONAL, DIAGONAL_TRUNCATED, FULL_QUADRANT, BasisLattice, DomainSpec, MultiIndex,
+)
 from reinhardt.errors import InvalidInputError
 from reinhardt.profiles import profile_family
 
@@ -19,9 +21,9 @@ def test_multi_index_validation_and_arithmetic():
 
 
 def test_lattice_membership():
-    full = BasisLattice.full()
-    diag = BasisLattice.diagonal()
-    trunc = BasisLattice.diagonal_truncated(2)
+    full = BasisLattice(FULL_QUADRANT)
+    diag = BasisLattice(DIAGONAL)
+    trunc = BasisLattice(DIAGONAL_TRUNCATED, 2)
     assert full.contains(MultiIndex(7, 0))
     assert diag.contains(MultiIndex(3, 3))
     assert not diag.contains(MultiIndex(3, 2))
@@ -30,7 +32,7 @@ def test_lattice_membership():
 
 
 def test_lattice_shells_list_the_lattice_points():
-    lattices = (BasisLattice.full(), BasisLattice.diagonal(), BasisLattice.diagonal_truncated(2))
+    lattices = (BasisLattice(FULL_QUADRANT), BasisLattice(DIAGONAL), BasisLattice(DIAGONAL_TRUNCATED, 2))
     for lattice in lattices:
         for n in range(-2, 12):
             points = [g1 for g1 in range(n + 1) if lattice.contains(MultiIndex(g1, n - g1))]

@@ -1,12 +1,14 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from reinhardt.cli import main
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import s_alpha_partials
-from reinhardt.wiegerinck import S11_LIMIT, omega0_log_ck_sq, omegak_report, s11_tail_bound
+from reinhardt.wiegerinck import S11_LIMIT, omega0_log_ck_sq, s11_tail_bound
 
 from oracles import hs_term
 
@@ -118,13 +120,15 @@ def test_ratios_against_fraction_oracle():
         assert omega0_ratio(k) == pytest.approx(ratio_fraction_oracle(k), rel=1e-11)
 
 
-def test_omegak_report_structure():
-    report = omegak_report(2)
-    assert report.dimension == 3
-    assert report.basis_indices == (0, 1, 2)
-    assert dict(report.term_counts)[1] == 2
-    assert dict(report.term_counts)[2] == 1
-    report = omegak_report(1)
-    assert report.basis_indices == (0, 1)
-    with pytest.raises(InvalidInputError):
-        omegak_report(0)
+def test_omegak_report_structure(capsys):
+    # The Omega_k report is built by the wiegerinck task.
+    assert main(["wiegerinck", "--k", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dimension"] == 3
+    assert report["basis_indices"] == [0, 1, 2]
+    assert report["term_counts"] == [{"j": 1, "terms": 2}, {"j": 2, "terms": 1}]
+    assert main(["wiegerinck", "--k", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["basis_indices"] == [0, 1]
+    assert main(["wiegerinck", "--k", "0"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: index must be an integer >= 1, got 0"]
