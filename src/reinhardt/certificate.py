@@ -135,17 +135,13 @@ def density_mass(
     y,
     interval,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
-    """Mass of the normalized density r^x exp(-y phi) / M(x,y) on [lo, hi].
-
-    Scalar x and y give a float; equal-length 1-D sequences give a list,
-    as in log_profile_interval_moment.
-    """
+) -> list:
+    """Mass of the normalized density r^x exp(-y phi) / M(x,y) on [lo, hi]
+    for each pair of the equal-length 1-D sequences x and y, as a list; a
+    single mass is a batch of one."""
     lo, hi = interval
     numerator = log_profile_interval_moment(profile, x, y, lo, hi, settings)
     denominator = log_radial_moment(profile, x, y, settings)
-    if isinstance(numerator, float):
-        return math.exp(numerator - denominator)
     return [math.exp(num - den) for num, den in zip(numerator, denominator)]
 
 

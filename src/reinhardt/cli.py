@@ -169,13 +169,8 @@ def _integer(value, key: str) -> int:
 
 
 def _settings(value) -> QuadratureSettings:
-    """A relative tolerance (a number, or the text of --tol), or an object
-    with rel_tol and max_subdivisions; QuadratureSettings checks the values."""
-    if isinstance(value, dict):
-        unknown = sorted(set(value) - {"rel_tol", "max_subdivisions"})
-        if unknown:
-            raise InvalidInputError(f"unknown tolerance fields: {unknown}")
-        return QuadratureSettings(**value)
+    """A relative tolerance, a number or the text of --tol; QuadratureSettings
+    checks its range."""
     return QuadratureSettings(rel_tol=_number(value, "tol") if isinstance(value, str) else value)
 
 

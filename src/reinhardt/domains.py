@@ -60,11 +60,7 @@ class BasisLattice:
             raise InvalidInputError("truncated lattice needs k; others must not carry one")
 
     def contains(self, gamma: MultiIndex) -> bool:
-        if self.kind == FULL_QUADRANT:
-            return True
-        if gamma.g1 != gamma.g2:
-            return False
-        return self.k is None or gamma.g1 <= self.k
+        return gamma.g1 in self.shell(gamma.order)
 
     def shell(self, n: int) -> range:
         """The g1 of the lattice points with |gamma| = n: every g1 in 0..n on
@@ -106,7 +102,7 @@ class DomainSpec:
 
     @classmethod
     def polydisc(cls, radius2: float = 1.0) -> "DomainSpec":
-        if not (radius2 > 0 and math.isfinite(radius2)):
+        if isinstance(radius2, bool) or not (radius2 > 0 and math.isfinite(radius2)):
             raise InvalidInputError("polydisc needs a positive finite second radius")
         return cls(POLYDISC, radius2=float(radius2))
 

@@ -22,10 +22,10 @@ class NumericalFailureError(RuntimeError):
 
 def check_index(value, message: str, minimum=-math.inf, maximum=math.inf, **fields) -> int:
     """int(value) for an integral number in [minimum, maximum].  Anything
-    else, a fraction, NaN, inf, a non-number or a value out of range,
-    raises InvalidInputError(message.format(value, **fields))."""
+    else, a fraction, NaN, inf, a boolean, a non-number or a value out of
+    range, raises InvalidInputError(message.format(value, **fields))."""
     try:
-        whole = value == int(value)
+        whole = value == int(value) and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not (whole and minimum <= value <= maximum):

@@ -25,8 +25,9 @@ scan), and are then integrated in packs of consecutive rows, one
 log_integrate call per pack, each no larger than the largest shell of the
 request, whose log-integrand writes its values over the radii it is
 given.  The ball's fiber integrates one shell per log_integrate call.
-Radial integrals outside a shell, such as the certificate's window
-masses and their denominators, are computed afresh at each call.  Each
+The radial-moment functions take batches of exponent pairs, a single
+moment being a batch of one; their integrals, such as the certificate's
+window masses and denominators, are computed afresh at each call.  Each
 moment is refined with the same panels and per-panel arithmetic as when
 it is integrated alone, so neither the packing nor the memo changes a
 value.
@@ -78,13 +79,14 @@ def log_radial_moment(
     x,
     y,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
-    """log of M(x, y) = integral_0^1 r^x exp(-y phi(r)) dr.
+) -> list:
+    """log of M(x, y) = integral_0^1 r^x exp(-y phi(r)) dr for each pair of
+    the equal-length 1-D sequences x and y: log_profile_interval_moment on
+    [0, 1].
 
     Families with a closed form bypass quadrature entirely:
     phi = 0 gives 1/(x+1); phi = -log(1-r^2) gives B((x+1)/2, y+1)/2
-    via log-gamma (substitute u = r^2).  Scalar or batch form, as in
-    log_profile_interval_moment.
+    via log-gamma (substitute u = r^2).
     """
     return log_profile_interval_moment(profile, x, y, 0.0, 1.0, settings)
 
@@ -96,24 +98,21 @@ def log_profile_interval_moment(
     lo: float,
     hi: float,
     settings: QuadratureSettings = DEFAULT_SETTINGS,
-):
-    """log of integral_lo^hi r^x exp(-y phi(r)) dr, for exponents x, y > 0.
-
-    Batch form: when x and y are equal-length 1-D sequences, the call
-    returns a list with one log per pair, integrated in one batched
-    log_integrate call.  Each value equals the one a scalar call gives.
+) -> list:
+    """log of integral_lo^hi r^x exp(-y phi(r)) dr for each pair of the
+    equal-length 1-D sequences x and y of exponents > 0, as a list computed
+    in one batched log_integrate call; a single moment is a batch of one.
     """
     xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if xs.ndim > 1 or xs.shape != ys.shape:
-        raise InvalidInputError("moment exponents must be scalars or equal-length 1-D sequences")
+    if xs.ndim != 1 or xs.shape != ys.shape:
+        raise InvalidInputError("moment exponents must be equal-length 1-D sequences")
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise InvalidInputError(f"moment exponents must be finite, got x={x}, y={y}")
     if (xs <= 0).any() or (ys <= 0).any():
         raise InvalidInputError(f"moment exponents must be > 0, got x={x}, y={y}")
     if not (0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
-    logs = _interval_moments(profile, np.atleast_1d(xs), np.atleast_1d(ys), float(lo), float(hi), settings)
-    return logs if xs.ndim else logs[0]
+    return _interval_moments(profile, xs, ys, float(lo), float(hi), settings)
 
 
 def _interval_moments(profile, xs, ys, lo, hi, settings, pack=None) -> list:

@@ -89,7 +89,7 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
     if name == "inv_one_minus_pow":
         p = params.pop("p", None)
         _reject_params(name, params)
-        if p is None or not np.isfinite(p) or p <= 0:
+        if p is None or isinstance(p, bool) or not np.isfinite(p) or p <= 0:
             raise InvalidInputError("inv_one_minus_pow requires a parameter p > 0")
         p = float(p)
 

@@ -58,21 +58,23 @@ _WGK = np.concatenate([_WK_HALF[:7], [_WK_HALF[7]], _WK_HALF[6::-1]])
 _WG = np.concatenate([_WG_HALF[:3], [_WG_HALF[3]], _WG_HALF[2::-1]])
 
 
+# Splits one integrand may take before it fails.
+_MAX_SUBDIVISIONS = 10**6
+
+
 @dataclass(frozen=True)
 class QuadratureSettings:
-    """Accuracy knobs shared by every adaptive integral in the package."""
+    """The relative tolerance of every adaptive integral in the package, in
+    (0, 1e-4]; the subdivision budget is the fixed _MAX_SUBDIVISIONS."""
 
     rel_tol: float = 1e-10
-    max_subdivisions: int = 10**6
 
     def __post_init__(self):
-        # Booleans are ints to Python, but no setting is a truth value.
-        rel_tol, budget = self.rel_tol, self.max_subdivisions
+        # Booleans are ints to Python, but the tolerance is not a truth value.
+        rel_tol = self.rel_tol
         real = isinstance(rel_tol, (int, float)) and not isinstance(rel_tol, bool)
         if not (real and 0 < rel_tol <= 1e-4):
             raise InvalidInputError(f"rel_tol must lie in (0, 1e-4], got {rel_tol!r}")
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise InvalidInputError(f"max_subdivisions must be a positive integer, got {budget!r}")
 
 
 DEFAULT_SETTINGS = QuadratureSettings()
@@ -222,11 +224,11 @@ def _refine(log_f, los, his, owner, size, settings) -> np.ndarray:
         result[ids[done]] = total_val[done]
         if done.all():
             return result
-        exhausted = ~done & (splits[ids] >= settings.max_subdivisions)
+        exhausted = ~done & (splits[ids] >= _MAX_SUBDIVISIONS)
         if exhausted.any():
             i = int(exhausted.argmax())
             raise _of_row(_failure(
-                f"quadrature needed more than {settings.max_subdivisions} subdivisions",
+                f"quadrature needed more than {_MAX_SUBDIVISIONS} subdivisions",
                 total_val[i], total_err[i],
             ), ids[i])
         # Split every panel holding more than a 1/(2P) share of its

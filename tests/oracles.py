@@ -5,17 +5,19 @@ memoized moments; the series evaluator sums whole shells at once, and the
 tests compare the two term by term.  index_sum and index_difference are
 the multi-index arithmetic that hs_term and the tests need.
 integrate_one is one integrand log_f(r) given to log_integrate as a
-batch of one.
+batch of one; moment_one and mass_one are one exponent pair given to
+log_profile_interval_moment and density_mass as a batch of one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from reinhardt.certificate import density_mass
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import _ratios
-from reinhardt.moments import log_c_gamma_sq
+from reinhardt.moments import log_c_gamma_sq, log_profile_interval_moment
 from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 
 
@@ -67,3 +69,14 @@ def integrate_one(log_f, a, b, settings=DEFAULT_SETTINGS, presplit=()) -> float:
     logs = log_integrate(lambda r, owner: log_f(r), np.array([a], dtype=float),
                          np.array([b], dtype=float), settings, np.array([presplit], dtype=float))
     return float(logs[0])
+
+
+def moment_one(profile, x, y, lo=0.0, hi=1.0, settings=DEFAULT_SETTINGS) -> float:
+    """log of integral_lo^hi r^x exp(-y phi(r)) dr for one exponent pair:
+    the batch of one."""
+    return log_profile_interval_moment(profile, [x], [y], lo, hi, settings)[0]
+
+
+def mass_one(profile, x, y, interval, settings=DEFAULT_SETTINGS) -> float:
+    """The density mass on interval for one exponent pair: the batch of one."""
+    return density_mass(profile, [x], [y], interval, settings)[0]

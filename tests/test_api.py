@@ -50,10 +50,11 @@ INDEX_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, -1])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, -1, True])
 @pytest.mark.parametrize("entry", list(INDEX_ENTRY_POINTS))
 def test_a_bad_index_is_invalid_input(entry, value):
-    # NaN and inf once escaped as ValueError and OverflowError from int().
+    # NaN and inf once escaped as ValueError and OverflowError from int();
+    # True once passed as the index 1, though the CLI rejects booleans.
     with pytest.raises(InvalidInputError):
         INDEX_ENTRY_POINTS[entry](value)
 

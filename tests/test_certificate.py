@@ -18,8 +18,9 @@ from reinhardt.certificate import (
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.hankel import s_alpha_partials, sample_ladder
-from reinhardt.moments import log_radial_moment
 from reinhardt.profiles import RadialProfile, peak_radius, profile_family
+
+from oracles import mass_one, moment_one
 
 ZERO = profile_family("zero")
 NEG_LOG = profile_family("neg_log_one_minus_r2")
@@ -79,8 +80,8 @@ def test_window_validation():
 def test_log_ratio_examples():
     def log_ratio(profile, x, y, alpha):
         # log of M(x + 2 a1, y + 2 a2) / M(x, y)
-        return log_radial_moment(profile, x + 2.0 * alpha.g1, y + 2.0 * alpha.g2) \
-            - log_radial_moment(profile, x, y)
+        return moment_one(profile, x + 2.0 * alpha.g1, y + 2.0 * alpha.g2) \
+            - moment_one(profile, x, y)
 
     got = log_ratio(ZERO, 1.0, 3.0, MultiIndex(1, 0))
     assert got == pytest.approx(math.log(0.5), abs=1e-12)
@@ -119,8 +120,8 @@ def test_root_bracketing_inside_window():
 
 
 def test_density_mass_normalization_and_zero_profile():
-    assert density_mass(NEG_LOG, 3.0, 5.0, (0.0, 1.0)) == 1.0
-    assert density_mass(ZERO, 1.0, 2.0, (0.0, 0.5)) == pytest.approx(0.25, abs=1e-12)
+    assert mass_one(NEG_LOG, 3.0, 5.0, (0.0, 1.0)) == 1.0
+    assert mass_one(ZERO, 1.0, 2.0, (0.0, 0.5)) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_density_mass_window_inequality_sample():
@@ -131,7 +132,7 @@ def test_density_mass_window_inequality_sample():
         for _ in range(10):
             ratio = window.A + (window.B - window.A) * rng.uniform(0.01, 0.99)
             y = rng.uniform(1.0, 500.0)
-            mass = density_mass(profile, ratio * y, y, interval)
+            mass = mass_one(profile, ratio * y, y, interval)
             assert mass >= 0.5 - 1e-6
 
 
@@ -286,12 +287,13 @@ def test_the_shell_arrays_are_the_only_moment_memo():
 
 
 def test_density_mass_batch_matches_scalar_calls():
+    # A single mass is a batch of one.
     window = find_window(INV_POW)
     interval = (window.inner_lo, window.inner_hi)
     xs, ys = [41.0, 61.0, 81.0], [162.0, 142.0, 122.0]
     batch = density_mass(INV_POW, xs, ys, interval)
     moments.clear_moment_caches()
-    assert batch == [density_mass(INV_POW, x, y, interval) for x, y in zip(xs, ys)]
+    assert batch == [mass_one(INV_POW, x, y, interval) for x, y in zip(xs, ys)]
     assert density_mass(INV_POW, [], [], interval) == []
     with pytest.raises(InvalidInputError):
         density_mass(INV_POW, xs, ys[:2], interval)

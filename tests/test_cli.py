@@ -17,14 +17,15 @@ import pytest
 import hypothesis
 from hypothesis import strategies as st
 
-from reinhardt import domains
+from reinhardt import domains, quadrature
 from reinhardt.cli import TASKS, main, parse_alpha, parse_domain, run
 from reinhardt.domains import MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.hankel import sample_ladder
-from reinhardt.moments import log_radial_moment
 from reinhardt.profiles import RadialProfile, profile_family
 from reinhardt.quadrature import QuadratureSettings
+
+from oracles import moment_one
 
 
 def test_parse_domain_variants():
@@ -68,7 +69,7 @@ def test_main_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_numerical_failure_exit_code(tmp_path, capsys):
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # With rel_tol 1e-12, a budget of one subdivision fails on shell 0, whose
     # lone moment gamma = (0, 0) is the radial integral M(1, 2); a budget of
     # three gets through shells 0..5 and fails on shell 6 at gamma = (4, 2):
@@ -76,11 +77,12 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     # quadrature batch.
     profile = profile_family("inv_one_minus_pow", {"p": 1})
     for budget, (x, y) in ((1, (1.0, 2.0)), (3, (9.0, 6.0))):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
         config = {
             "task": "moments",
             "domain": "profile:inv_one_minus_pow:p=1",
             "n_max": 6,
-            "tol": {"rel_tol": 1e-12, "max_subdivisions": budget},
+            "tol": 1e-12,
         }
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -90,9 +92,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
             f"numerical failure: integral of r^{x:g} exp(-{y:g} phi(r)) over [0, 1]: "
             f"quadrature needed more than {budget} subdivisions ("
         )
-        settings = QuadratureSettings(**config["tol"])
+        settings = QuadratureSettings(rel_tol=config["tol"])
         with pytest.raises(NumericalFailureError) as failure:
-            log_radial_moment(profile, x, y, settings)
+            moment_one(profile, x, y, settings=settings)
         assert f"best_estimate={failure.value.best_estimate:.12g}" in message
         assert f"achieved_error={failure.value.achieved_error:.12g}" in message
 
@@ -115,12 +117,10 @@ _BAD_INPUTS = {
     # IndexError.
     "n-step-past-n-max": ["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "2", "--n-step", "3"],
     "wiegerinck-n-step-past-n-max": {"task": "wiegerinck", "n_max": 1, "n_step": 2},
-    # Quadrature settings reached QuadratureSettings unchecked: text raised a
-    # TypeError, and a fractional or boolean budget was accepted.
+    # tol is a number or the text of --tol.  Its object form, with rel_tol and
+    # a subdivision budget, is gone; text in it once raised a TypeError.
     "tol-rel-tol-text": {**_MOMENTS, "tol": {"rel_tol": "abc"}},
-    "tol-budget-text": {**_MOMENTS, "tol": {"max_subdivisions": "x"}},
-    "tol-budget-fraction": {**_MOMENTS, "tol": {"max_subdivisions": 1.5}},
-    "tol-budget-bool": {**_MOMENTS, "tol": {"max_subdivisions": True}},
+    "tol-object": {**_MOMENTS, "tol": {"rel_tol": 1e-10}},
     # Domain objects: wrong types raised TypeErrors; true read as p = 1; a
     # flat p beside "params" and an unknown parameter were ignored.
     "polydisc-radius-text": {**_MOMENTS, "domain": {"kind": "polydisc", "radius": "2"}},
@@ -285,7 +285,7 @@ def test_steep_profile_moments_match_mpmath(p, capsys):
     for row in rows:
         g1, g2 = int(row["g1"]), int(row["g2"])
         x, y = 2 * g1 + 1, 2 * g2 + 2
-        log_m = log_radial_moment(steep, float(x), float(y))
+        log_m = moment_one(steep, float(x), float(y))
         assert abs(log_m - _mp_steep_log_moment(p, x, y)) <= 1e-10
         assert float(row["log_c_sq"]) == pytest.approx(
             math.log(2 * math.pi**2 / (g2 + 1)) + log_m, rel=1e-11)

@@ -61,6 +61,8 @@ def test_domain_constructors_validate():
     with pytest.raises(InvalidInputError):
         DomainSpec.polydisc(0.0)
     with pytest.raises(InvalidInputError):
+        DomainSpec.polydisc(True)  # once read as the radius 1
+    with pytest.raises(InvalidInputError):
         DomainSpec.wiegerinck_omega_k(0)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reinhardt import moments
+from reinhardt import moments, quadrature
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
@@ -18,7 +18,7 @@ from reinhardt.moments import (
 from reinhardt.profiles import RadialProfile, profile_family
 from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings
 
-from oracles import integrate_one
+from oracles import integrate_one, moment_one
 
 PI2 = math.pi**2
 
@@ -66,16 +66,16 @@ def beta_profile_oracle(gamma):
 
 
 def test_zero_profile_closed_form():
-    assert log_radial_moment(ZERO, 3.0, 7.0) == pytest.approx(math.log(0.25), abs=1e-14)
+    assert moment_one(ZERO, 3.0, 7.0) == pytest.approx(math.log(0.25), abs=1e-14)
 
 
 def test_neg_log_profile_small_case():
     # integral r (1 - r^2) dr = 1/4
-    assert log_radial_moment(NEG_LOG, 1.0, 1.0) == pytest.approx(math.log(0.25), abs=1e-13)
+    assert moment_one(NEG_LOG, 1.0, 1.0) == pytest.approx(math.log(0.25), abs=1e-13)
 
 
 def test_neg_log_profile_deep_case_matches_direct_quadrature():
-    closed = log_radial_moment(NEG_LOG, 201.0, 400.0)
+    closed = moment_one(NEG_LOG, 201.0, 400.0)
 
     def log_f(r):
         r = np.asarray(r, dtype=float)
@@ -86,8 +86,8 @@ def test_neg_log_profile_deep_case_matches_direct_quadrature():
 
 
 def test_inv_pow_profile_against_tight_tolerance_run():
-    coarse = log_radial_moment(INV_POW, 11.0, 6.0, QuadratureSettings(rel_tol=1e-8))
-    fine = log_radial_moment(INV_POW, 11.0, 6.0, QuadratureSettings(rel_tol=1e-13))
+    coarse = moment_one(INV_POW, 11.0, 6.0, settings=QuadratureSettings(rel_tol=1e-8))
+    fine = moment_one(INV_POW, 11.0, 6.0, settings=QuadratureSettings(rel_tol=1e-13))
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
@@ -102,26 +102,30 @@ def test_inv_pow_p1_against_exact_exponential_integrals(x, y):
         exact = mpmath.fsum((-1) ** j * mpmath.binomial(x, j) * mpmath.expint(j + 2, y)
                             for j in range(x + 1))
         log_exact = float(mpmath.log(exact))
-    assert abs(log_radial_moment(INV_POW, float(x), float(y)) - log_exact) <= 1e-10
+    assert abs(moment_one(INV_POW, float(x), float(y)) - log_exact) <= 1e-10
 
 
 def test_moment_input_validation():
     with pytest.raises(InvalidInputError):
-        log_radial_moment(ZERO, -1.0, 0.0)
+        moment_one(ZERO, -1.0, 0.0)
     with pytest.raises(InvalidInputError):
-        log_radial_moment(ZERO, math.inf, 0.0)
+        moment_one(ZERO, math.inf, 0.0)
     with pytest.raises(InvalidInputError):
-        log_profile_interval_moment(ZERO, 1.0, 1.0, 0.5, 0.2)
+        moment_one(ZERO, 1.0, 1.0, 0.5, 0.2)
+    # The exponents are batches only; a single moment is a batch of one.
+    for x, y in ((1.0, 2.0), ([1.0], [2.0, 3.0]), ([[1.0]], [[2.0]])):
+        with pytest.raises(InvalidInputError, match="equal-length 1-D sequences"):
+            log_radial_moment(ZERO, x, y)
 
 
 def test_zero_exponents_are_rejected():
     # The lattice sends x = 2 g1 + 1 >= 1 and y = 2 g2 + 2 >= 2, as does the
     # certificate, so a zero exponent is invalid input on every family, in
-    # scalar and batch form.
+    # a batch of one and in a longer batch.
     from reinhardt.certificate import density_mass
 
     for profile in (ZERO, NEG_LOG, INV_POW):
-        for x, y in ((0.0, 2.0), (1.0, 0.0), ([1.0, 0.0], [2.0, 2.0])):
+        for x, y in (([0.0], [2.0]), ([1.0], [0.0]), ([1.0, 0.0], [2.0, 2.0])):
             with pytest.raises(InvalidInputError, match="must be > 0"):
                 log_radial_moment(profile, x, y)
             with pytest.raises(InvalidInputError, match="must be > 0"):
@@ -132,7 +136,7 @@ def test_zero_exponents_are_rejected():
 
 def test_interval_moment_zero_profile():
     # integral_0^0.5 r dr = 1/8
-    got = log_profile_interval_moment(ZERO, 1.0, 2.0, 0.0, 0.5)
+    got = moment_one(ZERO, 1.0, 2.0, 0.0, 0.5)
     assert got == pytest.approx(math.log(0.125), abs=1e-12)
 
 
@@ -444,16 +448,17 @@ def test_all_node_underflow_is_a_numerical_failure():
     # log 0 at every node and the positive moment would read as log 0.
     steep = profile_family("inv_one_minus_pow", {"p": 1e6})
     with pytest.raises(NumericalFailureError, match="underflows to 0 at every quadrature node"):
-        log_profile_interval_moment(steep, 1.0, 2.0, 0.5, 0.9)
+        moment_one(steep, 1.0, 2.0, 0.5, 0.9)
 
 
-def test_a_failing_fiber_moment_is_named_not_its_batch_row():
+def test_a_failing_fiber_moment_is_named_not_its_batch_row(monkeypatch):
     # The ball's shell |gamma| = 40 is integrated in one batch.  With one
     # subdivision allowed at rel_tol 1e-14, its moment (0, 40), row 0, does
     # not converge.  Asking for (1, 39) computes the shell, and the error
     # names (0, 40), not "integrand 0 of 41".
     clear_moment_caches()
-    settings = QuadratureSettings(rel_tol=1e-14, max_subdivisions=1)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
+    settings = QuadratureSettings(rel_tol=1e-14)
     with pytest.raises(NumericalFailureError) as failure:
         log_c_gamma_sq(DomainSpec.ball(), MultiIndex(1, 39), settings)
     assert str(failure.value) == (
@@ -490,7 +495,7 @@ def test_steep_profile_moment_matches_mpmath_or_fails(p):
     for x, y in [(1.0, 2.0), (3.0, 2.0), (19.0, 2.0), (5.0, 7.0), (1.0, 200.0)]:
         want = _mp_steep_log_moment(p, x, y)
         for settings in (DEFAULT_SETTINGS, QuadratureSettings(rel_tol=1e-12)):
-            assert abs(log_radial_moment(steep, x, y, settings) - want) <= 1e-10, (x, y)
+            assert abs(moment_one(steep, x, y, settings=settings) - want) <= 1e-10, (x, y)
 
 
 def _shell_reference(spec, gamma):
@@ -528,7 +533,7 @@ def test_shell_batch_equals_per_integrand_quadrature(spec):
 def _lone_moment(spec, g1, g2):
     """log c_gamma^2 integrated on its own, as a batch of one."""
     if spec.kind == "profile":
-        radial = log_radial_moment(spec.profile, 2.0 * g1 + 1.0, 2.0 * g2 + 2.0)
+        radial = moment_one(spec.profile, 2.0 * g1 + 1.0, 2.0 * g2 + 2.0)
         return moments._LOG_2PI2 - math.log(g2 + 1.0) + radial
     return moments._region_log_moments(moments._shadow(spec), [(g1, g2)], DEFAULT_SETTINGS)[0]
 
@@ -567,7 +572,7 @@ def test_shell_member_is_bit_identical_to_lone_moment():
 def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     # A walk over shells 0..60 integrates 1,891 moments in packs of at most
     # 61 rows that cut across shells; each value equals its lone
-    # log_radial_moment bit for bit.  So does every pack over the
+    # moment integrated alone bit for bit.  So does every pack over the
     # certificate window [a/2, (1+b)/2].
     from reinhardt.certificate import find_window
 
@@ -587,11 +592,11 @@ def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     inner = (window.inner_lo, window.inner_hi)
     packed = moments._interval_moments(profile, xs, ys, *inner, DEFAULT_SETTINGS, pack=61)
     clear_moment_caches()
-    lone = [log_radial_moment(profile, x, y) for x, y in zip(xs, ys)]
+    lone = [moment_one(profile, x, y) for x, y in zip(xs, ys)]
     assert np.concatenate(shells).tolist() == [
         moments._LOG_2PI2 - math.log(g2 + 1.0) + m for (_, g2), m in zip(gammas, lone)
     ]
-    assert packed == [log_profile_interval_moment(profile, x, y, *inner) for x, y in zip(xs, ys)]
+    assert packed == [moment_one(profile, x, y, *inner) for x, y in zip(xs, ys)]
 
 
 def _masked_log_values(x, y, log_r, phi_r):

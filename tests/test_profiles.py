@@ -66,6 +66,8 @@ def test_unknown_family_and_bad_params():
     with pytest.raises(InvalidInputError):
         profile_family("inv_one_minus_pow", {"p": -1})
     with pytest.raises(InvalidInputError):
+        profile_family("inv_one_minus_pow", {"p": True})  # once read as p = 1
+    with pytest.raises(InvalidInputError):
         profile_family("zero", {"p": 1})
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from reinhardt import quadrature
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 
@@ -18,8 +20,8 @@ def test_settings_validation():
         QuadratureSettings(rel_tol=0.0)
     with pytest.raises(InvalidInputError):
         QuadratureSettings(rel_tol=1e-3)  # looser than the allowed ceiling
-    with pytest.raises(InvalidInputError):
-        QuadratureSettings(max_subdivisions=0)
+    # The tolerance is the one setting; the subdivision budget is a constant.
+    assert [field.name for field in dataclasses.fields(QuadratureSettings)] == ["rel_tol"]
     assert DEFAULT_SETTINGS.rel_tol == 1e-10
 
 
@@ -62,8 +64,9 @@ def test_presplit_points_are_honored():
     assert split == pytest.approx(plain, rel=1e-12)
 
 
-def test_budget_exhaustion_carries_best_estimate():
-    settings = QuadratureSettings(rel_tol=1e-12, max_subdivisions=2)
+def test_budget_exhaustion_carries_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+    settings = QuadratureSettings(rel_tol=1e-12)
 
     def spiky(r):
         r = np.asarray(r, dtype=float)
@@ -121,8 +124,9 @@ def test_batch_equals_single_calls():
         log_integrate(log_f, 0.0, 1.0)  # bounds are arrays, one pair per integrand
 
 
-def test_batch_failure_carries_the_failing_integrand():
-    settings = QuadratureSettings(rel_tol=1e-12, max_subdivisions=2)
+def test_batch_failure_carries_the_failing_integrand(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
+    settings = QuadratureSettings(rel_tol=1e-12)
     centers = np.array([0.5, 0.31830988618])
     widths = np.array([1.0, 5000.0])
 
