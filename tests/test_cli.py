@@ -118,8 +118,12 @@ _BAD_INPUTS = {
     "n-step-past-n-max": ["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "2", "--n-step", "3"],
     "wiegerinck-n-step-past-n-max": {"task": "wiegerinck", "n_max": 1, "n_step": 2},
     # tol is a number or the text of --tol.  Its object form, with rel_tol and
-    # a subdivision budget, is gone; text in it once raised a TypeError.
+    # a subdivision budget, is gone; text in it once raised a TypeError, and a
+    # fractional or boolean budget was accepted.
     "tol-rel-tol-text": {**_MOMENTS, "tol": {"rel_tol": "abc"}},
+    "tol-budget-text": {**_MOMENTS, "tol": {"max_subdivisions": "x"}},
+    "tol-budget-fraction": {**_MOMENTS, "tol": {"max_subdivisions": 1.5}},
+    "tol-budget-bool": {**_MOMENTS, "tol": {"max_subdivisions": True}},
     "tol-object": {**_MOMENTS, "tol": {"rel_tol": 1e-10}},
     # Domain objects: wrong types raised TypeErrors; true read as p = 1; a
     # flat p beside "params" and an unknown parameter were ignored.
