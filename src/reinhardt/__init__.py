@@ -12,7 +12,7 @@ from .certificate import (
     index_window,
     lambda_alpha,
 )
-from .domains import BasisLattice, DomainSpec, MultiIndex
+from .domains import DomainSpec, MultiIndex
 from .errors import InvalidInputError, NumericalFailureError
 from .hankel import (
     Classification,

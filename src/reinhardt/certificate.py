@@ -139,7 +139,10 @@ def density_mass(
     """Mass of the normalized density r^x exp(-y phi) / M(x,y) on [lo, hi]
     for each pair of the equal-length 1-D sequences x and y, as a list; a
     single mass is a batch of one."""
-    lo, hi = interval
+    try:
+        lo, hi = interval
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"the mass interval must be a pair (lo, hi), got {interval!r}") from None
     numerator = log_profile_interval_moment(profile, x, y, lo, hi, settings)
     denominator = log_radial_moment(profile, x, y, settings)
     return [math.exp(num - den) for num, den in zip(numerator, denominator)]

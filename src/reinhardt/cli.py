@@ -215,7 +215,7 @@ def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
     # each nonempty shell is also read at its first lattice point through
     # log_c_gamma_sq, the per-moment entry point perfbench's tracer counts.
     for order, shell in enumerate(log_c_shells(domain, range(n_max + 1), tol)):
-        g1s, logs = domain.lattice.shell(order), {}
+        g1s, logs = domain.shell(order), {}
         if g1s:
             log_c_gamma_sq(domain, MultiIndex(g1s[0], order - g1s[0]), tol)
             logs = dict(zip(g1s, shell.tolist()))

@@ -1,20 +1,20 @@
-"""Domain descriptions and basis lattices.
+"""Domain descriptions and their basis lattices.
 
 Every domain here is a built-in complete Reinhardt domain in C^2: a
 profile domain {|z2| < exp(-phi(|z1|))}, the polydisc, the ball, or a
 Wiegerinck domain; there are no user-defined regions.  How each one's
 monomial norms are computed is up to the moments layer (the polydisc's
-and the ball's radial shadows are private to it).  The basis lattice says
-which monomials are square-integrable: the full quadrant on the bounded
-domains, the diagonal (up to k on omega_k) on the Wiegerinck domains.
+and the ball's radial shadows are private to it).  The domain also says
+which monomials are square-integrable, its basis lattice (shell,
+contains): the full quadrant on the bounded domains, the diagonal (up to
+k on omega_k) on the Wiegerinck domains.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, check_index
+from .errors import InvalidInputError, check_index, is_finite_number
 from .profiles import RadialProfile, profile_family
 
 
@@ -41,36 +41,6 @@ class MultiIndex:
         return f"({self.g1},{self.g2})"
 
 
-FULL_QUADRANT = "full_quadrant"
-DIAGONAL = "diagonal"
-DIAGONAL_TRUNCATED = "diagonal_truncated"
-
-
-@dataclass(frozen=True)
-class BasisLattice:
-    """Which monomials z^gamma span the Bergman space of a domain."""
-
-    kind: str
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (FULL_QUADRANT, DIAGONAL, DIAGONAL_TRUNCATED):
-            raise InvalidInputError(f"unknown lattice kind {self.kind!r}")
-        if (self.kind == DIAGONAL_TRUNCATED) != (self.k is not None):
-            raise InvalidInputError("truncated lattice needs k; others must not carry one")
-
-    def contains(self, gamma: MultiIndex) -> bool:
-        return gamma.g1 in self.shell(gamma.order)
-
-    def shell(self, n: int) -> range:
-        """The g1 of the lattice points with |gamma| = n: every g1 in 0..n on
-        the full quadrant, n/2 or none on the diagonal lattices."""
-        if self.kind == FULL_QUADRANT:
-            return range(n + 1)
-        on = n >= 0 and n % 2 == 0 and (self.k is None or n // 2 <= self.k)
-        return range(n // 2, n // 2 + 1) if on else range(0)
-
-
 # --------------------------------------------------------------------------
 # Domain specifications.
 # --------------------------------------------------------------------------
@@ -86,9 +56,10 @@ OMEGA_K = "omega_k"
 class DomainSpec:
     """A tagged complete Reinhardt domain in C^2.
 
-    Use the classmethod constructors; the basis lattice is determined by
-    the variant (diagonal monomials for the Wiegerinck domains, the full
-    quadrant otherwise).
+    Use the classmethod constructors.  The variant determines the basis
+    lattice, the monomials z^gamma that span the Bergman space: the
+    diagonal g1 = g2 on the Wiegerinck domains (up to g1 = k on omega_k),
+    the full quadrant otherwise.
     """
 
     kind: str
@@ -96,13 +67,17 @@ class DomainSpec:
     radius2: float | None = None
     k: int | None = None
 
+    def __post_init__(self):
+        if (self.kind == OMEGA_K) != (self.k is not None):
+            raise InvalidInputError("omega_k needs k, and no other domain takes one")
+
     @classmethod
     def profile_domain(cls, profile: RadialProfile) -> "DomainSpec":
         return cls(PROFILE, profile=profile)
 
     @classmethod
     def polydisc(cls, radius2: float = 1.0) -> "DomainSpec":
-        if isinstance(radius2, bool) or not (radius2 > 0 and math.isfinite(radius2)):
+        if not (is_finite_number(radius2) and radius2 > 0):
             raise InvalidInputError("polydisc needs a positive finite second radius")
         return cls(POLYDISC, radius2=float(radius2))
 
@@ -119,12 +94,20 @@ class DomainSpec:
         return cls(OMEGA_K, k=check_index(k, "the truncated Wiegerinck domain needs integer k >= 1", 1))
 
     @property
-    def lattice(self) -> BasisLattice:
-        if self.kind == OMEGA0:
-            return BasisLattice(DIAGONAL)
-        if self.kind == OMEGA_K:
-            return BasisLattice(DIAGONAL_TRUNCATED, self.k)
-        return BasisLattice(FULL_QUADRANT)
+    def diagonal(self) -> bool:
+        """Whether the basis lattice is the diagonal rather than the full quadrant."""
+        return self.kind in (OMEGA0, OMEGA_K)
+
+    def shell(self, n: int) -> range:
+        """The g1 of the lattice points with |gamma| = n: every g1 in 0..n on
+        the full quadrant, n/2 or none on the diagonal lattices."""
+        if not self.diagonal:
+            return range(n + 1)
+        on = n >= 0 and n % 2 == 0 and (self.k is None or n // 2 <= self.k)
+        return range(n // 2, n // 2 + 1) if on else range(0)
+
+    def contains(self, gamma: MultiIndex) -> bool:
+        return gamma.g1 in self.shell(gamma.order)
 
     def describe(self) -> str:
         if self.kind == PROFILE:
@@ -145,7 +128,7 @@ def builtin_domain(kind: str, params) -> DomainSpec:
     """
     given = {}
     for name, value in params:
-        if name != "family" and not _finite_number(value):
+        if name != "family" and not is_finite_number(value):
             raise InvalidInputError(f"domain parameter {name} must be a finite number, got {value!r}")
         if kind == POLYDISC and name == "radius2":
             name = "radius"  # another name of the second radius
@@ -170,12 +153,3 @@ def builtin_domain(kind: str, params) -> DomainSpec:
             raise InvalidInputError("omega_k needs k")
         return DomainSpec.wiegerinck_omega_k(given["k"])
     return DomainSpec.ball() if kind == BALL else DomainSpec.wiegerinck_omega0()
-
-
-def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False

@@ -1,6 +1,7 @@
-"""Exception types, and the index check, shared across the package."""
+"""Exception types, and the index and number checks, shared across the package."""
 
 import math
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -31,3 +32,14 @@ def check_index(value, message: str, minimum=-math.inf, maximum=math.inf, **fiel
     if not (whole and minimum <= value <= maximum):
         raise InvalidInputError(message.format(value, **fields))
     return int(value)
+
+
+def is_finite_number(value) -> bool:
+    """Whether value is a finite real number: an int, a float or a numpy
+    scalar, never a boolean, nor an int beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False

@@ -7,6 +7,7 @@ For a symbol index alpha the series of interest is
 
 with the second ratio read as 0 whenever gamma - alpha leaves the basis
 lattice (the Bergman projection of zbar^alpha z^gamma vanishes there).
+The lattice is the domain's own (DomainSpec.shell, contains and diagonal).
 Summands are nonnegative by Cauchy-Schwarz.  Partial sums are taken over
 the simplex |gamma| <= N, which makes the series telescope: S_alpha(N)
 equals the sum of c_(gamma+alpha)^2/c_gamma^2 over the last |alpha|
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import FULL_QUADRANT, DomainSpec, MultiIndex
+from .domains import DomainSpec, MultiIndex
 from .errors import InvalidInputError, check_index
 from .moments import check_fits, log_c_gamma_sq, log_c_shells
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
@@ -180,7 +181,7 @@ def _sum(values) -> float:
 
 
 def _check_alpha(spec: DomainSpec, alpha: MultiIndex):
-    if not spec.lattice.contains(alpha):
+    if not spec.contains(alpha):
         raise InvalidInputError(f"symbol index {alpha} is not in the Bergman space of {spec.describe()}")
     if alpha.order == 0:
         raise InvalidInputError("symbol index alpha must be nonzero")
@@ -191,11 +192,11 @@ def _shell_logs(spec: DomainSpec, ns, settings) -> list:
     a diagonal lattice), from one moments request.  Each nonempty shell is
     also read at its first gamma through log_c_gamma_sq, the per-moment
     entry point at which perfbench's tracer counts the series' lookups."""
-    orders = [n if spec.lattice.kind == FULL_QUADRANT else 2 * n for n in ns]
+    orders = [2 * n if spec.diagonal else n for n in ns]
     shells = log_c_shells(spec, orders, settings)
     for order, logs in zip(orders, shells):
         if logs.size:
-            g1 = spec.lattice.shell(order)[0]
+            g1 = spec.shell(order)[0]
             log_c_gamma_sq(spec, MultiIndex(g1, order - g1), settings)
     return shells
 
@@ -203,9 +204,9 @@ def _shell_logs(spec: DomainSpec, ns, settings) -> list:
 def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
     """(step, offset): gamma + alpha sits in shell n + step, offset places
     further along than gamma in shell n; gamma - alpha, the reverse."""
-    if spec.lattice.kind == FULL_QUADRANT:
-        return alpha.order, alpha.g1
-    return alpha.g1, 0
+    if spec.diagonal:
+        return alpha.g1, 0
+    return alpha.order, alpha.g1
 
 
 def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> list:
@@ -214,7 +215,7 @@ def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> li
     omitted, and shell n has no gamma-alpha terms below n = step."""
     step, offset = _neighbours(spec, alpha)
     top = n_max + step
-    check_fits((top + 1) * (top + 2) // 2 if spec.lattice.kind == FULL_QUADRANT else top + 1,
+    check_fits(top + 1 if spec.diagonal else (top + 1) * (top + 2) // 2,
                f"the walk to shell {top}")
     logs, sums = _shell_logs(spec, range(top + 1), settings), []
     for n in range(n_max + 1):
@@ -295,7 +296,7 @@ def dbar_canonical_report(
 ) -> DbarReport:
     coordinates = []
     for alpha in (MultiIndex(1, 0), MultiIndex(0, 1)):
-        if not spec.lattice.contains(alpha):
+        if not spec.contains(alpha):
             coordinates.append(DbarCoordinate(alpha=alpha, status=SYMBOL_NOT_IN_SPACE))
             continue
         ns = sample_ladder(n)

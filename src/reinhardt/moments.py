@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .domains import DomainSpec, MultiIndex
-from .errors import InvalidInputError, NumericalFailureError, check_index
+from .errors import InvalidInputError, NumericalFailureError, check_index, is_finite_number
 from .profiles import RadialProfile, peak_radius
 from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
 from .wiegerinck import omega0_log_ck_sq
@@ -102,15 +102,17 @@ def log_profile_interval_moment(
     """log of integral_lo^hi r^x exp(-y phi(r)) dr for each pair of the
     equal-length 1-D sequences x and y of exponents > 0, as a list computed
     in one batched log_integrate call; a single moment is a batch of one.
+    Exponents and endpoints are finite numbers, never booleans.
     """
-    xs, ys = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xs, ys = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
     if xs.ndim != 1 or xs.shape != ys.shape:
         raise InvalidInputError("moment exponents must be equal-length 1-D sequences")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise InvalidInputError(f"moment exponents must be finite, got x={x}, y={y}")
+    if not all(map(is_finite_number, [*xs, *ys])):
+        raise InvalidInputError(f"moment exponents must be finite numbers, got x={x}, y={y}")
+    xs, ys = xs.astype(float), ys.astype(float)
     if (xs <= 0).any() or (ys <= 0).any():
         raise InvalidInputError(f"moment exponents must be > 0, got x={x}, y={y}")
-    if not (0.0 <= lo < hi <= 1.0):
+    if not (is_finite_number(lo) and is_finite_number(hi) and 0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
     return _interval_moments(profile, xs, ys, float(lo), float(hi), settings)
 
@@ -321,7 +323,7 @@ def log_c_gamma_sq(
 ) -> float:
     """log c_gamma^2 for the domain: the entry of gamma in the array of its
     shell (log_c_shells).  A gamma off the basis lattice is rejected."""
-    g1s = spec.lattice.shell(gamma.order)
+    g1s = spec.shell(gamma.order)
     if gamma.g1 not in g1s:
         raise InvalidInputError(f"gamma {gamma} is not in the basis lattice of {spec.describe()}")
     return float(log_c_shells(spec, (gamma.order,), settings)[0][g1s.index(gamma.g1)])
@@ -347,7 +349,7 @@ def log_c_shells(
     settings: QuadratureSettings = DEFAULT_SETTINGS,
 ) -> list:
     """Read-only, memoized log c_gamma^2 arrays of the shells |gamma| = n for
-    n in orders, each at the lattice points spec.lattice.shell(n) by g1.
+    n in orders, each at the lattice points spec.shell(n) by g1.
 
     The shells missing from the memo are computed in one request.  Profile
     domains reduce to the radial integrals M(2g1+1, 2g2+2): one peak pass
@@ -369,7 +371,7 @@ def log_c_shells(
 def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
     """log c_gamma^2 at every lattice point (g1, n - g1), one list per shell
     n, yielded in order; only the profile path computes them all first."""
-    shell = spec.lattice.shell
+    shell = spec.shell
     if spec.kind == "profile":
         radial = iter(_interval_moments(
             spec.profile,

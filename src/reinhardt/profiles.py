@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, is_finite_number
 
 FAMILIES = ("zero", "neg_log_one_minus_r2", "inv_one_minus_pow")
 
@@ -89,7 +89,7 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
     if name == "inv_one_minus_pow":
         p = params.pop("p", None)
         _reject_params(name, params)
-        if p is None or isinstance(p, bool) or not np.isfinite(p) or p <= 0:
+        if not is_finite_number(p) or p <= 0:
             raise InvalidInputError("inv_one_minus_pow requires a parameter p > 0")
         p = float(p)
 

@@ -43,14 +43,14 @@ def hs_term(
 
     Nonnegative up to quadrature noise; exactly 0 at alpha = 0.
     """
-    if not spec.lattice.contains(alpha):
+    if not spec.contains(alpha):
         raise InvalidInputError(f"symbol index {alpha} is not in the Bergman space of {spec.describe()}")
-    if not spec.lattice.contains(gamma):
+    if not spec.contains(gamma):
         raise InvalidInputError(f"gamma {gamma} is not in the basis lattice")
     if alpha.order == 0:
         return 0.0
     up = index_sum(gamma, alpha)
-    if not spec.lattice.contains(up):
+    if not spec.contains(up):
         raise InvalidInputError(
             f"gamma+alpha {up} leaves the basis lattice; the operator is "
             "unbounded on this basis vector"
@@ -58,7 +58,7 @@ def hs_term(
     log_mid = log_c_gamma_sq(spec, gamma, settings)
     term = _ratios(log_c_gamma_sq(spec, up, settings), log_mid)
     down = index_difference(gamma, alpha)
-    if down is not None and spec.lattice.contains(down):
+    if down is not None and spec.contains(down):
         term -= _ratios(log_mid, log_c_gamma_sq(spec, down, settings))
     return float(term[0])
 

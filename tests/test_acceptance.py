@@ -244,19 +244,18 @@ def test_criterion_7_nonnegativity_and_projection_oracle():
     worst_rel = 0.0
     checked = 0
     for spec in domains:
-        lattice = spec.lattice
         for alpha in alphas:
-            if not lattice.contains(alpha):
+            if not spec.contains(alpha):
                 continue
             for gamma in _simplex(40):
-                if not (lattice.contains(gamma) and lattice.contains(index_sum(gamma, alpha))):
+                if not (spec.contains(gamma) and spec.contains(index_sum(gamma, alpha))):
                     continue
                 term = hs_term(spec, gamma, alpha)
                 min_term = min(min_term, term)
                 log_mid = log_c_gamma_sq(spec, gamma)
                 log_up = log_c_gamma_sq(spec, index_sum(gamma, alpha))
                 down = index_difference(gamma, alpha)
-                if down is not None and lattice.contains(down):
+                if down is not None and spec.contains(down):
                     log_down = log_c_gamma_sq(spec, down)
                     oracle = math.exp(
                         _log_sub_exp(log_up, 2.0 * log_mid - log_down) - log_mid

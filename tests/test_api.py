@@ -10,7 +10,7 @@ from reinhardt.cli import main
 from reinhardt.errors import InvalidInputError
 
 PUBLIC = {
-    "BasisLattice", "Certificate", "CertificateEntry", "Classification", "Convergent",
+    "Certificate", "CertificateEntry", "Classification", "Convergent",
     "DEFAULT_SETTINGS", "DbarReport", "DivergentLinear", "DomainSpec",
     "Inconclusive", "InvalidInputError", "MultiIndex", "NumericalFailureError",
     "QuadratureSettings", "RadialProfile", "SubharmonicityCheck", "Window",
@@ -29,7 +29,7 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
 
 
 _POLYDISC = reinhardt.DomainSpec.polydisc(1.0)

@@ -297,6 +297,10 @@ def test_density_mass_batch_matches_scalar_calls():
     assert density_mass(INV_POW, [], [], interval) == []
     with pytest.raises(InvalidInputError):
         density_mass(INV_POW, xs, ys[:2], interval)
+    # once a raw ValueError from unpacking, and a TypeError for None
+    for interval in ((0.1, 0.2, 0.3), None):
+        with pytest.raises(InvalidInputError, match="must be a pair"):
+            density_mass(INV_POW, [1.0], [1.0], interval)
 
 
 @pytest.mark.parametrize("mass, fails", [(0.5 - 1e-7, True), (0.5, False)])

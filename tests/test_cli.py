@@ -764,10 +764,12 @@ def test_an_n_max_beyond_memory_is_a_one_line_error(argv):
 @pytest.mark.parametrize("argv, count", [
     (["moments", "--domain", "polydisc", "--n-max", "20"], 231),
     (["salpha", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "1,1", "--n-max", "20"], 276),
-], ids=["moments-polydisc", "salpha-profile"])
+    # a diagonal walk holds one moment a shell: shells 0..97 for S_(1,1) to 96
+    (["wiegerinck", "--n-max", "100"], 98),
+], ids=["moments-polydisc", "salpha-profile", "wiegerinck-diagonal"])
 def test_memory_check_counts_what_a_walk_holds(monkeypatch, capsys, argv, count):
     # Two 4 KiB pages of physical memory hold the float64 values of these
-    # 231 and 276 moments, but not the bytes a walk really holds per moment.
+    # 231, 276 and 98 moments, but not the bytes a walk really holds per moment.
     from reinhardt import moments
 
     assert 8 * count <= 2 * 4096 < moments._BYTES_PER_MOMENT * count

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from reinhardt import moments
-from reinhardt.domains import (
-    DIAGONAL, DIAGONAL_TRUNCATED, FULL_QUADRANT, BasisLattice, DomainSpec, MultiIndex,
-)
+from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.profiles import profile_family
 
@@ -20,23 +18,30 @@ def test_multi_index_validation_and_arithmetic():
         MultiIndex(0.5, 0)
 
 
+LATTICE_DOMAINS = (
+    DomainSpec.polydisc(2.0), DomainSpec.ball(), DomainSpec.profile_domain(profile_family("zero")),
+    DomainSpec.wiegerinck_omega0(), DomainSpec.wiegerinck_omega_k(2),
+)
+
+
 def test_lattice_membership():
-    full = BasisLattice(FULL_QUADRANT)
-    diag = BasisLattice(DIAGONAL)
-    trunc = BasisLattice(DIAGONAL_TRUNCATED, 2)
-    assert full.contains(MultiIndex(7, 0))
-    assert diag.contains(MultiIndex(3, 3))
-    assert not diag.contains(MultiIndex(3, 2))
-    assert trunc.contains(MultiIndex(2, 2))
-    assert not trunc.contains(MultiIndex(3, 3))
+    polydisc, ball, profile, omega0, omega_k = LATTICE_DOMAINS
+    for full in (polydisc, ball, profile):
+        assert not full.diagonal
+        assert full.contains(MultiIndex(7, 0))
+        assert full.contains(MultiIndex(3, 2))
+    assert omega0.diagonal and omega_k.diagonal
+    assert omega0.contains(MultiIndex(3, 3))
+    assert not omega0.contains(MultiIndex(3, 2))
+    assert omega_k.contains(MultiIndex(2, 2))
+    assert not omega_k.contains(MultiIndex(3, 3))
 
 
 def test_lattice_shells_list_the_lattice_points():
-    lattices = (BasisLattice(FULL_QUADRANT), BasisLattice(DIAGONAL), BasisLattice(DIAGONAL_TRUNCATED, 2))
-    for lattice in lattices:
+    for spec in LATTICE_DOMAINS:
         for n in range(-2, 12):
-            points = [g1 for g1 in range(n + 1) if lattice.contains(MultiIndex(g1, n - g1))]
-            assert list(lattice.shell(n)) == points, (lattice, n)
+            points = [g1 for g1 in range(n + 1) if spec.contains(MultiIndex(g1, n - g1))]
+            assert list(spec.shell(n)) == points, (spec, n)
 
 
 @pytest.mark.parametrize(
@@ -54,7 +59,7 @@ def test_lattice_matches_variant_up_to_order_50(spec, expected):
     for order in range(51):
         for g1 in range(order + 1):
             gamma = MultiIndex(g1, order - g1)
-            assert spec.lattice.contains(gamma) == expected(gamma)
+            assert spec.contains(gamma) == expected(gamma)
 
 
 def test_domain_constructors_validate():
@@ -62,8 +67,17 @@ def test_domain_constructors_validate():
         DomainSpec.polydisc(0.0)
     with pytest.raises(InvalidInputError):
         DomainSpec.polydisc(True)  # once read as the radius 1
+    # once raw TypeError and OverflowError; numpy scalars stay numbers
+    for value in ("x", None, 10**400):
+        with pytest.raises(InvalidInputError):
+            DomainSpec.polydisc(value)
+    assert DomainSpec.polydisc(np.float32(2.0)) == DomainSpec.polydisc(np.int64(2)) == DomainSpec.polydisc(2.0)
     with pytest.raises(InvalidInputError):
         DomainSpec.wiegerinck_omega_k(0)
+    # built directly, omega_k without k would read as omega0's lattice
+    for kind, k in (("omega_k", None), ("omega0", 2)):
+        with pytest.raises(InvalidInputError):
+            DomainSpec(kind, k=k)
 
 
 # The polydisc's and the ball's shadows are private to the moments layer.

@@ -40,6 +40,10 @@ CASES = {
         ["moments", "--domain", "profile:inv_one_minus_pow:p=1e300", "--n-max", "10"], 0),
     "wiegerinck-n100.json": (["wiegerinck", "--n-max", "100"], 0),
     "wiegerinck-k2.json": (["wiegerinck", "--k", "2"], 0),
+    "salpha-omegak3-alpha11-n16.csv": (
+        ["salpha", "--domain", "omega_k:3", "--alpha", "1,1", "--n-max", "16"], 0),
+    "moments-omegak3-n8.csv": (["moments", "--domain", "omega_k:3", "--n-max", "8"], 0),
+    "dbar-omega0-n32.json": (["dbar", "--domain", "omega0", "--n-max", "32"], 0),
 }
 
 

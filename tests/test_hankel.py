@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from reinhardt import hankel
-from reinhardt.domains import FULL_QUADRANT, DomainSpec, MultiIndex
+from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import (
     Convergent,
@@ -132,11 +132,11 @@ ORACLE_DOMAINS = {
 
 def _oracle_shell(spec, n, alpha):
     """The gammas of shell n whose gamma+alpha stays on the lattice."""
-    if spec.lattice.kind == FULL_QUADRANT:
-        gammas = [MultiIndex(k, n - k) for k in range(n + 1)]
-    else:
+    if spec.diagonal:
         gammas = [MultiIndex(n, n)]
-    return [g for g in gammas if spec.lattice.contains(g) and spec.lattice.contains(index_sum(g, alpha))]
+    else:
+        gammas = [MultiIndex(k, n - k) for k in range(n + 1)]
+    return [g for g in gammas if spec.contains(g) and spec.contains(index_sum(g, alpha))]
 
 
 @pytest.mark.parametrize("name", list(ORACLE_DOMAINS))
@@ -148,7 +148,7 @@ def test_shell_arrays_match_the_hs_term_oracle(name):
     spec = ORACLE_DOMAINS[name]
     alphas = [MultiIndex(*a) for a in ((1, 0), (0, 1), (1, 1), (2, 1), (2, 2))]
     checked = 0
-    for alpha in (a for a in alphas if spec.lattice.contains(a)):
+    for alpha in (a for a in alphas if spec.contains(a)):
         for n in range(1, 7):
             want = math.fsum(hs_term(spec, g, alpha) for m in range(n + 1)
                              for g in _oracle_shell(spec, m, alpha))
@@ -161,7 +161,7 @@ def test_shell_arrays_match_the_hs_term_oracle(name):
             assert math.isclose(shell_bound(spec, alpha, n), bound,
                                 rel_tol=4 * sys.float_info.epsilon), (alpha, n)
             checked += 1
-    assert checked == (30 if spec.lattice.kind == FULL_QUADRANT else 12)
+    assert checked == (12 if spec.diagonal else 30)
 
 
 def test_series_pass_looks_up_each_moment_once(monkeypatch):

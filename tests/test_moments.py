@@ -39,7 +39,7 @@ def log_factorial_ratio(*, num, den):
 
 def in_basis(spec, gamma):
     """Whether z^gamma is a basis monomial, whose moment is then finite."""
-    return spec.lattice.contains(gamma) and math.isfinite(log_c_gamma_sq(spec, gamma))
+    return spec.contains(gamma) and math.isfinite(log_c_gamma_sq(spec, gamma))
 
 
 def polydisc_oracle(radius, gamma):
@@ -116,6 +116,14 @@ def test_moment_input_validation():
     for x, y in ((1.0, 2.0), ([1.0], [2.0, 3.0]), ([[1.0]], [[2.0]])):
         with pytest.raises(InvalidInputError, match="equal-length 1-D sequences"):
             log_radial_moment(ZERO, x, y)
+    # Booleans and non-numbers, in the exponents or the interval, once read
+    # as 1.0 (True) or escaped as a raw ValueError or TypeError.
+    for x, y in (([True], [True]), ([1.0], [np.True_]), (["a"], [1.0]), ([1.0], [None])):
+        with pytest.raises(InvalidInputError, match="must be finite numbers"):
+            log_radial_moment(INV_POW, x, y)
+    for lo, hi in (("a", 0.5), (0.0, None), (False, True)):
+        with pytest.raises(InvalidInputError, match="must sit inside"):
+            log_profile_interval_moment(INV_POW, [1.0], [2.0], lo, hi)
 
 
 def test_zero_exponents_are_rejected():

@@ -67,6 +67,9 @@ def test_unknown_family_and_bad_params():
         profile_family("inv_one_minus_pow", {"p": -1})
     with pytest.raises(InvalidInputError):
         profile_family("inv_one_minus_pow", {"p": True})  # once read as p = 1
+    for p in ("x", 10**400):  # once raw TypeErrors
+        with pytest.raises(InvalidInputError):
+            profile_family("inv_one_minus_pow", {"p": p})
     with pytest.raises(InvalidInputError):
         profile_family("zero", {"p": 1})
 
