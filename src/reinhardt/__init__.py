@@ -32,7 +32,7 @@ from .moments import (
     log_radial_moment,
 )
 from .profiles import RadialProfile, profile_family
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
+from .quadrature import log_integrate
 from .wiegerinck import omega0_log_ck_sq
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .domains import MultiIndex
 from .errors import InvalidInputError, NumericalFailureError, check_index
 from .moments import log_profile_interval_moment, log_radial_moment
 from .profiles import RadialProfile
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .quadrature import REL_TOL
 
 _WINDOW_THRESHOLD = 0.1   # smallest accepted value of r phi'(r) at the left edge
 _GRID_EPS = 1e-6
@@ -134,7 +134,7 @@ def density_mass(
     x,
     y,
     interval,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    rel_tol: float = REL_TOL,
 ) -> list:
     """Mass of the normalized density r^x exp(-y phi) / M(x,y) on [lo, hi]
     for each pair of the equal-length 1-D sequences x and y, as a list; a
@@ -143,8 +143,8 @@ def density_mass(
         lo, hi = interval
     except (TypeError, ValueError):
         raise InvalidInputError(f"the mass interval must be a pair (lo, hi), got {interval!r}") from None
-    numerator = log_profile_interval_moment(profile, x, y, lo, hi, settings)
-    denominator = log_radial_moment(profile, x, y, settings)
+    numerator = log_profile_interval_moment(profile, x, y, lo, hi, rel_tol)
+    denominator = log_radial_moment(profile, x, y, rel_tol)
     return [math.exp(num - den) for num, den in zip(numerator, denominator)]
 
 
@@ -215,7 +215,7 @@ def certificate_ladder(
     profile: RadialProfile,
     alpha: MultiIndex,
     ns,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    rel_tol: float = REL_TOL,
 ) -> Certificate:
     """Assemble and verify the linear lower bound at every index n of ns.
 
@@ -241,7 +241,7 @@ def certificate_ladder(
         ks = index_window(window, n)
         xs = [2.0 * k + 1.0 for k in ks]
         ys = [2.0 * (n - k) + 2.0 for k in ks]
-        masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), settings)
+        masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), rel_tol)
         prefactor_min = 1.0
         for k, x, y, mass in zip(ks, xs, ys, masses):
             if not mass >= 0.5:

@@ -41,7 +41,7 @@ from .hankel import (
     shell_bound,
 )
 from .moments import check_fits, log_c_gamma_sq, log_c_shells
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .quadrature import REL_TOL, check_rel_tol
 from .wiegerinck import S11_LIMIT, s11_tail_bound
 
 # Peak bytes a wiegerinck --k report holds per row j: 1,078 measured by
@@ -168,10 +168,9 @@ def _integer(value, key: str) -> int:
     raise InvalidInputError(f"{key} must be an integer, got {value!r}")
 
 
-def _settings(value) -> QuadratureSettings:
-    """A relative tolerance, a number or the text of --tol; QuadratureSettings
-    checks its range."""
-    return QuadratureSettings(rel_tol=_number(value, "tol") if isinstance(value, str) else value)
+def _tol(value) -> float:
+    """A relative tolerance, from a number or the text of --tol."""
+    return check_rel_tol(_number(value, "tol") if isinstance(value, str) else value)
 
 
 def _output(value) -> tuple:
@@ -194,7 +193,7 @@ _KEYS = {
     "n_max": (lambda value: _integer(value, "n_max"), "largest truncation index"),
     "n_step": (lambda value: _integer(value, "n_step"), "ladder stride (default n_max // 8)"),
     "k": (lambda value: _integer(value, "k"), "truncated Wiegerinck index"),
-    "tol": (_settings, "quadrature relative tolerance (default 1e-10)"),
+    "tol": (_tol, "quadrature relative tolerance (default 1e-10)"),
 }
 
 
@@ -206,7 +205,7 @@ _KEYS = {
 # ---------------------------------------------------------------------------
 
 
-def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
+def _moments(domain, n_max, tol=REL_TOL):
     if n_max < 0:
         raise InvalidInputError(f"n_max must be >= 0, got {n_max}")
     check_fits((n_max + 1) * (n_max + 2) // 2, f"a table to order {n_max}")
@@ -238,7 +237,7 @@ def _moments(domain, n_max, tol=DEFAULT_SETTINGS):
     }
 
 
-def _salpha(domain, alpha, n_max, n_step=None, tol=DEFAULT_SETTINGS):
+def _salpha(domain, alpha, n_max, n_step=None, tol=REL_TOL):
     ns = sample_ladder(n_max, n_step)
     partials = s_alpha_partials(domain, alpha, ns, tol)
     shells = [shell_bound(domain, alpha, n, tol) for n in ns]
@@ -267,7 +266,7 @@ def _salpha(domain, alpha, n_max, n_step=None, tol=DEFAULT_SETTINGS):
     }
 
 
-def _certify(domain, alpha, n_max, n_step=None, tol=DEFAULT_SETTINGS):
+def _certify(domain, alpha, n_max, n_step=None, tol=REL_TOL):
     if domain.kind != "profile":
         raise InvalidInputError("certificates are only defined on profile domains")
     ns = sample_ladder(n_max, n_step)
@@ -352,7 +351,7 @@ def _wiegerinck(n_max=None, n_step=None, k=None):
     }
 
 
-def _dbar(domain, n_max, tol=DEFAULT_SETTINGS):
+def _dbar(domain, n_max, tol=REL_TOL):
     report = dbar_canonical_report(domain, n_max, tol)
     rows = [
         (f"({c.alpha.g1};{c.alpha.g2})", n, value)

@@ -12,7 +12,7 @@ class NumericalFailureError(RuntimeError):
     """A numerical routine could not meet its accuracy contract.
 
     Carries the best available estimate and the achieved error so callers
-    can decide whether to retry with different settings.
+    can decide whether to retry, for instance with a looser rel_tol.
     """
 
     def __init__(self, message, best_estimate=None, achieved_error=None):

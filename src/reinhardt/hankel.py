@@ -41,7 +41,7 @@ import numpy as np
 from .domains import DomainSpec, MultiIndex
 from .errors import InvalidInputError, check_index
 from .moments import check_fits, log_c_gamma_sq, log_c_shells
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from .quadrature import REL_TOL
 
 _SMALLEST_NORMAL = sys.float_info.min
 
@@ -187,17 +187,17 @@ def _check_alpha(spec: DomainSpec, alpha: MultiIndex):
         raise InvalidInputError("symbol index alpha must be nonzero")
 
 
-def _shell_logs(spec: DomainSpec, ns, settings) -> list:
+def _shell_logs(spec: DomainSpec, ns, rel_tol) -> list:
     """log c_gamma^2 by g1 on each shell n of ns (|gamma| = n, or (n, n) on
     a diagonal lattice), from one moments request.  Each nonempty shell is
     also read at its first gamma through log_c_gamma_sq, the per-moment
     entry point at which perfbench's tracer counts the series' lookups."""
     orders = [2 * n if spec.diagonal else n for n in ns]
-    shells = log_c_shells(spec, orders, settings)
+    shells = log_c_shells(spec, orders, rel_tol)
     for order, logs in zip(orders, shells):
         if logs.size:
             g1 = spec.shell(order)[0]
-            log_c_gamma_sq(spec, MultiIndex(g1, order - g1), settings)
+            log_c_gamma_sq(spec, MultiIndex(g1, order - g1), rel_tol)
     return shells
 
 
@@ -209,7 +209,7 @@ def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
     return alpha.order, alpha.g1
 
 
-def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> list:
+def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, rel_tol) -> list:
     """Shell sums 0..n_max of S_alpha in one pass over shells 0..n_max+step,
     requested together.  Terms whose gamma+alpha leaves the lattice are
     omitted, and shell n has no gamma-alpha terms below n = step."""
@@ -217,7 +217,7 @@ def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> li
     top = n_max + step
     check_fits(top + 1 if spec.diagonal else (top + 1) * (top + 2) // 2,
                f"the walk to shell {top}")
-    logs, sums = _shell_logs(spec, range(top + 1), settings), []
+    logs, sums = _shell_logs(spec, range(top + 1), rel_tol), []
     for n in range(n_max + 1):
         mid = logs[n]
         up = logs[n + step][offset:offset + mid.size]
@@ -229,7 +229,7 @@ def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, settings) -> li
     return sums
 
 
-def s_alpha_partials(spec, alpha, ns, settings=DEFAULT_SETTINGS):
+def s_alpha_partials(spec, alpha, ns, rel_tol=REL_TOL):
     """(n, S_alpha(n)) along a ladder of truncation indices, in one pass:
     S_alpha truncated to the simplex |gamma| <= n (diagonal index <= n),
     omitting the summands whose gamma+alpha leaves the lattice."""
@@ -239,21 +239,16 @@ def s_alpha_partials(spec, alpha, ns, settings=DEFAULT_SETTINGS):
         check_index(n, "truncation index must be a positive integer, got {!r}", 1)
     if not ns:
         return ()
-    sums = _shell_sums(spec, alpha, int(max(ns)), settings)
+    sums = _shell_sums(spec, alpha, int(max(ns)), rel_tol)
     return tuple((n, _sum(sums[:int(n) + 1])) for n in ns)
 
 
-def shell_bound(
-    spec: DomainSpec,
-    alpha: MultiIndex,
-    n: int,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+def shell_bound(spec: DomainSpec, alpha: MultiIndex, n: int, rel_tol: float = REL_TOL) -> float:
     """The single-shell lower bound: sum over |gamma| = n of c_(gamma+alpha)^2/c_gamma^2."""
     _check_alpha(spec, alpha)
     n = check_index(n, "shell index must be a nonnegative integer, got {!r}", 0)
     step, offset = _neighbours(spec, alpha)
-    mid, up = _shell_logs(spec, (n, n + step), settings)
+    mid, up = _shell_logs(spec, (n, n + step), rel_tol)
     up = up[offset:offset + mid.size]
     return _sum(_ratios(up, mid[:up.size]).tolist())
 
@@ -289,18 +284,14 @@ class DbarReport:
     verdict: str
 
 
-def dbar_canonical_report(
-    spec: DomainSpec,
-    n: int,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> DbarReport:
+def dbar_canonical_report(spec: DomainSpec, n: int, rel_tol: float = REL_TOL) -> DbarReport:
     coordinates = []
     for alpha in (MultiIndex(1, 0), MultiIndex(0, 1)):
         if not spec.contains(alpha):
             coordinates.append(DbarCoordinate(alpha=alpha, status=SYMBOL_NOT_IN_SPACE))
             continue
         ns = sample_ladder(n)
-        partials = s_alpha_partials(spec, alpha, ns, settings)
+        partials = s_alpha_partials(spec, alpha, ns, rel_tol)
         coordinates.append(DbarCoordinate(
             alpha=alpha, status=SYMBOL_IN_SPACE,
             partials=partials, classification=classify_growth(partials),

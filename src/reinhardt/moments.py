@@ -16,7 +16,7 @@ finite, and every result is a plain float log; a monomial off the basis
 lattice is not square-integrable, and asking for its moment is an error.
 
 Moments are memoized a shell |gamma| = n at a time, as one read-only
-array per (domain, n, settings); that is the only memo.  A series walk
+array per (domain, n, rel_tol); that is the only memo.  A series walk
 requests all of its shells at once (log_c_shells), and log_c_gamma_sq
 reads one entry of its shell.  On a profile domain the missing shells'
 radial integrals take one pass of the analytic peak locator, which also
@@ -45,7 +45,7 @@ import numpy as np
 from .domains import DomainSpec, MultiIndex
 from .errors import InvalidInputError, NumericalFailureError, check_index, is_finite_number
 from .profiles import RadialProfile, peak_radius
-from .quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
+from .quadrature import REL_TOL, check_rel_tol, log_integrate
 from .wiegerinck import omega0_log_ck_sq
 
 _LOG_4PI2 = math.log(4.0 * math.pi**2)
@@ -60,7 +60,7 @@ _MESH_OFFSETS = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-
 _BYTES_PER_MOMENT = 128
 
 # Memoized log moments: one read-only log c_gamma^2 array per (domain, n,
-# settings) shell.  Values never depend on whether they were computed alone
+# rel_tol) shell.  Values never depend on whether they were computed alone
 # or in a batch.
 _MOMENT_MEMO: dict = {}
 
@@ -74,12 +74,7 @@ def _log_beta(a: float, b: float) -> float:
 # --------------------------------------------------------------------------
 
 
-def log_radial_moment(
-    profile: RadialProfile,
-    x,
-    y,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> list:
+def log_radial_moment(profile: RadialProfile, x, y, rel_tol: float = REL_TOL) -> list:
     """log of M(x, y) = integral_0^1 r^x exp(-y phi(r)) dr for each pair of
     the equal-length 1-D sequences x and y: log_profile_interval_moment on
     [0, 1].
@@ -88,7 +83,7 @@ def log_radial_moment(
     phi = 0 gives 1/(x+1); phi = -log(1-r^2) gives B((x+1)/2, y+1)/2
     via log-gamma (substitute u = r^2).
     """
-    return log_profile_interval_moment(profile, x, y, 0.0, 1.0, settings)
+    return log_profile_interval_moment(profile, x, y, 0.0, 1.0, rel_tol)
 
 
 def log_profile_interval_moment(
@@ -97,7 +92,7 @@ def log_profile_interval_moment(
     y,
     lo: float,
     hi: float,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    rel_tol: float = REL_TOL,
 ) -> list:
     """log of integral_lo^hi r^x exp(-y phi(r)) dr for each pair of the
     equal-length 1-D sequences x and y of exponents > 0, as a list computed
@@ -114,10 +109,10 @@ def log_profile_interval_moment(
         raise InvalidInputError(f"moment exponents must be > 0, got x={x}, y={y}")
     if not (is_finite_number(lo) and is_finite_number(hi) and 0.0 <= lo < hi <= 1.0):
         raise InvalidInputError(f"interval [{lo}, {hi}] must sit inside [0, 1]")
-    return _interval_moments(profile, xs, ys, float(lo), float(hi), settings)
+    return _interval_moments(profile, xs, ys, float(lo), float(hi), check_rel_tol(rel_tol))
 
 
-def _interval_moments(profile, xs, ys, lo, hi, settings, pack=None) -> list:
+def _interval_moments(profile, xs, ys, lo, hi, rel_tol, pack=None) -> list:
     """log integral_lo^hi r^x exp(-y phi(r)) dr for each row of the float
     arrays xs and ys: the closed form on [0, 1] for the zero and -log(1-r^2)
     families, else one peak and scale pass over every row, then one
@@ -135,20 +130,20 @@ def _interval_moments(profile, xs, ys, lo, hi, settings, pack=None) -> list:
         rows = slice(start, start + pack)
         x, y = xs[rows], ys[rows]
         logs += _integrate(
-            _profile_log_integrand(profile, x, y), x.size, lo, hi, settings,
+            _profile_log_integrand(profile, x, y), x.size, lo, hi, rel_tol,
             lambda i: f"integral of r^{x[i]:g} exp(-{y[i]:g} phi(r)) over [{lo:g}, {hi:g}]",
             _mesh(peaks[rows], scales[rows]),
         )
     return logs
 
 
-def _integrate(log_f, size, lo, hi, settings, subject, presplit=()) -> list:
+def _integrate(log_f, size, lo, hi, rel_tol, subject, presplit=()) -> list:
     """One batched log_integrate call over [lo, hi].  A failing row raises
     its error under subject(row), the name of the moment it computes, in
     place of its position in the batch; a row that reads log 0 underflowed
     at every node, since a moment integrand is positive on its interval."""
     try:
-        logs = log_integrate(log_f, np.full(size, lo), np.full(size, hi), settings,
+        logs = log_integrate(log_f, np.full(size, lo), np.full(size, hi), rel_tol,
                              presplit=presplit).tolist()
     except (InvalidInputError, NumericalFailureError) as exc:
         if not hasattr(exc, "row"):
@@ -250,13 +245,13 @@ def _shadow(spec: DomainSpec) -> tuple:
     raise InvalidInputError(f"unknown domain kind {spec.kind!r}")
 
 
-def _region_log_moments(pieces: tuple, gammas, settings) -> list:
+def _region_log_moments(pieces: tuple, gammas, rel_tol) -> list:
     """log c_gamma^2 over a shadow's pieces for each (g1, g2) pair.
 
     Every _Fiber integrates all pairs in one batched log_integrate call.
     """
     fibers = [
-        iter(_fiber_log_moments(piece, gammas, settings)) if isinstance(piece, _Fiber) else None
+        iter(_fiber_log_moments(piece, gammas, rel_tol)) if isinstance(piece, _Fiber) else None
         for piece in pieces
     ]
     return [
@@ -293,7 +288,7 @@ def _axis_log_moment(lo: float, hi: float, power: int) -> float:
     return top - math.log(p1)
 
 
-def _fiber_log_moments(piece: _Fiber, gammas, settings) -> list:
+def _fiber_log_moments(piece: _Fiber, gammas, rel_tol) -> list:
     """log of the fiber integrals of r1^(2g1+1) r2^(2g2+1), one batched call."""
     if not gammas:
         return []
@@ -307,7 +302,7 @@ def _fiber_log_moments(piece: _Fiber, gammas, settings) -> list:
             top = ys[owner] * np.asarray(log_hi(r), dtype=float)
             return xs[owner] * np.log(r) + top - log_ys[owner]
 
-    return _integrate(log_f, xs.size, piece.r1_lo, piece.r1_hi, settings,
+    return _integrate(log_f, xs.size, piece.r1_lo, piece.r1_hi, rel_tol,
                       lambda i: "fiber integral of z^({},{})".format(*gammas[i]))
 
 
@@ -316,17 +311,13 @@ def _fiber_log_moments(piece: _Fiber, gammas, settings) -> list:
 # --------------------------------------------------------------------------
 
 
-def log_c_gamma_sq(
-    spec: DomainSpec,
-    gamma: MultiIndex,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+def log_c_gamma_sq(spec: DomainSpec, gamma: MultiIndex, rel_tol: float = REL_TOL) -> float:
     """log c_gamma^2 for the domain: the entry of gamma in the array of its
     shell (log_c_shells).  A gamma off the basis lattice is rejected."""
     g1s = spec.shell(gamma.order)
     if gamma.g1 not in g1s:
         raise InvalidInputError(f"gamma {gamma} is not in the basis lattice of {spec.describe()}")
-    return float(log_c_shells(spec, (gamma.order,), settings)[0][g1s.index(gamma.g1)])
+    return float(log_c_shells(spec, (gamma.order,), rel_tol)[0][g1s.index(gamma.g1)])
 
 
 def check_fits(count: int, what: str, unit: str = "moments", each: int = _BYTES_PER_MOMENT):
@@ -343,11 +334,7 @@ def check_fits(count: int, what: str, unit: str = "moments", each: int = _BYTES_
             f"of physical memory at {each} bytes each")
 
 
-def log_c_shells(
-    spec: DomainSpec,
-    orders,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> list:
+def log_c_shells(spec: DomainSpec, orders, rel_tol: float = REL_TOL) -> list:
     """Read-only, memoized log c_gamma^2 arrays of the shells |gamma| = n for
     n in orders, each at the lattice points spec.shell(n) by g1.
 
@@ -359,16 +346,17 @@ def log_c_shells(
     everything else integrates its bounded shadow a shell at a time.
     """
     orders = [check_index(n, "shell index must be a nonnegative integer, got {!r}", 0) for n in orders]
-    missing = [n for n in orders if (spec, n, settings) not in _MOMENT_MEMO]
+    rel_tol = check_rel_tol(rel_tol)
+    missing = [n for n in orders if (spec, n, rel_tol) not in _MOMENT_MEMO]
     if missing:
-        for n, logs in zip(missing, _log_c_gamma_sq_shells(spec, missing, settings)):
+        for n, logs in zip(missing, _log_c_gamma_sq_shells(spec, missing, rel_tol)):
             logs = np.array(logs, dtype=float)
             logs.flags.writeable = False
-            _MOMENT_MEMO[(spec, n, settings)] = logs
-    return [_MOMENT_MEMO[(spec, n, settings)] for n in orders]
+            _MOMENT_MEMO[(spec, n, rel_tol)] = logs
+    return [_MOMENT_MEMO[(spec, n, rel_tol)] for n in orders]
 
 
-def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
+def _log_c_gamma_sq_shells(spec: DomainSpec, orders, rel_tol):
     """log c_gamma^2 at every lattice point (g1, n - g1), one list per shell
     n, yielded in order; only the profile path computes them all first."""
     shell = spec.shell
@@ -377,13 +365,13 @@ def _log_c_gamma_sq_shells(spec: DomainSpec, orders, settings):
             spec.profile,
             np.fromiter((2.0 * g1 + 1.0 for n in orders for g1 in shell(n)), dtype=float),
             np.fromiter((2.0 * (n - g1) + 2.0 for n in orders for g1 in shell(n)), dtype=float),
-            0.0, 1.0, settings, pack=max(len(shell(n)) for n in orders),
+            0.0, 1.0, rel_tol, pack=max(len(shell(n)) for n in orders),
         ))
         return ([_LOG_2PI2 - math.log(n - g1 + 1.0) + next(radial) for g1 in shell(n)] for n in orders)
     if spec.kind in ("omega0", "omega_k"):
         return ([omega0_log_ck_sq(g1) for g1 in shell(n)] for n in orders)
     pieces = _shadow(spec)
-    return (_region_log_moments(pieces, [(g1, n - g1) for g1 in shell(n)], settings)
+    return (_region_log_moments(pieces, [(g1, n - g1) for g1 in shell(n)], rel_tol)
             for n in orders)
 
 

@@ -18,7 +18,7 @@ from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import _ratios
 from reinhardt.moments import log_c_gamma_sq, log_profile_interval_moment
-from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
+from reinhardt.quadrature import REL_TOL, log_integrate
 
 
 def index_sum(gamma: MultiIndex, alpha: MultiIndex) -> MultiIndex:
@@ -37,7 +37,7 @@ def hs_term(
     spec: DomainSpec,
     gamma: MultiIndex,
     alpha: MultiIndex,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    rel_tol: float = REL_TOL,
 ) -> float:
     """One summand of S_alpha, via log-moment differences.
 
@@ -55,28 +55,28 @@ def hs_term(
             f"gamma+alpha {up} leaves the basis lattice; the operator is "
             "unbounded on this basis vector"
         )
-    log_mid = log_c_gamma_sq(spec, gamma, settings)
-    term = _ratios(log_c_gamma_sq(spec, up, settings), log_mid)
+    log_mid = log_c_gamma_sq(spec, gamma, rel_tol)
+    term = _ratios(log_c_gamma_sq(spec, up, rel_tol), log_mid)
     down = index_difference(gamma, alpha)
     if down is not None and spec.contains(down):
-        term -= _ratios(log_mid, log_c_gamma_sq(spec, down, settings))
+        term -= _ratios(log_mid, log_c_gamma_sq(spec, down, rel_tol))
     return float(term[0])
 
 
-def integrate_one(log_f, a, b, settings=DEFAULT_SETTINGS, presplit=()) -> float:
+def integrate_one(log_f, a, b, rel_tol=REL_TOL, presplit=()) -> float:
     """log of the integral of exp(log_f(r)) over [a, b], cut at the points
     of presplit: the batch of one integrand."""
     logs = log_integrate(lambda r, owner: log_f(r), np.array([a], dtype=float),
-                         np.array([b], dtype=float), settings, np.array([presplit], dtype=float))
+                         np.array([b], dtype=float), rel_tol, np.array([presplit], dtype=float))
     return float(logs[0])
 
 
-def moment_one(profile, x, y, lo=0.0, hi=1.0, settings=DEFAULT_SETTINGS) -> float:
+def moment_one(profile, x, y, lo=0.0, hi=1.0, rel_tol=REL_TOL) -> float:
     """log of integral_lo^hi r^x exp(-y phi(r)) dr for one exponent pair:
     the batch of one."""
-    return log_profile_interval_moment(profile, [x], [y], lo, hi, settings)[0]
+    return log_profile_interval_moment(profile, [x], [y], lo, hi, rel_tol)[0]
 
 
-def mass_one(profile, x, y, interval, settings=DEFAULT_SETTINGS) -> float:
+def mass_one(profile, x, y, interval, rel_tol=REL_TOL) -> float:
     """The density mass on interval for one exponent pair: the batch of one."""
-    return density_mass(profile, [x], [y], interval, settings)[0]
+    return density_mass(profile, [x], [y], interval, rel_tol)[0]

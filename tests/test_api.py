@@ -3,6 +3,7 @@ import inspect
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reinhardt
@@ -11,9 +12,9 @@ from reinhardt.errors import InvalidInputError
 
 PUBLIC = {
     "Certificate", "CertificateEntry", "Classification", "Convergent",
-    "DEFAULT_SETTINGS", "DbarReport", "DivergentLinear", "DomainSpec",
+    "DbarReport", "DivergentLinear", "DomainSpec",
     "Inconclusive", "InvalidInputError", "MultiIndex", "NumericalFailureError",
-    "QuadratureSettings", "RadialProfile", "SubharmonicityCheck", "Window",
+    "RadialProfile", "SubharmonicityCheck", "Window",
     "certificate_ladder", "check_subharmonic", "classify_growth", "dbar_canonical_report",
     "density_mass", "find_window", "index_window", "lambda_alpha",
     "log_c_gamma_sq", "log_integrate", "log_profile_interval_moment", "log_radial_moment",
@@ -29,7 +30,7 @@ def test_public_api_is_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 31
 
 
 _POLYDISC = reinhardt.DomainSpec.polydisc(1.0)
@@ -57,6 +58,38 @@ def test_a_bad_index_is_invalid_input(entry, value):
     # True once passed as the index 1, though the CLI rejects booleans.
     with pytest.raises(InvalidInputError):
         INDEX_ENTRY_POINTS[entry](value)
+
+
+_POLYDISC2 = reinhardt.DomainSpec.polydisc(2.0)
+_P1 = reinhardt.profile_family("inv_one_minus_pow", {"p": 1})
+
+# Every entry point that takes a relative tolerance, called with the tolerance t.
+TOL_ENTRY_POINTS = {
+    "log_integrate": lambda t: reinhardt.log_integrate(
+        lambda r, owner: 0.0 * r, np.zeros(1), np.ones(1), t),
+    "log_c_shells": lambda t: reinhardt.moments.log_c_shells(_POLYDISC2, (4,), t),
+    "s_alpha_partials": lambda t: reinhardt.s_alpha_partials(_POLYDISC2, _ALPHA, (4,), t),
+    "shell_bound": lambda t: reinhardt.shell_bound(_POLYDISC2, _ALPHA, 4, t),
+    "dbar_canonical_report": lambda t: reinhardt.dbar_canonical_report(_POLYDISC2, 4, t),
+    "log_c_gamma_sq omega0": lambda t: reinhardt.log_c_gamma_sq(
+        reinhardt.DomainSpec.wiegerinck_omega0(), reinhardt.MultiIndex(1, 1), t),
+    "log_radial_moment zero": lambda t: reinhardt.log_radial_moment(
+        reinhardt.profile_family("zero"), [1.0], [2.0], t),
+    "density_mass": lambda t: reinhardt.density_mass(_P1, [3.0], [4.0], (0.2, 0.6), t),
+    "certificate_ladder": lambda t: reinhardt.certificate_ladder(_P1, reinhardt.MultiIndex(1, 1), (8,), t),
+}
+
+
+@pytest.mark.parametrize("value", ["x", None, True, 0, 2e-4, math.nan, object()],
+                         ids=["text", "none", "bool", "zero", "loose", "nan", "object"])
+@pytest.mark.parametrize("entry", list(TOL_ENTRY_POINTS))
+def test_a_bad_tolerance_is_invalid_input(entry, value):
+    # The closed-form paths once accepted any of these, and memoized shells
+    # under them; the quadrature paths raised AttributeError.
+    reinhardt.moments.clear_moment_caches()
+    with pytest.raises(InvalidInputError, match=r"rel_tol must lie in \(0, 1e-4\]"):
+        TOL_ENTRY_POINTS[entry](value)
+    assert not reinhardt.moments._MOMENT_MEMO
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-1"])

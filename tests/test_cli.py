@@ -23,7 +23,6 @@ from reinhardt.domains import MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.hankel import sample_ladder
 from reinhardt.profiles import RadialProfile, profile_family
-from reinhardt.quadrature import QuadratureSettings
 
 from oracles import moment_one
 
@@ -92,9 +91,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
             f"numerical failure: integral of r^{x:g} exp(-{y:g} phi(r)) over [0, 1]: "
             f"quadrature needed more than {budget} subdivisions ("
         )
-        settings = QuadratureSettings(rel_tol=config["tol"])
         with pytest.raises(NumericalFailureError) as failure:
-            moment_one(profile, x, y, settings=settings)
+            moment_one(profile, x, y, rel_tol=config["tol"])
         assert f"best_estimate={failure.value.best_estimate:.12g}" in message
         assert f"achieved_error={failure.value.achieved_error:.12g}" in message
 
@@ -736,6 +734,20 @@ def test_certify_does_not_import_numpy_ma():
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def _run_capped(argv, limit: int):
+    """A CLI run in a child process whose address space is capped at limit bytes."""
+    import subprocess
+    import sys
+
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from reinhardt.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+                                            "PYTHONPATH": os.pathsep.join(
+                                                filter(None, [src, os.environ.get("PYTHONPATH")]))})
+
+
 @pytest.mark.parametrize("argv", [
     ["moments", "--domain", "polydisc", "--n-max", "100000000"],
     ["salpha", "--domain", "ball", "--alpha", "1,0", "--n-max", "100000000000000000000"],
@@ -745,20 +757,30 @@ def test_an_n_max_beyond_memory_is_a_one_line_error(argv):
     # A walk whose moments cannot fit in physical memory is rejected before
     # anything is built.  The child caps its own address space at 2 GB, so a
     # regression fails here instead of filling the machine's memory.
-    import subprocess
-    import sys
-
-    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-            "from reinhardt.cli import main; sys.exit(main(sys.argv[1:]))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                            timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
-                                              "PYTHONPATH": os.pathsep.join(
-                                                  filter(None, [src, os.environ.get("PYTHONPATH")]))})
+    result = _run_capped(argv, 2 << 30)
     assert result.returncode == 1, result.stderr[-500:]
     assert result.stdout == ""
     line, = result.stderr.splitlines()
     assert line.startswith("error: ") and "physical memory" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--domain", "profile:inv_one_minus_pow:p=1e5", "--n-max", "100", "--tol", "1e-15"],
+    ["certify", "--domain", "profile:inv_one_minus_pow:p=1", "--alpha", "1,1", "--n-max", "200",
+     "--tol", "1e-15"],
+    ["moments", "--domain", "profile:inv_one_minus_pow:p=1e300", "--n-max", "100", "--tol", "1e-13"],
+], ids=["moments-p1e5", "certify-p1", "moments-p1e300"])
+def test_a_tolerance_rounding_cannot_meet_is_a_one_line_failure(argv):
+    # An integrand whose |K-G| cannot fall below rel_tol bisects on rounding
+    # noise until its subdivision budget runs out.  The budget is splits per
+    # integrand, and a batch shares one panel table, so a budget far above
+    # what a converging integrand takes once filled memory before it failed.
+    result = _run_capped(argv, 1 << 30)
+    assert result.returncode == 2, result.stderr[-500:]
+    assert result.stdout == ""
+    line, = result.stderr.splitlines()
+    assert line.startswith("numerical failure: ") and (
+        f"quadrature needed more than {quadrature._MAX_SUBDIVISIONS} subdivisions (") in line
 
 
 @pytest.mark.parametrize("argv, count", [

@@ -16,7 +16,7 @@ from reinhardt.moments import (
     log_radial_moment,
 )
 from reinhardt.profiles import RadialProfile, profile_family
-from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings
+from reinhardt.quadrature import REL_TOL
 
 from oracles import integrate_one, moment_one
 
@@ -86,8 +86,8 @@ def test_neg_log_profile_deep_case_matches_direct_quadrature():
 
 
 def test_inv_pow_profile_against_tight_tolerance_run():
-    coarse = moment_one(INV_POW, 11.0, 6.0, settings=QuadratureSettings(rel_tol=1e-8))
-    fine = moment_one(INV_POW, 11.0, 6.0, settings=QuadratureSettings(rel_tol=1e-13))
+    coarse = moment_one(INV_POW, 11.0, 6.0, rel_tol=1e-8)
+    fine = moment_one(INV_POW, 11.0, 6.0, rel_tol=1e-13)
     assert coarse == pytest.approx(fine, abs=1e-8)
 
 
@@ -170,7 +170,7 @@ def test_region_moment_of_a_polydisc_split_into_two_boxes():
     radius = 1.5
     pieces = (moments._Box(0.0, 0.5, 0.0, radius), moments._Box(0.5, 1.0, 0.0, radius))
     for gamma in (MultiIndex(0, 0), MultiIndex(3, 2), MultiIndex(0, 17), MultiIndex(25, 4)):
-        got, = moments._region_log_moments(pieces, [(gamma.g1, gamma.g2)], DEFAULT_SETTINGS)
+        got, = moments._region_log_moments(pieces, [(gamma.g1, gamma.g2)], REL_TOL)
         assert abs(got - polydisc_oracle(radius, gamma)) <= 1e-13
 
 
@@ -315,7 +315,7 @@ def test_membership_on_generic_regions():
 # ---------------------------------------------------------------------------
 
 
-def scan_presplit(profile, x, y, lo, hi, settings):
+def scan_presplit(profile, x, y, lo, hi, rel_tol):
     """An independent mesh for reference quadratures: the per-integrand
     256-point grid scan that the Laplace-scaled peak mesh replaced."""
     grid = np.linspace(lo, hi, 258)[1:-1]
@@ -339,7 +339,7 @@ def scan_presplit(profile, x, y, lo, hi, settings):
     if y != 0.0 and profile.name != "zero":
         with np.errstate(over="ignore"):
             phis = y * np.asarray(profile.phi(grid), dtype=float)
-        threshold = math.log(1.0 / settings.rel_tol) + abs(float(np.max(values[finite])))
+        threshold = math.log(1.0 / rel_tol) + abs(float(np.max(values[finite])))
         exceeded = np.nonzero(phis >= threshold)[0]
         if exceeded.size:
             cuts.add(float(grid[exceeded[0]]))
@@ -466,9 +466,8 @@ def test_a_failing_fiber_moment_is_named_not_its_batch_row(monkeypatch):
     # names (0, 40), not "integrand 0 of 41".
     clear_moment_caches()
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 1)
-    settings = QuadratureSettings(rel_tol=1e-14)
     with pytest.raises(NumericalFailureError) as failure:
-        log_c_gamma_sq(DomainSpec.ball(), MultiIndex(1, 39), settings)
+        log_c_gamma_sq(DomainSpec.ball(), MultiIndex(1, 39), 1e-14)
     assert str(failure.value) == (
         "fiber integral of z^(0,40): quadrature needed more than 1 subdivisions"
     )
@@ -502,8 +501,8 @@ def test_steep_profile_moment_matches_mpmath_or_fails(p):
     steep = profile_family("inv_one_minus_pow", {"p": p})
     for x, y in [(1.0, 2.0), (3.0, 2.0), (19.0, 2.0), (5.0, 7.0), (1.0, 200.0)]:
         want = _mp_steep_log_moment(p, x, y)
-        for settings in (DEFAULT_SETTINGS, QuadratureSettings(rel_tol=1e-12)):
-            assert abs(moment_one(steep, x, y, settings=settings) - want) <= 1e-10, (x, y)
+        for rel_tol in (REL_TOL, 1e-12):
+            assert abs(moment_one(steep, x, y, rel_tol=rel_tol) - want) <= 1e-10, (x, y)
 
 
 def _shell_reference(spec, gamma):
@@ -520,7 +519,7 @@ def _shell_reference(spec, gamma):
         with np.errstate(divide="ignore", over="ignore"):
             return x * np.log(r) - y * profile.phi(r)
 
-    presplit = scan_presplit(profile, x, y, 0.0, 1.0, DEFAULT_SETTINGS)
+    presplit = scan_presplit(profile, x, y, 0.0, 1.0, REL_TOL)
     return math.log(2 * PI2) - math.log(gamma.g2 + 1.0) + integrate_one(
         log_f, 0.0, 1.0, presplit=presplit
     )
@@ -543,7 +542,7 @@ def _lone_moment(spec, g1, g2):
     if spec.kind == "profile":
         radial = moment_one(spec.profile, 2.0 * g1 + 1.0, 2.0 * g2 + 2.0)
         return moments._LOG_2PI2 - math.log(g2 + 1.0) + radial
-    return moments._region_log_moments(moments._shadow(spec), [(g1, g2)], DEFAULT_SETTINGS)[0]
+    return moments._region_log_moments(moments._shadow(spec), [(g1, g2)], REL_TOL)[0]
 
 
 def test_closed_form_walks_skip_the_radial_memo():
@@ -598,7 +597,7 @@ def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     ys = np.array([2.0 * g2 + 2.0 for _, g2 in gammas])
     window = find_window(profile)
     inner = (window.inner_lo, window.inner_hi)
-    packed = moments._interval_moments(profile, xs, ys, *inner, DEFAULT_SETTINGS, pack=61)
+    packed = moments._interval_moments(profile, xs, ys, *inner, REL_TOL, pack=61)
     clear_moment_caches()
     lone = [moment_one(profile, x, y) for x, y in zip(xs, ys)]
     assert np.concatenate(shells).tolist() == [
@@ -739,9 +738,9 @@ def test_moment_memo_holds_one_array_per_shell():
     assert cli.main(["dbar", "--domain", "polydisc:2", "--n-max", "40", "--out", os.devnull]) == 0
     spec = DomainSpec.polydisc(2.0)
     assert sorted(moments._MOMENT_MEMO) == sorted(
-        (spec, n, DEFAULT_SETTINGS) for n in range(42)
+        (spec, n, REL_TOL) for n in range(42)
     ), list(moments._MOMENT_MEMO)[:5]
-    assert [moments._MOMENT_MEMO[(spec, n, DEFAULT_SETTINGS)].shape for n in range(42)] == [
+    assert [moments._MOMENT_MEMO[(spec, n, REL_TOL)].shape for n in range(42)] == [
         (n + 1,) for n in range(42)
     ]
 

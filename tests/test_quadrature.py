@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from reinhardt import quadrature
 from reinhardt.errors import InvalidInputError, NumericalFailureError
-from reinhardt.quadrature import DEFAULT_SETTINGS, QuadratureSettings, log_integrate
+from reinhardt.quadrature import REL_TOL, check_rel_tol, log_integrate
 
 from oracles import integrate_one
 
@@ -17,12 +16,12 @@ def log_beta(a, b):
 
 def test_settings_validation():
     with pytest.raises(InvalidInputError):
-        QuadratureSettings(rel_tol=0.0)
+        check_rel_tol(0.0)
     with pytest.raises(InvalidInputError):
-        QuadratureSettings(rel_tol=1e-3)  # looser than the allowed ceiling
-    # The tolerance is the one setting; the subdivision budget is a constant.
-    assert [field.name for field in dataclasses.fields(QuadratureSettings)] == ["rel_tol"]
-    assert DEFAULT_SETTINGS.rel_tol == 1e-10
+        check_rel_tol(1e-3)  # looser than the allowed ceiling
+    # The tolerance is the one setting, a float; the subdivision budget is a constant.
+    assert check_rel_tol(1e-4) == 1e-4 and type(check_rel_tol(np.float32(1e-10))) is float
+    assert REL_TOL == 1e-10
 
 
 def test_monomial_exactness():
@@ -66,14 +65,13 @@ def test_presplit_points_are_honored():
 
 def test_budget_exhaustion_carries_best_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
-    settings = QuadratureSettings(rel_tol=1e-12)
 
     def spiky(r):
         r = np.asarray(r, dtype=float)
         return -5000.0 * np.square(r - 0.31830988618)
 
     with pytest.raises(NumericalFailureError) as err:
-        integrate_one(spiky, 0.0, 1.0, settings)
+        integrate_one(spiky, 0.0, 1.0, 1e-12)
     assert err.value.best_estimate is not None
     assert err.value.achieved_error > 0
 
@@ -126,7 +124,6 @@ def test_batch_equals_single_calls():
 
 def test_batch_failure_carries_the_failing_integrand(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 2)
-    settings = QuadratureSettings(rel_tol=1e-12)
     centers = np.array([0.5, 0.31830988618])
     widths = np.array([1.0, 5000.0])
 
@@ -134,9 +131,9 @@ def test_batch_failure_carries_the_failing_integrand(monkeypatch):
         return -widths[owner] * np.square(r - centers[owner])
 
     with pytest.raises(NumericalFailureError) as batched:
-        log_integrate(log_f, np.zeros(2), np.ones(2), settings)
+        log_integrate(log_f, np.zeros(2), np.ones(2), 1e-12)
     with pytest.raises(NumericalFailureError) as alone:
-        integrate_one(lambda r: -5000.0 * np.square(r - 0.31830988618), 0.0, 1.0, settings)
+        integrate_one(lambda r: -5000.0 * np.square(r - 0.31830988618), 0.0, 1.0, 1e-12)
     assert batched.value.best_estimate == pytest.approx(alone.value.best_estimate, abs=1e-13)
     assert batched.value.achieved_error == pytest.approx(alone.value.achieved_error, rel=1e-12)
 
