@@ -19,15 +19,17 @@ profile domain:
    it is evaluated exactly there.
 
 certificate_ladder does steps 1, 2 and the weight of step 4 once, then
-checks the masses of each shell's window with one batched density_mass
-call, which integrates the window moments and their denominators M(x, y)
-afresh; neither this module nor the moments layer caches them.
+checks the masses of every rung's window with one batch per ladder: a
+single density_mass call, which integrates the window moments and their
+denominators M(x, y) afresh, packed like the walk; neither this module nor
+the moments layer caches them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -219,9 +221,11 @@ def certificate_ladder(
 ) -> Certificate:
     """Assemble and verify the linear lower bound at every index n of ns.
 
-    The profile checks, the window and lambda_alpha run once.  Every
-    shell index k in the window of n gets its mass checked (>= 1/2) and
-    its prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2), with no
+    The profile checks, the window and lambda_alpha run once, and so does
+    density_mass: one batch per ladder over the pairs of every window,
+    packed like the walk.  Rung by rung, in the order of ns, every shell
+    index k in the window of n gets its mass checked (>= 1/2) and its
+    prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2), with no
     slack; a failed check raises with the offending pair.
     """
     if alpha.order == 0:
@@ -236,14 +240,16 @@ def certificate_ladder(
         )
     window = find_window(profile)
     lam = lambda_alpha(profile, alpha, window)
+    windows = [index_window(window, n) for n in ns]
+    xs = [2.0 * k + 1.0 for ks in windows for k in ks]
+    ys = [2.0 * (n - k) + 2.0 for n, ks in zip(ns, windows) for k in ks]
+    masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), rel_tol)
+    checks = zip(zip(xs, ys), masses)
     entries = []
-    for n in ns:
-        ks = index_window(window, n)
-        xs = [2.0 * k + 1.0 for k in ks]
-        ys = [2.0 * (n - k) + 2.0 for k in ks]
-        masses = density_mass(profile, xs, ys, (window.inner_lo, window.inner_hi), rel_tol)
+    for n, ks in zip(ns, windows):
+        mass_checks = tuple(islice(checks, len(ks)))
         prefactor_min = 1.0
-        for k, x, y, mass in zip(ks, xs, ys, masses):
+        for k, ((x, y), mass) in zip(ks, mass_checks):
             if not mass >= 0.5:
                 raise NumericalFailureError(
                     f"window mass {mass:.9g} < 1/2 at (x, y) = ({x:g}, {y:g})",
@@ -259,7 +265,7 @@ def certificate_ladder(
             n=int(n),
             count=len(ks),
             bound=lam * len(ks),
-            mass_checks=tuple(zip(zip(xs, ys), masses)),
+            mass_checks=mass_checks,
             prefactor_min=prefactor_min,
         ))
     return Certificate(alpha=alpha, window=window, lam=lam, entries=tuple(entries))

@@ -26,11 +26,13 @@ log_integrate call per pack, each no larger than the largest shell of the
 request, whose log-integrand writes its values over the radii it is
 given.  The ball's fiber integrates one shell per log_integrate call.
 The radial-moment functions take batches of exponent pairs, a single
-moment being a batch of one; their integrals, such as the certificate's
-window masses and denominators, are computed afresh at each call.  Each
-moment is refined with the same panels and per-panel arithmetic as when
-it is integrated alone, so neither the packing nor the memo changes a
-value.
+moment being a batch of one, and pack them like the walk: no larger than
+the largest shell the pairs lie on, unless that would take more packs
+than the shell has rows.  Their integrals, such as the certificate's
+window masses and denominators (one batch per ladder), are computed
+afresh at each call.  Each moment is refined with the same panels and
+per-panel arithmetic as when it is integrated alone, so neither the
+packing nor the memo changes a value.
 """
 
 from __future__ import annotations
@@ -112,12 +114,15 @@ def log_profile_interval_moment(
     return _interval_moments(profile, xs, ys, float(lo), float(hi), check_rel_tol(rel_tol))
 
 
-def _interval_moments(profile, xs, ys, lo, hi, rel_tol, pack=None) -> list:
+def _interval_moments(profile, xs, ys, lo, hi, rel_tol) -> list:
     """log integral_lo^hi r^x exp(-y phi(r)) dr for each row of the float
     arrays xs and ys: the closed form on [0, 1] for the zero and -log(1-r^2)
     families, else one peak and scale pass over every row, then one
-    log_integrate call per pack of at most ``pack`` consecutive rows
-    (default: one pack; a row's value does not depend on its pack)."""
+    log_integrate call per pack of consecutive rows.  A pack holds as many
+    rows as the largest shell the pairs lie on, (max(x + y) - 1) / 2 (the
+    pair (2 g1 + 1, 2 g2 + 2) of shell n has x + y = 2 n + 3), or more if
+    the batch would otherwise take more packs than that, which no walk
+    does.  A row's value does not depend on its pack."""
     if lo == 0.0 and hi == 1.0:
         if profile.name == "zero":
             return [-math.log(x + 1.0) for x in map(float, xs)]
@@ -125,7 +130,10 @@ def _interval_moments(profile, xs, ys, lo, hi, rel_tol, pack=None) -> list:
             return [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0)
                     for x, y in zip(map(float, xs), map(float, ys))]
     peaks, scales = _peak_scales(profile, xs, ys, lo, hi)
-    logs, pack = [], pack or max(xs.size, 1)
+    # (x + y - 1) / 2 halved term by term, which cannot overflow
+    largest = (0.5 * xs + 0.5 * ys).max(initial=0.0) - 0.5
+    shell = max(int(min(largest, xs.size)), 1)
+    logs, pack = [], max(shell, -(-xs.size // shell))
     for start in range(0, xs.size, pack):
         rows = slice(start, start + pack)
         x, y = xs[rows], ys[rows]
@@ -357,17 +365,18 @@ def log_c_shells(spec: DomainSpec, orders, rel_tol: float = REL_TOL) -> list:
 
 
 def _log_c_gamma_sq_shells(spec: DomainSpec, orders, rel_tol):
-    """log c_gamma^2 at every lattice point (g1, n - g1), one list per shell
-    n, yielded in order; only the profile path computes them all first."""
+    """log c_gamma^2 at every lattice point (g1, n - g1), one sequence per
+    shell n, in order; only the profile path computes them all first."""
     shell = spec.shell
     if spec.kind == "profile":
-        radial = iter(_interval_moments(
-            spec.profile,
-            np.fromiter((2.0 * g1 + 1.0 for n in orders for g1 in shell(n)), dtype=float),
-            np.fromiter((2.0 * (n - g1) + 2.0 for n in orders for g1 in shell(n)), dtype=float),
-            0.0, 1.0, rel_tol, pack=max(len(shell(n)) for n in orders),
-        ))
-        return ([_LOG_2PI2 - math.log(n - g1 + 1.0) + next(radial) for g1 in shell(n)] for n in orders)
+        # Every shell is range(n + 1): g1 counts up from 0 as g2 counts down to 0.
+        g1 = np.concatenate([np.arange(n + 1) for n in orders])
+        g2 = np.concatenate([np.arange(n, -1, -1) for n in orders])
+        radial = np.array(_interval_moments(spec.profile, 2.0 * g1 + 1.0, 2.0 * g2 + 2.0,
+                                            0.0, 1.0, rel_tol))
+        # log(g2 + 1) by math.log: np.log can differ from libm in the last bit.
+        log_k = np.array([math.log(k + 1.0) for k in range(max(orders) + 1)])
+        return np.split((_LOG_2PI2 - log_k[g2]) + radial, np.cumsum([n + 1 for n in orders])[:-1])
     if spec.kind in ("omega0", "omega_k"):
         return ([omega0_log_ck_sq(g1) for g1 in shell(n)] for n in orders)
     pieces = _shadow(spec)

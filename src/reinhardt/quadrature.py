@@ -20,7 +20,8 @@ single integrand is the batch of one.
 
 The relative tolerance is a plain number, as in QUADPACK: one float in
 (0, 1e-4], REL_TOL by default, checked by check_rel_tol wherever it enters
-the package.  The subdivision budget is the constant _MAX_SUBDIVISIONS.
+the package.  The subdivision budget is the constant _MAX_SUBDIVISIONS,
+a hard cap: no integrand takes more splits.
 
 The nodes of a round are laid out node-major: a (15, panels) array with
 one contiguous row per Kronrod node, so the integrand, the shift and the
@@ -226,13 +227,6 @@ def _refine(log_f, los, his, owner, size, rel_tol) -> np.ndarray:
         result[ids[done]] = total_val[done]
         if done.all():
             return result
-        exhausted = ~done & (splits[ids] >= _MAX_SUBDIVISIONS)
-        if exhausted.any():
-            i = int(exhausted.argmax())
-            raise _of_row(_failure(
-                f"quadrature needed more than {_MAX_SUBDIVISIONS} subdivisions",
-                total_val[i], total_err[i],
-            ), ids[i])
         # Split every panel holding more than a 1/(2P) share of its
         # integrand's error budget; the worst panel always exceeds it, so
         # progress is sure.  Panels of converged integrands leave the table.
@@ -247,6 +241,15 @@ def _refine(log_f, los, his, owner, size, rel_tol) -> np.ndarray:
                 "quadrature panel collapsed to machine precision", total_val[i], total_err[i],
             ), ids[i])
         splits += np.bincount(owner[split], minlength=size)
+        # The budget is a hard cap: a round that would take an integrand
+        # past it fails before its panels are evaluated.
+        exhausted = splits[ids] > _MAX_SUBDIVISIONS
+        if exhausted.any():
+            i = int(exhausted.argmax())
+            raise _of_row(_failure(
+                f"quadrature needed more than {_MAX_SUBDIVISIONS} subdivisions",
+                total_val[i], total_err[i],
+            ), ids[i])
         # Each split panel is replaced in place by its two halves, so the
         # table stays ordered by owner and, within an owner, by position.
         copies = live.astype(np.intp) + split

@@ -237,13 +237,14 @@ def test_certificate_counts_are_nearly_affine():
 
 
 def test_certificate_ladder_checks_the_profile_once(monkeypatch):
-    # The profile checks run once per ladder, and each rung integrates its
-    # whole window in two batched quadrature calls: the masses on
-    # [a/2, (1+b)/2] and their denominators M(x, y) on [0, 1], which no
-    # memo keeps, so a walk run first saves none of them.
+    # The profile checks run once per ladder, and so does density_mass: one
+    # batch for every rung's window, with one peak pass for the masses on
+    # [a/2, (1+b)/2] and one for their denominators M(x, y) on [0, 1], which
+    # no memo keeps, so a walk run first saves none of them.  The batch is
+    # integrated in packs no larger than the walk's largest.
     alpha, ns = MultiIndex(1, 1), sample_ladder(200)
-    s_alpha_partials(DomainSpec.profile_domain(INV_POW), alpha, ns)
-    calls = Counter()
+    calls, packs = Counter(), {"walk": [], "ladder": []}
+    integrate = moments.log_integrate
 
     def counting(module, name):
         original = getattr(module, name)
@@ -254,13 +255,52 @@ def test_certificate_ladder_checks_the_profile_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    counting(certificate, "check_subharmonic")
-    counting(certificate, "lambda_alpha")
-    counting(moments, "log_integrate")
+    def packing(stage):
+        monkeypatch.setattr(moments, "log_integrate", lambda log_f, a, *rest, **kw:
+                            packs[stage].append(np.size(a)) or integrate(log_f, a, *rest, **kw))
+
+    moments.clear_moment_caches()
+    packing("walk")
+    s_alpha_partials(DomainSpec.profile_domain(INV_POW), alpha, ns)
+    packing("ladder")
+    for module, name in ((certificate, "check_subharmonic"), (certificate, "lambda_alpha"),
+                         (certificate, "density_mass"), (moments, "peak_radius")):
+        counting(module, name)
     certificate_ladder(INV_POW, alpha, ns)
     assert calls["check_subharmonic"] == 1
     assert calls["lambda_alpha"] == 1
-    assert calls["log_integrate"] == 2 * len(ns)
+    assert calls["density_mass"] == 1
+    assert calls["peak_radius"] == 2
+    assert sum(packs["ladder"]) == 2 * sum(len(index_window(find_window(INV_POW), n)) for n in ns)
+    assert max(packs["ladder"]) <= max(packs["walk"])
+
+
+def _per_rung_masses(profile, window, ns):
+    """The masses of each rung's window from one density_mass call a rung."""
+    return [density_mass(profile, [2.0 * k + 1.0 for k in ks], [2.0 * (n - k) + 2.0 for k in ks],
+                         (window.inner_lo, window.inner_hi))
+            for n, ks in ((n, index_window(window, n)) for n in ns)]
+
+
+@pytest.mark.parametrize("profile, ns", [
+    (INV_POW, (25, 50, 100, 200)),
+    (NEG_LOG, (25, 50, 100, 200)),
+    (INV_POW, (1, 10, 1, 30)),
+    (NEG_LOG, (1,)),
+    (INV_POW, (10, 5)),
+    (INV_POW, (5, 5)),
+])
+def test_ladder_batch_masses_are_bitwise_the_per_rung_masses(profile, ns):
+    # One density_mass batch over every rung gives each mass the bits of a
+    # call for its rung alone, also with empty windows (n = 1) and with
+    # rungs repeated or out of order.  The -log(1-r^2) denominators are the
+    # closed form.
+    ladder = certificate_ladder(profile, MultiIndex(1, 1), ns)
+    per_rung = _per_rung_masses(profile, ladder.window, ns)
+    assert [[mass.hex() for _, mass in entry.mass_checks] for entry in ladder.entries] == \
+        [[mass.hex() for mass in masses] for masses in per_rung]
+    assert [entry.n for entry in ladder.entries] == list(ns)
+    assert [entry.count for entry in ladder.entries] == [len(masses) for masses in per_rung]
 
 
 def test_the_shell_arrays_are_the_only_moment_memo():

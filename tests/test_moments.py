@@ -597,13 +597,44 @@ def test_walk_packs_are_bit_identical_to_lone_moments(p, monkeypatch):
     ys = np.array([2.0 * g2 + 2.0 for _, g2 in gammas])
     window = find_window(profile)
     inner = (window.inner_lo, window.inner_hi)
-    packed = moments._interval_moments(profile, xs, ys, *inner, REL_TOL, pack=61)
+    packs.clear()
+    packed = moments._interval_moments(profile, xs, ys, *inner, REL_TOL)
+    assert len(packs) == 31 and max(packs) == 61
     clear_moment_caches()
     lone = [moment_one(profile, x, y) for x, y in zip(xs, ys)]
     assert np.concatenate(shells).tolist() == [
         moments._LOG_2PI2 - math.log(g2 + 1.0) + m for (_, g2), m in zip(gammas, lone)
     ]
     assert packed == [moment_one(profile, x, y, *inner) for x, y in zip(xs, ys)]
+
+
+def test_low_order_batches_take_no_more_packs_than_their_shell_has_rows(monkeypatch):
+    # 900 rows on shells 0..2 would take packs of at most 3 rows; they take
+    # at most 3 packs instead, with the bits of each pair alone.
+    packs = []
+    integrate = moments.log_integrate
+    monkeypatch.setattr(moments, "log_integrate", lambda log_f, a, *rest, **kw:
+                        packs.append(np.size(a)) or integrate(log_f, a, *rest, **kw))
+    pairs = [(1.0, 2.0), (3.0, 2.0), (1.0, 6.0)] * 300
+    got = log_radial_moment(INV_POW, [x for x, _ in pairs], [y for _, y in pairs])
+    assert packs == [300, 300, 300]
+    assert got == [moment_one(INV_POW, x, y) for x, y in pairs[:3]] * 300
+
+
+@pytest.mark.parametrize("profile", [INV_POW, profile_family("inv_one_minus_pow", {"p": 1e300}),
+                                     NEG_LOG, ZERO], ids=repr)
+def test_profile_shell_arrays_are_bitwise_the_scalar_formula(profile):
+    # The shells of one request are built as arrays, (2 pi^2 / (g2 + 1)) M
+    # in logs; each entry has the bits of the per-gamma Python expression.
+    orders = (0, 1, 40)
+    clear_moment_caches()
+    shells = log_c_shells(DomainSpec.profile_domain(profile), orders)
+    clear_moment_caches()
+    for n, shell in zip(orders, shells):
+        radial = log_radial_moment(profile, [2.0 * g1 + 1.0 for g1 in range(n + 1)],
+                                   [2.0 * (n - g1) + 2.0 for g1 in range(n + 1)])
+        want = [moments._LOG_2PI2 - math.log(n - g1 + 1.0) + m for g1, m in enumerate(radial)]
+        assert [v.hex() for v in shell.tolist()] == [v.hex() for v in want]
 
 
 def _masked_log_values(x, y, log_r, phi_r):
@@ -684,8 +715,8 @@ def test_panel_kernel_holds_at_most_three_and_a_half_node_arrays():
 def test_certify_walk_locates_its_peaks_in_one_call(monkeypatch):
     # certify p=1 to N = 200 walks shells 0..202 (20,706 moments): one
     # peak_radius call for the whole walk, and one log_integrate call per
-    # pack of at most 203 rows, plus two per ladder point: its window
-    # masses and their denominators.
+    # pack of at most 203 rows, plus the ladder's packs of at most 201 rows:
+    # its window masses and their denominators.
     from reinhardt import cli, moments
 
     peaks, integrals, walk = [], [], []

@@ -76,6 +76,43 @@ def test_budget_exhaustion_carries_best_estimate(monkeypatch):
     assert err.value.achieved_error > 0
 
 
+def test_the_subdivision_budget_is_a_hard_cap(monkeypatch):
+    # Every split adds one panel to the table and evaluates two halves, so an
+    # integrand's splits are (panels evaluated - 1) / 2.  Gaussians of
+    # growing width need growing numbers of splits, several a round; none
+    # may take more than the budget, and one that needs exactly the budget
+    # converges to its unbudgeted value.
+    widths = np.array([1.0, 50.0, 500.0, 5000.0, 50000.0])
+
+    def counted(evaluated):
+        def log_f(r, owner):
+            evaluated.append(owner.ravel().copy())
+            return -widths[owner] * np.square(r - 0.31830988618)
+        return log_f
+
+    def splits(evaluated):
+        return (np.bincount(np.concatenate(evaluated), minlength=widths.size) - 1) // 2
+
+    evaluated = []
+    free = log_integrate(counted(evaluated), np.zeros(5), np.ones(5), 1e-12)
+    needed = splits(evaluated)
+    assert needed.max() > 4 and len(set(needed.tolist())) > 2
+    for budget in range(1, int(needed.max()) + 1):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
+        evaluated = []
+        try:
+            got = log_integrate(counted(evaluated), np.zeros(5), np.ones(5), 1e-12)
+        except NumericalFailureError as failure:
+            assert needed[failure.row] > budget
+        else:
+            assert got.tolist() == free.tolist() and needed.max() == budget
+        assert splits(evaluated).max() <= budget
+    for i in range(widths.size):
+        monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", int(needed[i]))
+        log_f = lambda r, width=widths[i]: -width * np.square(r - 0.31830988618)
+        assert integrate_one(log_f, 0.0, 1.0, 1e-12) == free[i]
+
+
 def test_nan_integrand_rejected():
     with pytest.raises(InvalidInputError):
         integrate_one(lambda r: np.where(r > 0.5, np.nan, 0.0), 0.0, 1.0)
