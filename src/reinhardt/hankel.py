@@ -8,7 +8,12 @@ For a symbol index alpha the series of interest is
 with the second ratio read as 0 whenever gamma - alpha leaves the basis
 lattice (the Bergman projection of zbar^alpha z^gamma vanishes there).
 The lattice is the domain's own (DomainSpec.shell, contains and diagonal).
-Summands are nonnegative by Cauchy-Schwarz.  Partial sums are taken over
+Summands are nonnegative by Cauchy-Schwarz, and the walk checks it: a
+summand below -8 rel_tol times its up ratio raises NumericalFailureError
+naming gamma and alpha, for one of the three moments behind it is wrong by
+more than its tolerance.  The check catches only errors larger than the
+local margin 1 - down/up, which shrinks like 1/n^2 (about 2.5e-5 at shell
+200 of polydisc:2); a smaller error passes.  Partial sums are taken over
 the simplex |gamma| <= N, which makes the series telescope: S_alpha(N)
 equals the sum of c_(gamma+alpha)^2/c_gamma^2 over the last |alpha|
 shells.  The squared Hilbert-Schmidt norm of the Hankel operator with
@@ -39,11 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domains import DomainSpec, MultiIndex
-from .errors import InvalidInputError, check_index
+from .errors import InvalidInputError, NumericalFailureError, check_index
 from .moments import check_fits, log_c_gamma_sq, log_c_shells
 from .quadrature import REL_TOL
 
 _SMALLEST_NORMAL = sys.float_info.min
+
+# A summand up - down may fall below zero by rounding and quadrature error,
+# by at most this many rel_tol times up; further below, a moment is wrong.
+_NEGATIVE_SUMMAND_TOLS = 8
 
 # ---------------------------------------------------------------------------
 # Growth classifications.
@@ -212,19 +221,33 @@ def _neighbours(spec: DomainSpec, alpha: MultiIndex) -> tuple:
 def _shell_sums(spec: DomainSpec, alpha: MultiIndex, n_max: int, rel_tol) -> list:
     """Shell sums 0..n_max of S_alpha in one pass over shells 0..n_max+step,
     requested together.  Terms whose gamma+alpha leaves the lattice are
-    omitted, and shell n has no gamma-alpha terms below n = step."""
+    omitted, and shell n has no gamma-alpha terms below n = step.  A
+    summand below -_NEGATIVE_SUMMAND_TOLS rel_tol times its up ratio raises
+    NumericalFailureError."""
     step, offset = _neighbours(spec, alpha)
     top = n_max + step
     check_fits(top + 1 if spec.diagonal else (top + 1) * (top + 2) // 2,
                f"the walk to shell {top}")
     logs, sums = _shell_logs(spec, range(top + 1), rel_tol), []
+    allowance = _NEGATIVE_SUMMAND_TOLS * rel_tol
     for n in range(n_max + 1):
         mid = logs[n]
         up = logs[n + step][offset:offset + mid.size]
         terms = _ratios(up, mid[:up.size])
         if n >= step:
             down = logs[n - step][:max(up.size - offset, 0)]
-            terms[offset:offset + down.size] -= _ratios(mid[offset:offset + down.size], down)
+            ups = terms[offset:offset + down.size]
+            downs = _ratios(mid[offset:offset + down.size], down)
+            negative = downs - ups > allowance * ups
+            if negative.any():
+                i = int(negative.argmax())
+                order = 2 * n if spec.diagonal else n
+                g1 = spec.shell(order)[offset + i]
+                raise NumericalFailureError(
+                    f"summand of S_alpha for alpha = {alpha} at gamma = {MultiIndex(g1, order - g1)} "
+                    f"is {ups[i] - downs[i]:.6g}, below -{allowance:.3g} times its up ratio "
+                    f"{ups[i]:.6g}: a moment is wrong beyond its tolerance")
+            ups -= downs
         sums.append(_sum(terms.tolist()))
     return sums
 

@@ -21,10 +21,11 @@ requests all of its shells at once (log_c_shells), and log_c_gamma_sq
 reads one entry of its shell.  On a profile domain the missing shells'
 radial integrals take one pass of the analytic peak locator, which also
 gives each integrand's Laplace scale and so its initial mesh (no grid
-scan), and are then integrated in packs of consecutive rows, one
-log_integrate call per pack, each no larger than the largest shell of the
-request, whose log-integrand writes its values over the radii it is
-given.  The ball's fiber integrates one shell per log_integrate call.
+scan; on inv_one_minus_pow from p = 1 up nearly every pack converges on
+its first kernel pass), and are then integrated in packs of consecutive
+rows, one log_integrate call per pack, each no larger than the largest
+shell of the request, whose log-integrand writes its values over the
+radii it is given.  The ball's fiber integrates one shell per log_integrate call.
 The radial-moment functions take batches of exponent pairs, a single
 moment being a batch of one, and pack them like the walk: no larger than
 the largest shell the pairs lie on, unless that would take more packs
@@ -54,11 +55,13 @@ _LOG_4PI2 = math.log(4.0 * math.pi**2)
 _LOG_2PI2 = math.log(2.0 * math.pi**2)
 
 # Multiples of the Laplace scale at which _mesh cuts a profile integrand.
-_MESH_OFFSETS = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
+_MESH_OFFSETS = np.array([sign * 0.75 * m for m in (1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 128, 256, 512)
+                          for sign in (-1.0, 1.0)])
 
 # Peak bytes a series walk holds per moment on its costlier path, the profile
-# quadrature: 85-99 measured by ru_maxrss between salpha --n-max 200, 400 and
-# 800 on inv_one_minus_pow p=1 (8-10 on the polydisc's closed form).
+# quadrature: 99-112 measured by ru_maxrss between salpha --alpha 1,1 --n-max
+# 200, 400 and 800 on inv_one_minus_pow p=1, 101 from 400 to 800 (8-10 on the
+# polydisc's closed form).
 _BYTES_PER_MOMENT = 128
 
 # Memoized log moments: one read-only log c_gamma^2 array per (domain, n,
@@ -208,11 +211,14 @@ def _peak_scales(profile, xs, ys, lo, hi):
 
 
 def _mesh(peaks, scales) -> np.ndarray:
-    """Initial panel cuts, one row per integrand (NaN = no cut): r* +- s c 2^j
-    for c = 0.75 and j = 0..9, so a sharply concentrated integrand resolves
-    in one or two rounds (log_integrate drops the cuts outside (lo, hi)).  A
-    scale that is not positive and finite gives no cuts: cuts piled on r*
-    could miss the peak, where with none the moment fails loudly."""
+    """Initial panel cuts, one row per integrand (NaN = no cut): r* +- s c m
+    for c = 0.75 and m = 1, 2, 3, 4, 6, 8, 12, 16, 32, ..., 512
+    (_MESH_OFFSETS), so a concentrated integrand converges on its first
+    kernel pass (log_integrate drops the cuts outside (lo, hi)).  The cuts
+    at m = 3, 6 and 12 halve the panels from 1.5 s to 12 s, which a second
+    round would otherwise bisect on nearly every integrand.  A scale that
+    is not positive and finite gives no cuts: cuts piled on r* could miss
+    the peak, where with none the moment fails loudly."""
     cuts = peaks[:, None] + scales[:, None] * _MESH_OFFSETS
     cuts[~(np.isfinite(scales) & (scales > 0.0))] = np.nan
     return cuts

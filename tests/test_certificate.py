@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from reinhardt import certificate, moments
+from reinhardt import certificate, moments, quadrature
 from reinhardt.certificate import (
     Window,
     certificate_ladder,
@@ -273,6 +273,34 @@ def test_certificate_ladder_checks_the_profile_once(monkeypatch):
     assert calls["peak_radius"] == 2
     assert sum(packs["ladder"]) == 2 * sum(len(index_window(find_window(INV_POW), n)) for n in ns)
     assert max(packs["ladder"]) <= max(packs["walk"])
+
+
+@pytest.mark.parametrize("p, alpha", [(1, (1, 1)), (2.5, (1, 0)), (1e5, (1, 1))])
+def test_profile_packs_converge_on_their_first_kernel_pass(monkeypatch, p, alpha):
+    # The Laplace mesh cuts each integrand where the refinement round would
+    # bisect it, so a pack of the walk or the ladder evaluates its panels
+    # once: at n-max 60, 29 of the 30 walk packs on p=1 and all of them on
+    # p=2.5 and p=1e5.  p=1e5 has no certificate window, so only its walk runs.
+    profile = profile_family("inv_one_minus_pow", {"p": p})
+    alpha, ns = MultiIndex(*alpha), sample_ladder(60)
+    passes = []
+    integrate, evaluate = moments.log_integrate, quadrature._eval_panels
+    monkeypatch.setattr(moments, "log_integrate",
+                        lambda *args, **kw: passes.append(0) or integrate(*args, **kw))
+
+    def counted(*args):
+        passes[-1] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(quadrature, "_eval_panels", counted)
+    moments.clear_moment_caches()
+    s_alpha_partials(DomainSpec.profile_domain(profile), alpha, ns)
+    walk = list(passes)
+    assert walk and max(walk) <= 2 and walk.count(2) <= 1, walk
+    if p < 1e5:
+        passes.clear()
+        certificate_ladder(profile, alpha, ns)
+        assert passes and set(passes) == {1}, passes
 
 
 def _per_rung_masses(profile, window, ns):

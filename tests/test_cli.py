@@ -71,11 +71,11 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     # With rel_tol 1e-12, a budget of one subdivision fails on shell 0, whose
     # lone moment gamma = (0, 0) is the radial integral M(1, 2); a budget of
-    # three gets through shells 0..2 and fails on shell 3 at gamma = (1, 2):
-    # M(3, 6), whose next round would take it past three splits.  The
+    # two gets through shells 0..4 and fails on shell 5 at gamma = (5, 0):
+    # M(11, 2), whose next round would take it past two splits.  The
     # message names the failing moment, not its row in a quadrature batch.
     profile = profile_family("inv_one_minus_pow", {"p": 1})
-    for budget, (x, y) in ((1, (1.0, 2.0)), (3, (3.0, 6.0))):
+    for budget, (x, y) in ((1, (1.0, 2.0)), (2, (11.0, 2.0))):
         monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", budget)
         config = {
             "task": "moments",

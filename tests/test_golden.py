@@ -73,7 +73,7 @@ CASES = {
     "wiegerinck-n1000.json": (["wiegerinck", "--n-max", "1000"], 0),
     "wiegerinck-k0.json": (["wiegerinck", "--k", "0"], 1),
     "moments-ball-n2-tol2e-4.csv": (["moments", "--domain", "ball", "--n-max", "2", "--tol", "2e-4"], 1),
-    # Converges with 4,223 splits of one integrand, under the subdivision budget.
+    # Converges with 4,273 splits of one integrand, under the subdivision budget.
     "moments-p1e9-n24-tol1e-14.csv": (
         ["moments", "--domain", P + "1e9", "--n-max", "24", "--tol", "1e-14"], 0),
 }

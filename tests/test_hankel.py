@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from reinhardt import hankel
+from reinhardt import hankel, moments
+from reinhardt.cli import main
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError
 from reinhardt.hankel import (
@@ -19,8 +20,9 @@ from reinhardt.hankel import (
     sample_ladder,
     shell_bound,
 )
-from reinhardt.moments import clear_moment_caches, log_c_gamma_sq
+from reinhardt.moments import clear_moment_caches, log_c_gamma_sq, log_c_shells
 from reinhardt.profiles import profile_family
+from reinhardt.quadrature import REL_TOL
 from reinhardt.wiegerinck import omega0_log_ck_sq
 
 from oracles import hs_term, index_sum
@@ -118,6 +120,33 @@ def test_nonnegativity_spot_check():
             gamma = MultiIndex(rng.randrange(12), rng.randrange(12))
             alpha = MultiIndex(rng.randrange(3), rng.randrange(3))
             assert hs_term(spec, gamma, alpha) >= -1e-9
+
+
+@pytest.mark.parametrize("shift, gamma", [(1e-3, "(150,50)"), (-1e-3, "(149,50)")])
+def test_a_moment_moved_beyond_its_margin_fails_the_walk(shift, gamma, capsys):
+    # On polydisc:2 the Cauchy-Schwarz margin of the alpha = (1, 0) summands
+    # at gamma = (150, 50) is log((g1 + 1)^2 / (g1 (g1 + 2))), about 4.4e-5.
+    # Raising log c_gamma^2 there by 1e-3 makes its own summand negative on
+    # shell 200; lowering it makes the summand of (149, 50) negative on shell
+    # 199.  The walk must fail with one line and exit 2, and pass unmoved.
+    argv = ["salpha", "--domain", "polydisc:2", "--alpha", "1,0", "--n-max", "210"]
+    spec = DomainSpec.polydisc(2.0)
+    clear_moment_caches()
+    try:
+        assert main(argv) == 0
+        capsys.readouterr()
+        (logs,) = log_c_shells(spec, (200,))
+        moved = logs.copy()
+        moved[150] += shift
+        moved.flags.writeable = False
+        moments._MOMENT_MEMO[(spec, 200, REL_TOL)] = moved
+        assert main(argv) == 2
+        message = capsys.readouterr().err
+        assert message.count("\n") == 1
+        assert message.startswith(
+            f"numerical failure: summand of S_alpha for alpha = (1,0) at gamma = {gamma} is -")
+    finally:
+        clear_moment_caches()
 
 
 ORACLE_DOMAINS = {

@@ -397,7 +397,8 @@ def test_peak_locator_matches_mpmath():
     from reinhardt.profiles import peak_radius
 
     mpmath = pytest.importorskip("mpmath")
-    offsets = np.array([sign * 0.75 * 2.0**j for j in range(10) for sign in (-1.0, 1.0)])
+    offsets = np.array([sign * 0.75 * m for m in (1, 2, 3, 4, 6, 8, 12, 16, 32, 64, 128, 256, 512)
+                        for sign in (-1.0, 1.0)])
     xs = np.array([1.0, 3.0, 11.0, 101.0, 401.0])
     ys = np.array([2.0, 6.0, 50.0, 402.0, 1000.0])
     gx, gy = (g.ravel() for g in np.meshgrid(xs, ys))
