@@ -30,6 +30,13 @@ sums add the rows in the order numpy's pairwise sum adds a contiguous row
 of 7 or 15 values, so every panel's value is bitwise what a panel-major
 table gives.  The integrand may write its values over the radii it is
 given; the rule then reuses that array in place.
+
+The node table is kept between calls, as QUADPACK's callers own their work
+arrays: a pool (_TABLES) of float buffers, from which each kernel call takes
+one and to which it gives it back, so the packs of a run reuse the same
+pages instead of faulting in a fresh table each.  A nested or concurrent call
+takes a table of its own.  A table grows geometrically, and one of more than
+_TABLE_CAP nodes (2 MiB) is freed instead of kept, so the pool stays bounded.
 """
 
 from __future__ import annotations
@@ -66,12 +73,18 @@ _WG = np.concatenate([_WG_HALF[:3], [_WG_HALF[3]], _WG_HALF[2::-1]])
 # cannot fall below rel_tol, for rounding, bisects on noise until it has
 # spent them, and the integrands of a batch share one panel table, so a
 # budget of 10^6 filled memory first.  The most splits seen in a run that
-# converged are 4,223 (moments on inv_one_minus_pow p=1e9 to n_max 24 at
+# converged are 4,273 (moments on inv_one_minus_pow p=1e9 to n_max 24 at
 # rel_tol 1e-14).
 _MAX_SUBDIVISIONS = 5000
 
 # The relative tolerance of every adaptive integral, unless a caller passes one.
 REL_TOL = 1e-10
+
+# The pool of node tables (see the module docstring).  pop() and append() are
+# atomic, so each thread and each nested log_integrate call holds a table of
+# its own; a table of more than _TABLE_CAP nodes (2 MiB) is not kept.
+_TABLES: list = []
+_TABLE_CAP = 2**18
 
 
 def check_rel_tol(value) -> float:
@@ -93,26 +106,38 @@ def _eval_panels(log_f, los, his, owner):
     Gauss rule in sequence, the Kronrod rule as ((w0+w1)+(w2+w3)) +
     ((w4+w5)+(w6+w7)) and then w8, ..., w14 one at a time.  A panel's value
     is therefore bitwise that of the panel-major table, and does not depend
-    on how many other panels share the call.
+    on how many other panels share the call.  The node table is taken from
+    the pool (_TABLES) and given back when the rule is done.
 
     A panel whose nodes all sit at log 0 contributes nothing; +inf or
     NaN values surface later as a NaN total, which the driver rejects.
     """
-    half = 0.5 * (his - los)
-    r = np.multiply(_XGK[:, None], half)
-    r += 0.5 * (his + los)
-    lf = np.asarray(log_f(r, owner[None, :]), dtype=float).reshape(_XGK.size, los.size)
-    shift = lf.max(axis=0)
-    empty = shift == -np.inf
-    bad = ~np.isfinite(shift) & ~empty
-    safe_shift = np.where(empty | bad, 0.0, shift)
-    w = np.exp(np.subtract(lf, safe_shift, out=r), out=r)
-    g = (w[1::2] * _WG[:, None]).sum(axis=0)
-    w *= _WGK[:, None]
-    k = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
-    for row in w[8:]:
-        k += row
-    rule = np.empty((los.size, 2))
+    size = los.size
+    try:
+        table = _TABLES.pop()
+    except IndexError:
+        table = np.empty(0)
+    if table.size < _XGK.size * size:
+        table = np.empty(max(_XGK.size * size, 2 * table.size))
+    try:
+        half = 0.5 * (his - los)
+        r = np.multiply(_XGK[:, None], half, out=table[:_XGK.size * size].reshape(_XGK.size, size))
+        r += 0.5 * (his + los)
+        lf = np.asarray(log_f(r, owner[None, :]), dtype=float).reshape(_XGK.size, size)
+        shift = lf.max(axis=0)
+        empty = shift == -np.inf
+        bad = ~np.isfinite(shift) & ~empty
+        safe_shift = np.where(empty | bad, 0.0, shift)
+        w = np.exp(np.subtract(lf, safe_shift, out=r), out=r)
+        g = (w[1::2] * _WG[:, None]).sum(axis=0)
+        w *= _WGK[:, None]
+        k = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+        for row in w[8:]:
+            k += row
+    finally:
+        if table.size <= _TABLE_CAP:
+            _TABLES.append(table)
+    rule = np.empty((size, 2))
     rule[:, 0] = k
     rule[:, 1] = np.abs(k - g)
     out = np.log(np.maximum(rule, 1e-300)) + (safe_shift + np.log(half))[:, None]
@@ -158,7 +183,8 @@ def log_integrate(
     node and one column per panel, and a (1, P) row of the index of the
     integrand owning each column, so ``xs[owner]`` is a row of per-panel
     exponents.  It may write its logs over ``r``, which the rule then reuses;
-    any other array it returns is only read, so log_f may keep it.
+    any other array it returns is only read, so log_f may keep it.  ``r`` is
+    a view of a node table that later calls reuse, so log_f must not keep it.
 
     ``presplit`` is empty or a 2-D array with one row of points per
     integrand at which its initial panels are cut, such as the moments

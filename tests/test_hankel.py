@@ -3,7 +3,10 @@ import math
 import random
 import sys
 
+import hypothesis
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from reinhardt import hankel, moments
 from reinhardt.cli import main
@@ -120,6 +123,63 @@ def test_nonnegativity_spot_check():
             gamma = MultiIndex(rng.randrange(12), rng.randrange(12))
             alpha = MultiIndex(rng.randrange(3), rng.randrange(3))
             assert hs_term(spec, gamma, alpha) >= -1e-9
+
+
+_QUADRANT_ALPHAS = [(a1, a2) for a1 in range(4) for a2 in range(4) if 1 <= a1 + a2 <= 3]
+_DIRECTIONS = [(d1, d2) for d1 in range(-3, 4) for d2 in range(-3, 4) if (d1, d2) != (0, 0)]
+
+
+@st.composite
+def _domains(draw):
+    """A random built-in domain: inv_one_minus_pow at a random p, a polydisc
+    of random second radius, the ball, Omega_0 or a truncated omega_k."""
+    kind = draw(st.sampled_from(["profile", "polydisc", "ball", "omega0", "omega_k"]))
+    if kind == "profile":
+        p = 10.0 ** draw(st.floats(-1.0, 6.0))
+        return DomainSpec.profile_domain(profile_family("inv_one_minus_pow", {"p": p}))
+    if kind == "polydisc":
+        return DomainSpec.polydisc(draw(st.floats(0.25, 4.0)))
+    if kind == "omega_k":
+        return DomainSpec.wiegerinck_omega_k(draw(st.integers(1, 40)))
+    return BALL if kind == "ball" else OMEGA0
+
+
+def _lattice_logs(spec, n_max):
+    """log c_gamma^2 of every lattice point gamma with |gamma| <= n_max, by gamma."""
+    shells = log_c_shells(spec, range(n_max + 1))
+    return {(g1, n - g1): float(logs[i])
+            for n, logs in enumerate(shells) for i, g1 in enumerate(spec.shell(n))}
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(spec=_domains(), n_max=st.integers(2, 60), data=st.data())
+def test_walk_properties_hold_on_random_domains(spec, n_max, data):
+    # Oracle-free checks on one walk, from the moments' Hoelder log-convexity
+    # and the nonnegative summands, with no closed form or reference value:
+    # - log c_gamma^2 is convex along a random lattice direction, to the
+    #   rounding a rel_tol error in three moments can cause;
+    # - S_alpha(N) does not decrease in N;
+    # - shell_bound(N) <= S_alpha(N), up to rounding of the sums: for
+    #   |alpha| = 1 the two are equal, S_alpha telescoping to the bound;
+    # - on the ball and the unit polydisc, c_(a,b) = c_(b,a) to rel_tol.
+    clear_moment_caches()
+    if spec.diagonal:
+        top = data.draw(st.integers(1, 2 if spec.k is None else min(2, spec.k)), "a")
+        alpha, direction = MultiIndex(top, top), (top, top)
+    else:
+        alpha = MultiIndex(*data.draw(st.sampled_from(_QUADRANT_ALPHAS), "alpha"))
+        direction = data.draw(st.sampled_from(_DIRECTIONS), "direction")
+    logs = _lattice_logs(spec, 2 * n_max if spec.diagonal else n_max)
+    d1, d2 = direction
+    second = [logs[g1 + d1, g2 + d2] + logs[g1 - d1, g2 - d2] - 2.0 * logs[g1, g2]
+              for g1, g2 in logs if (g1 + d1, g2 + d2) in logs and (g1 - d1, g2 - d2) in logs]
+    assert min(second, default=0.0) >= -4.0 * REL_TOL
+    partials = [value for _, value in s_alpha_partials(spec, alpha, range(1, n_max + 1))]
+    assert all(b >= a for a, b in zip(partials, partials[1:]))
+    assert shell_bound(spec, alpha, n_max) <= partials[-1] * (1.0 + 1e-12)
+    if spec in (BALL, POLYDISC):
+        mirror = [abs(value - logs[g2, g1]) for (g1, g2), value in logs.items()]
+        assert max(mirror) <= 2.0 * REL_TOL
 
 
 @pytest.mark.parametrize("shift, gamma", [(1e-3, "(150,50)"), (-1e-3, "(149,50)")])

@@ -313,3 +313,112 @@ def test_node_major_kernel_is_bitwise_the_panel_major_one_on_empty_and_nan_panel
     assert (rules[:3] == -np.inf).all()
     assert np.isnan(rules[4, 0]) and np.isnan(rules[7, 0])
     assert np.isfinite(rules[9:]).all()
+
+
+def _beta_batch(size):
+    # size integrands r^x (1 - r^2)^y with exponents spread over two decades.
+    xs = np.linspace(1.0, 200.0, size)
+    ys = np.linspace(300.0, 2.0, size)
+
+    def log_f(r, owner):
+        return xs[owner] * np.log(r) + ys[owner] * np.log1p(-r * r)
+
+    return log_f
+
+
+def test_a_log_f_may_integrate_inside_itself():
+    # The nested call takes a node table of its own while the outer call
+    # holds one, so neither overwrites the other's nodes.  The nested batch
+    # is larger than the outer one, so it also grows a table mid-call.
+    outer, inner = _beta_batch(3), _beta_batch(40)
+    lone_outer = log_integrate(outer, np.zeros(3), np.ones(3))
+    lone_inner = log_integrate(inner, np.zeros(40), np.ones(40))
+    nested = []
+
+    def nesting(r, owner):
+        nested.append(log_integrate(inner, np.zeros(40), np.ones(40)))
+        return outer(r, owner)
+
+    got = log_integrate(nesting, np.zeros(3), np.ones(3))
+    assert got.tobytes() == lone_outer.tobytes()
+    assert nested and all(values.tobytes() == lone_inner.tobytes() for values in nested)
+
+
+def test_threads_integrate_bitwise_as_one_thread_does():
+    # 8 threads run batches of mixed sizes at once, each batch several
+    # times, switching often; every result is bitwise the serial one, which
+    # two threads sharing one node table would break.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = [1, 5, 17, 40, 3, 60, 9, 33] * 3
+    serial = {n: log_integrate(_beta_batch(n), np.zeros(n), np.ones(n)).tobytes() for n in set(sizes)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(lambda n: log_integrate(_beta_batch(n), np.zeros(n), np.ones(n)),
+                                sizes, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [values.tobytes() for values in got] == [serial[n] for n in sizes]
+
+
+def test_a_reused_table_gives_the_bits_of_a_fresh_one(monkeypatch):
+    # A pack evaluated with the pool empty, then with a larger stale table
+    # pooled, then with a smaller one (grown in the call): the same bytes.
+    from reinhardt import moments
+    from reinhardt.profiles import profile_family
+
+    profile = profile_family("inv_one_minus_pow", {"p": 1.0})
+    g1 = np.arange(61.0)
+    xs, ys = 2.0 * g1 + 1.0, 2.0 * (60.0 - g1) + 2.0
+    cuts = moments._mesh(*moments._peak_scales(profile, xs, ys, 0.0, 1.0))
+    los, his, owner = quadrature._initial_panels(np.zeros(61), np.ones(61), cuts)
+    log_f = moments._profile_log_integrand(profile, xs, ys)
+    runs = []
+    for stale in ([], [np.full(64 * los.size, np.nan)], [np.full(3 * los.size, np.inf)]):
+        monkeypatch.setattr(quadrature, "_TABLES", stale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            runs.append(quadrature._eval_panels(log_f, los, his, owner).tobytes())
+        assert len(quadrature._TABLES) == 1 and quadrature._TABLES[0].size >= 15 * los.size
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_the_pool_keeps_no_table_above_its_cap(monkeypatch):
+    # A kernel call on P panels needs a table of 15 P nodes; one above the
+    # cap is freed when the call ends, and one at or below it is kept.
+    monkeypatch.setattr(quadrature, "_TABLES", [])
+    monkeypatch.setattr(quadrature, "_TABLE_CAP", 15 * 50)
+    log_f = _beta_batch(1)
+    for panels, kept in ((60, []), (50, [750]), (60, [])):
+        edges = np.linspace(0.0, 1.0, panels + 1)
+        quadrature._eval_panels(log_f, edges[:-1], edges[1:], np.zeros(panels, dtype=int))
+        assert [table.size for table in quadrature._TABLES] == kept
+
+
+def test_a_second_pack_allocates_less_than_the_first(monkeypatch):
+    # The shell-200 pack of inv_one_minus_pow p = 1, as a certify walk
+    # integrates it, run twice from an empty pool: the second run reuses the
+    # first one's node table instead of allocating its own.
+    import tracemalloc
+
+    from reinhardt import moments
+    from reinhardt.profiles import profile_family
+
+    profile = profile_family("inv_one_minus_pow", {"p": 1.0})
+    g1 = np.arange(201.0)
+    xs, ys = 2.0 * g1 + 1.0, 2.0 * (200.0 - g1) + 2.0
+    monkeypatch.setattr(quadrature, "_TABLES", [])
+    peaks, values = [], []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            values.append(moments._interval_moments(profile, xs, ys, 0.0, 1.0, REL_TOL))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert values[0] == values[1]
+    assert peaks[1] < 0.8 * peaks[0], peaks
