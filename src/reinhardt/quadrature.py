@@ -37,6 +37,10 @@ one and to which it gives it back, so the packs of a run reuse the same
 pages instead of faulting in a fresh table each.  A nested or concurrent call
 takes a table of its own.  A table grows geometrically, and one of more than
 _TABLE_CAP nodes (2 MiB) is freed instead of kept, so the pool stays bounded.
+
+The shifted log-weights are clamped at _LOG_W_FLOOR = -700 before the rule's
+exp, which keeps numpy's SIMD exp on its fast path; the clamp moves no bit of
+any panel's value or error estimate (the argument is in _eval_panels).
 """
 
 from __future__ import annotations
@@ -86,6 +90,12 @@ REL_TOL = 1e-10
 _TABLES: list = []
 _TABLE_CAP = 2**18
 
+# The floor of a shifted log-weight before the rule's exp.  numpy's SIMD exp
+# takes a slow path for a whole vector when one lane is below about -708 (a
+# floor at -708 still hits it); a floor at -700 keeps every vector on the fast
+# path and moves no bit of any rule value (see _eval_panels).
+_LOG_W_FLOOR = -700.0
+
 
 def check_rel_tol(value) -> float:
     """float(value) for a relative tolerance, a finite number in (0, 1e-4];
@@ -109,6 +119,17 @@ def _eval_panels(log_f, los, his, owner):
     on how many other panels share the call.  The node table is taken from
     the pool (_TABLES) and given back when the rule is done.
 
+    The shifted log-weights are clamped at _LOG_W_FLOOR = -700 before the
+    exp, and no bit moves.  In a finite panel the top node has weight
+    exp(0) = 1, so the Kronrod sum k is at least 0.0229, the smallest
+    Kronrod weight, and the clamped lanes add at most 2 e^-700 (about
+    2e-304) to it, far below half an ulp of k.  The Gauss sum g either has a
+    term above about 1e-270, which absorbs the clamped lanes the same way,
+    or stays far below half an ulp of k, so |k - g| = k either way.  Empty
+    (-inf) and bad (NaN or +inf) shifts are decided before the clamp; an
+    empty panel's row is overwritten at the end, and a bad panel's k is +inf
+    or NaN whatever its other lanes hold.
+
     A panel whose nodes all sit at log 0 contributes nothing; +inf or
     NaN values surface later as a NaN total, which the driver rejects.
     """
@@ -128,7 +149,8 @@ def _eval_panels(log_f, los, his, owner):
         empty = shift == -np.inf
         bad = ~np.isfinite(shift) & ~empty
         safe_shift = np.where(empty | bad, 0.0, shift)
-        w = np.exp(np.subtract(lf, safe_shift, out=r), out=r)
+        d = np.subtract(lf, safe_shift, out=r)
+        w = np.exp(np.maximum(d, _LOG_W_FLOOR, out=d), out=d)
         g = (w[1::2] * _WG[:, None]).sum(axis=0)
         w *= _WGK[:, None]
         k = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))

@@ -1,7 +1,10 @@
 import math
 
+import hypothesis
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from reinhardt import quadrature
 from reinhardt.errors import InvalidInputError, NumericalFailureError
@@ -257,10 +260,10 @@ def _assert_kernels_agree(log_f, los, his, owner):
     assert got.tobytes() == want.tobytes()
 
 
-def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_certify_pack():
+def _shell_200_pack():
     # The initial pack of shell 200 on inv_one_minus_pow p = 1, as a
-    # certify walk integrates it: 201 integrands, about 2,500 panels.
-    from reinhardt import moments, quadrature
+    # certify walk integrates it: 201 integrands, about 3,600 panels.
+    from reinhardt import moments
     from reinhardt.profiles import profile_family
 
     profile = profile_family("inv_one_minus_pow", {"p": 1.0})
@@ -268,28 +271,39 @@ def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_certify_pack():
     xs, ys = 2.0 * g1 + 1.0, 2.0 * (200.0 - g1) + 2.0
     cuts = moments._mesh(*moments._peak_scales(profile, xs, ys, 0.0, 1.0))
     los, his, owner = quadrature._initial_panels(np.zeros(201), np.ones(201), cuts)
-    assert los.size > 2000
-    _assert_kernels_agree(moments._profile_log_integrand(profile, xs, ys), los, his, owner)
+    return moments._profile_log_integrand(profile, xs, ys), los, his, owner
 
 
-def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_ball_fiber_batch(monkeypatch):
-    # The ball's fiber log-integrand of shell 40, on its own panel and on
+def _ball_fiber_packs(monkeypatch, shell):
+    # The ball's fiber log-integrand of one shell, on its own panel and on
     # seven random cuts per integrand.
-    from reinhardt import moments, quadrature
+    from reinhardt import moments
     from reinhardt.domains import DomainSpec
 
     batches = []
-    integrate = moments.log_integrate
+    integrate = quadrature.log_integrate
     monkeypatch.setattr(moments, "log_integrate",
                         lambda log_f, a, b, *args, **kw: batches.append((log_f, a, b))
                         or integrate(log_f, a, b, *args, **kw))
     moments.clear_moment_caches()
-    moments.log_c_shells(DomainSpec.ball(), (40,))
+    moments.log_c_shells(DomainSpec.ball(), (shell,))
     (log_f, a, b), = batches
     cuts = np.random.default_rng(16).uniform(0.0, 1.0, (a.size, 7))
-    for presplit in (np.empty((a.size, 0)), cuts):
-        los, his, owner = quadrature._initial_panels(a, b, presplit)
-        _assert_kernels_agree(log_f, los, his, owner)
+    return [(log_f, *quadrature._initial_panels(a, b, presplit))
+            for presplit in (np.empty((a.size, 0)), cuts)]
+
+
+def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_certify_pack():
+    log_f, los, his, owner = _shell_200_pack()
+    assert los.size > 2000
+    _assert_kernels_agree(log_f, los, his, owner)
+
+
+def test_node_major_kernel_is_bitwise_the_panel_major_one_on_a_ball_fiber_batch(monkeypatch):
+    # Shell 100's batches hold lanes below the exp floor; shell 40's do not.
+    for shell in (40, 100):
+        for pack in _ball_fiber_packs(monkeypatch, shell):
+            _assert_kernels_agree(*pack)
 
 
 def test_node_major_kernel_is_bitwise_the_panel_major_one_on_empty_and_nan_panels():
@@ -313,6 +327,93 @@ def test_node_major_kernel_is_bitwise_the_panel_major_one_on_empty_and_nan_panel
     assert (rules[:3] == -np.inf).all()
     assert np.isnan(rules[4, 0]) and np.isnan(rules[7, 0])
     assert np.isfinite(rules[9:]).all()
+
+
+def _fixed_log_f(values):
+    # A log_f returning a fixed (15, P) node-major table to the kernel and
+    # its transpose to the panel-major oracle, whatever the radii.
+    return lambda r, owner: values if owner.shape[0] == 1 else values.T
+
+
+def test_the_exp_floor_moves_no_bit_on_adversarial_panels():
+    # Log-weights relative to each panel's top node, in the rows of the
+    # node table; odd rows are the Gauss nodes.  Each panel is tried at
+    # three shifts.
+    lo, neg = -745.2, -np.inf  # exp(-745.2) is 0; exp(-720) is subnormal
+    panels = [
+        # The top on a Kronrod-only node, every Gauss node below -700.
+        [-3.0, -701.0, -12.0, lo, -40.0, -720.0, -1.0, -700.5, 0.0, lo, -5.0, -900.0, -2.0, -760.0, -8.0],
+        # The top on the lightest Kronrod node, everything else far below.
+        [0.0, lo, -720.0, -700.5, lo, -720.0, -700.5, lo, -720.0, -700.5, lo, -720.0, -700.5, lo, -1e4],
+        # The Gauss sum near 1e-270, the scale at which it starts to absorb
+        # the floored lanes, beside a top on a Kronrod-only node.
+        [0.0, -621.0, -700.5, -640.0, -720.0, -690.0, lo, -705.0, -701.0, -699.9, -700.0, -745.0, -0.5, -650.0, lo],
+        # The top on a Gauss node, with lanes at -745.2, -720 and -700.5.
+        [lo, -720.0, -700.5, 0.0, lo, -720.0, -700.5, -1.5, lo, -720.0, -700.5, -699.9, lo, -720.0, -700.5],
+        # -inf lanes in finite panels: with the top on a Gauss node, and on
+        # a Kronrod-only node with every Gauss node at -inf.
+        [neg, -1.0, neg, neg, -800.0, 0.0, neg, neg, -30.0, neg, neg, -710.0, neg, neg, -2.0],
+        [neg, neg, -702.0, neg, 0.0, neg, -710.0, neg, -745.2, neg, -1.0, neg, -700.5, neg, neg],
+        # Only the top node is finite.
+        [neg] * 7 + [0.0] + [neg] * 7,
+    ]
+    relative = np.array(panels).T
+    for shift in (0.0, 1234.5, -5e4):
+        values = relative + shift
+        assert (values - values.max(axis=0) < -700.0).sum(axis=0).min() > 0
+        edges = np.linspace(0.0, 1.0, len(panels) + 1)
+        _assert_kernels_agree(_fixed_log_f(values), edges[:-1], edges[1:], np.arange(len(panels)))
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+@hypothesis.given(
+    relative=hnp.arrays(float, st.tuples(st.just(15), st.integers(1, 6)),
+                        elements=st.one_of(st.just(-np.inf), st.floats(-2000.0, 0.0), st.floats(-60.0, 0.0))),
+    data=st.data(),
+)
+def test_the_exp_floor_moves_no_bit_on_random_tables(relative, data):
+    # Random log tables in {-inf} and [-2000, 0], denser near the top, where
+    # a floor too high would move bits, each panel shifted by a random
+    # finite amount: the kernel's values are bitwise the oracle's, which
+    # exponentiates without a floor.
+    size = relative.shape[1]
+    shifts = data.draw(hnp.arrays(float, size, elements=st.floats(-1e5, 1e5)), "shifts")
+    edges = np.linspace(0.0, 1.0, size + 1)
+    _assert_kernels_agree(_fixed_log_f(relative + shifts), edges[:-1], edges[1:], np.arange(size))
+
+
+class _ExpRecorder:
+    # numpy, with exp recording the smallest argument of every call.
+    def __init__(self):
+        self.lowest = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.lowest.append(float(np.min(x)))
+        return np.exp(x, *args, **kwargs)
+
+
+def test_the_rule_exp_never_sees_an_argument_below_the_floor(monkeypatch):
+    # The shell-200 certify pack and the ball's shell-100 fiber batches
+    # hold lanes more than 700 below their panel's top; with the floor, the
+    # rule's exp (the kernel's only one) gets none of them, so it stays on
+    # numpy's fast path.  Without the floor it would.
+    packs = [_shell_200_pack(), *_ball_fiber_packs(monkeypatch, 100)]
+    for floor, lowest in ((quadrature._LOG_W_FLOOR, -700.0), (-np.inf, None)):
+        monkeypatch.setattr(quadrature, "_LOG_W_FLOOR", floor)
+        for pack in packs:
+            recorder = _ExpRecorder()
+            monkeypatch.setattr(quadrature, "np", recorder)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quadrature._eval_panels(*pack)
+            monkeypatch.setattr(quadrature, "np", np)
+            assert len(recorder.lowest) == 1
+            if lowest is None:
+                assert recorder.lowest[0] < -708.0
+            else:
+                assert recorder.lowest[0] >= lowest
 
 
 def _beta_batch(size):
