@@ -105,9 +105,10 @@ def find_window(profile: RadialProfile) -> Window:
     """Deterministic window selection.
 
     Scans the uniform 1e-4 grid for the first point where r phi'(r)
-    reaches 0.1, takes it as a, and places b at (a+1)/2, pushing b
-    toward 1 by halving the gap while the strict inequality
-    b phi'(b) > a phi'(a) has not yet been reached.
+    reaches 0.1, takes it as a, and places b at (a+1)/2, where
+    b phi'(b) > a phi'(a) and phi(b) < inf must hold.  No b nearer 1 does
+    better: r phi'(r) does not decrease for a subharmonic phi, and phi(b)
+    overflows for every larger b once it overflows.
     """
     grid = np.arange(1, int(round(1.0 / _WINDOW_GRID_STEP))) * _WINDOW_GRID_STEP
     with np.errstate(over="ignore"):  # phi, phi' -> inf near r = 1 fail the checks
@@ -121,13 +122,9 @@ def find_window(profile: RadialProfile) -> Window:
         a = float(grid[hits[0]])
         big_a = float(a * profile.dphi(a))
         b = 0.5 * (a + 1.0)
-        while True:
-            big_b = float(b * profile.dphi(b))
-            if big_b > big_a and math.isfinite(float(profile.phi(b))):
-                break
-            b = 0.5 * (b + 1.0)
-            if 1.0 - b < 1e-12:
-                raise InvalidInputError(f"no usable window endpoint b for {profile!r}")
+        big_b = float(b * profile.dphi(b))
+        if not (big_b > big_a and math.isfinite(float(profile.phi(b)))):
+            raise InvalidInputError(f"no usable window endpoint b for {profile!r}")
     return Window(a=a, b=b, A=big_a, B=big_b)
 
 
@@ -221,9 +218,9 @@ def certificate_ladder(
 ) -> Certificate:
     """Assemble and verify the linear lower bound at every index n of ns.
 
-    The profile checks, the window and lambda_alpha run once, and so does
-    density_mass: one batch per ladder over the pairs of every window,
-    packed like the walk.  Rung by rung, in the order of ns, every shell
+    The profile checks, the window and lambda_alpha run once, and a weight
+    that is not a positive normal float is refused.  So does density_mass:
+    one batch per ladder over the pairs of every window, packed like the walk.  Rung by rung, in the order of ns, every shell
     index k in the window of n gets its mass checked (>= 1/2) and its
     prefactor (n-k+1)/(n-k+a2+1) compared against 1/(1+a2), with no
     slack; a failed check raises with the offending pair.
@@ -240,6 +237,9 @@ def certificate_ladder(
         )
     window = find_window(profile)
     lam = lambda_alpha(profile, alpha, window)
+    if not lam >= np.finfo(float).tiny:  # a bound of 0 certifies nothing
+        raise InvalidInputError(f"the certificate weight for alpha={alpha} on {profile!r} is "
+                                f"{lam:g}, not a positive normal float")
     windows = [index_window(window, n) for n in ns]
     xs = [2.0 * k + 1.0 for ks in windows for k in ks]
     ys = [2.0 * (n - k) + 2.0 for n, ks in zip(ns, windows) for k in ks]

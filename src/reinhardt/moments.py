@@ -18,14 +18,15 @@ lattice is not square-integrable, and asking for its moment is an error.
 Moments are memoized a shell |gamma| = n at a time, as one read-only
 array per (domain, n, rel_tol); that is the only memo.  A series walk
 requests all of its shells at once (log_c_shells), and log_c_gamma_sq
-reads one entry of its shell.  On a profile domain the missing shells'
-radial integrals take one pass of the analytic peak locator, which also
-gives each integrand's Laplace scale and so its initial mesh (no grid
-scan; on inv_one_minus_pow from p = 1 up nearly every pack converges on
-its first kernel pass), and are then integrated in packs of consecutive
-rows, one log_integrate call per pack, each no larger than the largest
-shell of the request, whose log-integrand writes its values over the
-radii it is given.  The ball's fiber integrates one shell per log_integrate call.
+reads one entry of its shell.  On a profile domain without a closed form
+(RadialProfile.log_moment) the missing shells' radial integrals take one
+pass of the analytic peak locator, which also gives each integrand's
+Laplace scale and so its initial mesh (no grid scan; from (1 - r)^-1 on,
+nearly every pack converges on its first kernel pass), and are then
+integrated in packs of consecutive rows, one log_integrate call per
+pack, each no larger than the largest shell of the request, whose
+log-integrand writes its values over the radii it is given.  The ball's
+fiber integrates one shell per log_integrate call.
 The radial-moment functions take batches of exponent pairs, a single
 moment being a batch of one, and pack them like the walk: no larger than
 the largest shell the pairs lie on, unless that would take more packs
@@ -60,7 +61,7 @@ _MESH_OFFSETS = np.array([sign * 0.75 * m for m in (1, 2, 3, 4, 6, 8, 12, 16, 32
 
 # Peak bytes a series walk holds per moment on its costlier path, the profile
 # quadrature: 99-112 measured by ru_maxrss between salpha --alpha 1,1 --n-max
-# 200, 400 and 800 on inv_one_minus_pow p=1, 101 from 400 to 800 (8-10 on the
+# 200, 400 and 800 on the profile (1 - r)^-1, 101 from 400 to 800 (8-10 on the
 # polydisc's closed form).
 _BYTES_PER_MOMENT = 128
 
@@ -68,10 +69,6 @@ _BYTES_PER_MOMENT = 128
 # rel_tol) shell.  Values never depend on whether they were computed alone
 # or in a batch.
 _MOMENT_MEMO: dict = {}
-
-
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 # --------------------------------------------------------------------------
@@ -82,11 +79,8 @@ def _log_beta(a: float, b: float) -> float:
 def log_radial_moment(profile: RadialProfile, x, y, rel_tol: float = REL_TOL) -> list:
     """log of M(x, y) = integral_0^1 r^x exp(-y phi(r)) dr for each pair of
     the equal-length 1-D sequences x and y: log_profile_interval_moment on
-    [0, 1].
-
-    Families with a closed form bypass quadrature entirely:
-    phi = 0 gives 1/(x+1); phi = -log(1-r^2) gives B((x+1)/2, y+1)/2
-    via log-gamma (substitute u = r^2).
+    [0, 1], which is the profile's closed form where it carries one
+    (RadialProfile.log_moment).
     """
     return log_profile_interval_moment(profile, x, y, 0.0, 1.0, rel_tol)
 
@@ -119,19 +113,15 @@ def log_profile_interval_moment(
 
 def _interval_moments(profile, xs, ys, lo, hi, rel_tol) -> list:
     """log integral_lo^hi r^x exp(-y phi(r)) dr for each row of the float
-    arrays xs and ys: the closed form on [0, 1] for the zero and -log(1-r^2)
-    families, else one peak and scale pass over every row, then one
+    arrays xs and ys: the profile's closed form on [0, 1] where it carries
+    one, else one peak and scale pass over every row, then one
     log_integrate call per pack of consecutive rows.  A pack holds as many
     rows as the largest shell the pairs lie on, (max(x + y) - 1) / 2 (the
     pair (2 g1 + 1, 2 g2 + 2) of shell n has x + y = 2 n + 3), or more if
     the batch would otherwise take more packs than that, which no walk
     does.  A row's value does not depend on its pack."""
-    if lo == 0.0 and hi == 1.0:
-        if profile.name == "zero":
-            return [-math.log(x + 1.0) for x in map(float, xs)]
-        if profile.name == "neg_log_one_minus_r2":
-            return [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0)
-                    for x, y in zip(map(float, xs), map(float, ys))]
+    if lo == 0.0 and hi == 1.0 and profile.log_moment is not None:
+        return profile.log_moment(xs, ys)
     peaks, scales = _peak_scales(profile, xs, ys, lo, hi)
     # (x + y - 1) / 2 halved term by term, which cannot overflow
     largest = (0.5 * xs + 0.5 * ys).max(initial=0.0) - 0.5
@@ -190,7 +180,7 @@ def _peak_scales(profile, xs, ys, lo, hi):
     x = y r phi'(r) (profiles.peak_radius, one call for every row), and the
     Laplace scale s = 1/sqrt(x/r*^2 + y phi''(r*)) of the Gaussian that
     matches the log-integrand's curvature there, for positive exponents.
-    Where that curvature overflows (inv_one_minus_pow from about p = 5e152,
+    Where that curvature overflows ((1 - r)^-p from about p = 5e152,
     phi''(r*) ~ p^2), s = exp(-1/2 logaddexp(log x - 2 log r*,
     log y + log phi''(r*))).  Each row depends only on its own
     (x, y, lo, hi), as does its mesh.

@@ -42,6 +42,9 @@ class RadialProfile:
     params: tuple = field(default=())
     # log phi''(r), finite where phi'' overflows; None reads it as log(d2phi(r)).
     log_d2phi: Callable | None = None
+    # log M(x, y) = log integral_0^1 r^x exp(-y phi(r)) dr for float arrays x
+    # and y, as a list; None integrates M by quadrature.
+    log_moment: Callable | None = None
 
     def __eq__(self, other):
         if not isinstance(other, RadialProfile):
@@ -59,13 +62,14 @@ class RadialProfile:
 def profile_family(name: str, params: dict | None = None) -> RadialProfile:
     """Instantiate one of the built-in profile families.
 
-    zero                  phi(r) = 0
-    neg_log_one_minus_r2  phi(r) = -log(1 - r^2)
+    zero                  phi(r) = 0                 M(x, y) = 1/(x+1)
+    neg_log_one_minus_r2  phi(r) = -log(1 - r^2)     M(x, y) = B((x+1)/2, y+1)/2
     inv_one_minus_pow     phi(r) = (1 - r)^(-p),  p > 0
 
     Only these families are accepted: the certificate pipeline needs
     trustworthy derivatives, which a free-form user function cannot
-    supply.
+    supply.  A family with a closed form for its moments M(x, y) carries
+    their log as log_moment (the beta function by log-gamma, with u = r^2).
     """
     params = dict(params or {})
     if name == "zero":
@@ -75,6 +79,7 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
             phi=lambda r: 0.0 * np.asarray(r, dtype=float),
             dphi=lambda r: 0.0 * np.asarray(r, dtype=float),
             d2phi=lambda r: 0.0 * np.asarray(r, dtype=float),
+            log_moment=lambda xs, ys: [-math.log(x + 1.0) for x in map(float, xs)],
         )
     if name == "neg_log_one_minus_r2":
         _reject_params(name, params)
@@ -83,8 +88,8 @@ def profile_family(name: str, params: dict | None = None) -> RadialProfile:
             phi=_neg_log_one_minus_r2,
             dphi=lambda r: 2.0 * r / (1.0 - np.square(r)),
             d2phi=lambda r: (2.0 + 2.0 * np.square(r)) / np.square(1.0 - np.square(r)),
-            log_d2phi=lambda r: (math.log(2.0) + np.log1p(np.square(r))
-                                 - 2.0 * np.log1p(-np.square(r))),
+            log_moment=lambda xs, ys: [math.log(0.5) + _log_beta(0.5 * (x + 1.0), y + 1.0)
+                                       for x, y in zip(map(float, xs), map(float, ys))],
         )
     if name == "inv_one_minus_pow":
         p = params.pop("p", None)
@@ -182,6 +187,10 @@ def _logit_midpoint(a, b):
     with np.errstate(divide="ignore"):
         ta, tb = (np.clip(np.log(e) - np.log1p(-e), -708.0, 37.0) for e in (a, b))
     return np.minimum(np.maximum(1.0 / (1.0 + np.exp(-0.5 * (ta + tb))), a), b)
+
+
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 def _neg_log_one_minus_r2(r):

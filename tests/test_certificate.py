@@ -65,6 +65,16 @@ def test_find_window_inv_pow():
     assert window.A >= 0.1
 
 
+@pytest.mark.parametrize("profile", [NEG_LOG] + [
+    profile_family("inv_one_minus_pow", {"p": p}) for p in (0.01, 0.1, 1, 2.5, 100, 1000)],
+    ids=repr)
+def test_a_built_in_window_puts_b_halfway_from_a_to_1(profile):
+    # r phi'(r) does not decrease on a subharmonic profile, and phi(b) stays
+    # infinite past its first overflow, so no b nearer 1 than (a+1)/2 helps.
+    window = find_window(profile)
+    assert window.b == 0.5 * (window.a + 1.0)
+
+
 def test_find_window_rejects_flat_profile():
     with pytest.raises(InvalidInputError):
         find_window(ZERO)
@@ -226,6 +236,29 @@ def test_certificate_rejects_zero_alpha_and_concave_profiles():
         certificate_ladder(NEG_LOG, MultiIndex(0, 0), (50,))
     with pytest.raises(InvalidInputError):
         certificate_ladder(CONCAVE, MultiIndex(1, 0), (50,))
+
+
+@pytest.mark.parametrize("p, alpha", [(5, (0, 1)), (10, (1, 1)), (10, (0, 2))])
+def test_a_vacuous_certificate_is_refused_before_any_mass(monkeypatch, p, alpha):
+    # exp(-2 a2 phi) underflows at the window's right end, so the weight is
+    # 0, and a bound of 0 certifies nothing.
+    profile, alpha = profile_family("inv_one_minus_pow", {"p": p}), MultiIndex(*alpha)
+    assert lambda_alpha(profile, alpha, find_window(profile)) == 0.0
+    monkeypatch.setattr(certificate, "density_mass", lambda *a, **k: pytest.fail("mass checked"))
+    with pytest.raises(InvalidInputError, match=rf"alpha=\({alpha.g1},{alpha.g2}\).* is 0, not a "
+                       "positive normal float"):
+        certificate_ladder(profile, alpha, (200,))
+
+
+@pytest.mark.parametrize("lam, refused", [(0.0, True), (5e-324, True), (math.nan, True),
+                                          (np.finfo(float).tiny, False)])
+def test_the_weight_must_be_a_positive_normal_float(monkeypatch, lam, refused):
+    monkeypatch.setattr(certificate, "lambda_alpha", lambda *args: lam)
+    if refused:
+        with pytest.raises(InvalidInputError, match="not a positive normal float"):
+            certificate_ladder(INV_POW, MultiIndex(1, 1), (40,))
+    else:
+        assert certificate_ladder(INV_POW, MultiIndex(1, 1), (40,)).lam == lam
 
 
 def test_certificate_counts_are_nearly_affine():

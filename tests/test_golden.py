@@ -2,7 +2,8 @@
 
 Each case runs reinhardt.cli.main in-process on fresh memos and compares
 its stdout with tests/golden/<name> and its exit code with the table; a
-case that exits nonzero also compares its stderr with tests/golden/<name>.err.
+case that exits nonzero also compares its stderr with tests/golden/<name>.err,
+and every file there belongs to a case.
 A change that claims to keep every report identical is held to these files.
 To rewrite them after an intended change of output, run
 
@@ -55,6 +56,12 @@ CASES = {
         ["certify", "--domain", "profile:neg_log_one_minus_r2", "--alpha", "1,0", "--n-max", "200"], 0),
     "certify-p1e9-alpha11-n200.json": (
         ["certify", "--domain", P + "1e9", "--alpha", "1,1", "--n-max", "200"], 1),
+    # The certificate weight underflows to 0, which certifies nothing: certify
+    # refuses it, and salpha leaves its cert_bound column empty.
+    "certify-p5-alpha01-n200.json": (["certify", "--domain", P + "5", "--alpha", "0,1", "--n-max", "200"], 1),
+    "certify-p10-alpha11-n200.json": (
+        ["certify", "--domain", P + "10", "--alpha", "1,1", "--n-max", "200"], 1),
+    "salpha-p5-alpha01-n200.csv": (["salpha", "--domain", P + "5", "--alpha", "0,1", "--n-max", "200"], 0),
     "certify-p1-alpha11-n40-tol1e-13.json": (
         ["certify", "--domain", P1, "--alpha", "1,1", "--n-max", "40", "--tol", "1e-13"], 0),
     "salpha-p1-alpha11-n200.csv": (["salpha", "--domain", P1, "--alpha", "1,1", "--n-max", "200"], 0),
@@ -95,6 +102,12 @@ def test_report_matches_its_golden_file(name):
     assert (text, got) == ((GOLDEN / name).read_bytes(), code)
     if code:
         assert err == (GOLDEN / f"{name}.err").read_bytes()
+
+
+def test_every_golden_file_belongs_to_a_case():
+    # A file no case reads pins nothing, and a failing case needs its stderr.
+    wanted = {*CASES, *(f"{name}.err" for name, (_, code) in CASES.items() if code)}
+    assert {path.name for path in GOLDEN.iterdir()} == wanted
 
 
 if __name__ == "__main__":

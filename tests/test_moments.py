@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from reinhardt import moments, quadrature
+from reinhardt import moments, profiles, quadrature
 from reinhardt.domains import DomainSpec, MultiIndex
 from reinhardt.errors import InvalidInputError, NumericalFailureError
 from reinhardt.moments import (
@@ -25,6 +26,14 @@ PI2 = math.pi**2
 ZERO = profile_family("zero")
 NEG_LOG = profile_family("neg_log_one_minus_r2")
 INV_POW = profile_family("inv_one_minus_pow", {"p": 1})
+
+# The closed forms of M(x, y) on [0, 1], written out as math.log and
+# math.lgamma calls in the order the moments of these families are computed.
+CLOSED_FORMS = {
+    ZERO: lambda x, y: -math.log(x + 1.0),
+    NEG_LOG: lambda x, y: math.log(0.5) + (math.lgamma(0.5 * (x + 1.0)) + math.lgamma(y + 1.0)
+                                           - math.lgamma(0.5 * (x + 1.0) + (y + 1.0))),
+}
 
 
 def log_factorial_ratio(*, num, den):
@@ -432,8 +441,6 @@ def test_presplit_scans_no_grid_and_cuts_panels(monkeypatch):
     # Shell 100 of inv_one_minus_pow:p=1 took 2,524 panels from the 256-point
     # grid scan; the peak mesh must take at most 80% of that, and the mesh
     # itself never evaluates phi.
-    import dataclasses
-
     from reinhardt import quadrature
 
     panels = []
@@ -551,13 +558,8 @@ def test_closed_form_walks_skip_the_radial_memo():
     # forms of M(x, y) on [0, 1], bit for bit, into its shell arrays.
     from reinhardt.hankel import dbar_canonical_report
 
-    closed = {
-        ZERO: lambda x, y: -math.log(x + 1.0),
-        NEG_LOG: lambda x, y: math.log(0.5) + (math.lgamma(0.5 * (x + 1.0)) + math.lgamma(y + 1.0)
-                                               - math.lgamma(0.5 * (x + 1.0) + y + 1.0)),
-    }
     clear_moment_caches()
-    for profile, radial in closed.items():
+    for profile, radial in CLOSED_FORMS.items():
         spec = DomainSpec.profile_domain(profile)
         dbar_canonical_report(spec, 60)
         for n, shell in enumerate(log_c_shells(spec, range(62))):
@@ -565,6 +567,36 @@ def test_closed_form_walks_skip_the_radial_memo():
                 moments._LOG_2PI2 - math.log(n - g1 + 1.0) + radial(2.0 * g1 + 1.0, 2.0 * (n - g1) + 2.0)
                 for g1 in range(n + 1)
             ]
+
+
+def test_each_closed_form_is_bitwise_its_formula():
+    xs = np.array([0.1, 0.5, 1.0, 3.0, 7.3, 41.0, 1e3, 1e7, 2.5e12])
+    x, y = (v.ravel() for v in np.meshgrid(xs, np.append(xs, 6e5)))
+    for profile, radial in CLOSED_FORMS.items():
+        got = profile.log_moment(x, y)
+        assert isinstance(got, list)
+        assert got == [radial(a, b) for a, b in zip(x.tolist(), y.tolist())]
+        # The tracer swaps phi by dataclasses.replace, which keeps the closed form.
+        assert dataclasses.replace(profile, phi=profile.phi).log_moment is profile.log_moment
+
+
+@pytest.mark.parametrize("name", profiles.FAMILIES)
+def test_a_family_is_integrated_exactly_when_it_has_no_closed_form(monkeypatch, name):
+    profile = profile_family(name, {"p": 1} if name == "inv_one_minus_pow" else None)
+    calls = []
+    integrate = moments.log_integrate
+    monkeypatch.setattr(moments, "log_integrate", lambda *a, **k: calls.append(1) or integrate(*a, **k))
+    assert len(log_radial_moment(profile, [1.0, 3.0], [2.0, 4.0])) == 2
+    assert bool(calls) == (profile.log_moment is None)
+
+
+def test_a_closed_form_follows_the_profile_not_its_name():
+    # A profile that calls itself "zero" but has another phi integrates that
+    # phi: the closed form belongs to the family, not to the name.
+    impostor = dataclasses.replace(INV_POW, name="zero", params=())
+    got = log_radial_moment(impostor, [3.0, 11.0], [4.0, 40.0])
+    assert got == log_radial_moment(INV_POW, [3.0, 11.0], [4.0, 40.0])
+    assert got[0] != -math.log(4.0)
 
 
 def test_shell_member_is_bit_identical_to_lone_moment():

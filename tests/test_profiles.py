@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -80,6 +81,10 @@ def test_identity_is_name_and_params():
     c = profile_family("inv_one_minus_pow", {"p": 2})
     assert a == b and hash(a) == hash(b)
     assert a != c
+    # The closed form is family data, outside the identity.
+    neg_log = profile_family("neg_log_one_minus_r2")
+    bare = dataclasses.replace(neg_log, log_moment=None)
+    assert bare == neg_log and hash(bare) == hash(neg_log)
 
 
 @pytest.mark.parametrize("profile", FAMILIES, ids=lambda p: repr(p))
